@@ -161,9 +161,14 @@ def _read_risks(path) -> dict[str, float]:
 # Cohort wiring shared by train and eval
 # ---------------------------------------------------------------------------
 
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _load_run_cohort(cfg: RunConfig, keep_genes: tuple[str, ...] | None = None):
     """Load the cohort for cfg.variant and wire the gene panel.
 
+    Samples missing a modality the variant needs are dropped with a warning.
     Returns (cohort, mask). When ``keep_genes`` is given (evaluating an
     existing checkpoint) the panel is restricted to it instead of
     re-intersecting with the edge list.
@@ -175,6 +180,17 @@ def _load_run_cohort(cfg: RunConfig, keep_genes: tuple[str, ...] | None = None):
     embeddings = _require_file(cfg.embeddings, "embeddings") if needs_image else None
     cohort = load_cohort(clinical, expression_path=expression,
                          embedding_path=embeddings)
+    complete = tuple(
+        s for s in cohort.samples
+        if (s.expression is not None or not needs_gene)
+        and (s.image_embedding is not None or not needs_image))
+    if len(complete) < len(cohort):
+        if not complete:
+            raise DataError(f"no sample has every modality the {cfg.variant} "
+                            "variant needs")
+        _warn(f"dropped {len(cohort) - len(complete)} samples missing a "
+              f"modality the {cfg.variant} variant needs")
+        cohort = replace(cohort, samples=complete)
     mask = None
     if needs_gene:
         if keep_genes is not None:
@@ -186,6 +202,23 @@ def _load_run_cohort(cfg: RunConfig, keep_genes: tuple[str, ...] | None = None):
             cohort = cohort.gene_subset(kept)
             mask = build_adjacency(subgraph)
     return cohort, mask
+
+
+def _load_splits(cfg: RunConfig, cohort) -> SplitSet:
+    """The split file, less any sample id the cohort does not hold (warned
+    with the count)."""
+    split_set = SplitSet.load(_require_file(cfg.splits, "splits"))
+    present = set(cohort.sample_ids)
+    listed = {sid for reps in split_set.repetitions for side in reps
+              for sid in side}
+    absent = listed - present
+    if not absent:
+        return split_set
+    _warn(f"dropped {len(absent)} split sample ids not in the loaded cohort")
+    reps = tuple(tuple(tuple(sid for sid in side if sid in present)
+                       for side in sides)
+                 for sides in split_set.repetitions)
+    return replace(split_set, repetitions=reps)
 
 
 def _embedding_width(cohort) -> int:
@@ -335,7 +368,7 @@ def cmd_train(args) -> int:
         raise ConfigError("grade-only schedule needs a grade head")
 
     cohort, mask = _load_run_cohort(cfg)
-    split_set = SplitSet.load(_require_file(cfg.splits, "splits"))
+    split_set = _load_splits(cfg, cohort)
     n_reps = len(split_set.repetitions)
     if args.all_reps:
         reps = range(n_reps)
@@ -406,7 +439,7 @@ def cmd_eval(args) -> int:
     keep = network.mask.genes if network.mask is not None else None
     run_cfg = replace(cfg, variant=network.config.variant)
     cohort, _ = _load_run_cohort(run_cfg, keep_genes=keep)
-    split_set = SplitSet.load(_require_file(cfg.splits, "splits"))
+    split_set = _load_splits(cfg, cohort)
     if not 0 <= args.rep < len(split_set.repetitions):
         raise ConfigError(
             f"--rep {args.rep} outside [0, {len(split_set.repetitions)}) "

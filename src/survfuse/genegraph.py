@@ -231,7 +231,8 @@ def build_adjacency(graph: GeneGraph, order: tuple[str, ...] | None = None) -> A
     every diagonal entry forced to 1 so each gene always sees itself."""
     genes = tuple(order) if order is not None else graph.genes
     index = {g: i for i, g in enumerate(genes)}
-    missing = [g for g in genes if g not in set(graph.genes)]
+    known = set(graph.genes)
+    missing = [g for g in genes if g not in known]
     if missing:
         raise KeyError(f"genes not in graph: {missing[:5]}")
     coords: set[tuple[int, int]] = {(i, i) for i in range(len(genes))}

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -255,21 +258,27 @@ def _run_layers(x: Array, layers, mode: str, gen) -> tuple[Array, list[LayerCach
 
 
 def _backward_layers(caches: list[LayerCache], upstream: Array,
-                     grads: dict[str, Array]) -> Array:
+                     grads: Mapping[str, Array], dx_start: int = 0) -> Array | None:
+    """Backpropagate through one segment, writing every parameter gradient
+    into its array in ``grads``. Returns the gradient w.r.t. the segment
+    input's columns ``dx_start:``, or None when the caller needs none."""
     d_out = upstream
-    for cache in reversed(caches):
+    for i in reversed(range(len(caches))):
+        cache = caches[i]
         layer = cache.layer
+        start = dx_start if i == 0 else 0
         d_act = d_out if cache.drop_scale is None else d_out * cache.drop_scale
         d_pre = activation_backward(layer.activation, d_act, cache.pre, cache.act)
         if isinstance(layer, MaskedSparseLayer):
             mask = layer.mask
-            grads[f"{layer.name}.values"] = np.einsum(
-                "nk,nk->k", cache.x[:, mask.rows], d_pre[:, mask.cols])
-            d_out = d_pre @ layer.sparse_weight().T
+            np.einsum("nk,nk->k", cache.x[:, mask.rows], d_pre[:, mask.cols],
+                      out=grads[f"{layer.name}.values"])
+            d_out = ((d_pre @ layer.sparse_weight().T)[:, start:]
+                     if start < layer.dim_in else None)
         else:
-            d_out, dw, db = dense_backward(cache.x, layer.weights, d_pre)
-            grads[f"{layer.name}.w"] = dw
-            grads[f"{layer.name}.b"] = db
+            d_out, _, _ = dense_backward(
+                cache.x, layer.weights, d_pre, grads[f"{layer.name}.w"],
+                grads[f"{layer.name}.b"], start)
     return d_out
 
 
@@ -320,36 +329,68 @@ def grade_head(z: Array, head) -> Array:
 
 @dataclass
 class Network:
+    """Layers plus the storage behind their parameters.
+
+    Every parameter lives in ``param_vector``, one contiguous float64 vector
+    in layer order, and each layer's ``weights``/``bias`` is a reshaped view
+    into it; ``grad_vector`` mirrors that layout for gradients. Parameters
+    are only ever written through those views, never rebound, so a whole
+    model is snapshotted or restored with one ``np.copyto``.
+    """
+
     config: NetworkConfig
     gene_layers: list = field(default_factory=list)
-    image_layers: list = field(default_factory=list)
     trunk_layers: list = field(default_factory=list)
     survival_layers: list = field(default_factory=list)
     grade_layers: list = field(default_factory=list)
     init_seed: int | None = None
+    param_vector: Array = field(init=False, repr=False)
+    grad_vector: Array = field(init=False, repr=False)
+    _params: Mapping[str, Array] = field(init=False, repr=False)
+    _grads: Mapping[str, Array] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        slots = [(name, layer, attr) for layer in self.all_layers()
+                 for name, attr in layer.param_items()]
+        names = [name for name, _, _ in slots]
+        if len(set(names)) != len(names):
+            raise UsageError(f"duplicate parameter names in {names}")
+        total = sum(getattr(layer, attr).size for _, layer, attr in slots)
+        self.param_vector = np.zeros(total)
+        self.grad_vector = np.zeros(total)
+        params: dict[str, Array] = {}
+        grads: dict[str, Array] = {}
+        lo = 0
+        for name, layer, attr in slots:
+            value = getattr(layer, attr)
+            hi = lo + value.size
+            view = self.param_vector[lo:hi].reshape(value.shape)
+            np.copyto(view, value)
+            setattr(layer, attr, view)
+            params[name] = view
+            grads[name] = self.grad_vector[lo:hi].reshape(value.shape)
+            lo = hi
+        self._params = MappingProxyType(params)
+        self._grads = MappingProxyType(grads)
 
     def all_layers(self):
-        return (self.gene_layers + self.image_layers + self.trunk_layers
-                + self.survival_layers + self.grade_layers)
+        return (self.gene_layers + self.trunk_layers + self.survival_layers
+                + self.grade_layers)
 
-    def params(self) -> dict[str, Array]:
-        """Registry of every parameter under a stable name, in layer order."""
-        out: dict[str, Array] = {}
-        for layer in self.all_layers():
-            for name, attr in layer.param_items():
-                if name in out:
-                    raise UsageError(f"duplicate parameter name {name!r}")
-                out[name] = getattr(layer, attr)
-        return out
+    def params(self) -> Mapping[str, Array]:
+        """Read-only registry of every parameter under a stable name, in
+        layer order. The values are the live views into ``param_vector``."""
+        return self._params
 
-    def set_params(self, params: dict[str, Array]) -> None:
-        for layer in self.all_layers():
-            for name, attr in layer.param_items():
-                new = params[name]
-                if new.shape != getattr(layer, attr).shape:
-                    raise DimensionError(
-                        f"shape mismatch for {name!r}: {new.shape}")
-                setattr(layer, attr, new)
+    def set_params(self, params: Mapping[str, Array]) -> None:
+        """Copy new values into every parameter (all names required)."""
+        for name, view in self._params.items():
+            new = params[name]
+            if new.shape != view.shape:
+                raise DimensionError(
+                    f"shape mismatch for {name!r}: {new.shape}")
+        for name, view in self._params.items():
+            np.copyto(view, params[name])
 
     def forward(self, gene_x: Array | None = None, image_x: Array | None = None,
                 mode: str = "eval", rng: RngStream | None = None,
@@ -412,36 +453,46 @@ class Network:
         return trace
 
     def backward(self, trace: ForwardTrace, d_survival: Array | None = None,
-                 d_grade: Array | None = None) -> dict[str, Array]:
+                 d_grade: Array | None = None) -> Mapping[str, Array]:
         """Gradients of a scalar loss w.r.t. every parameter given the loss
         gradients at the head outputs. Heads with no upstream contribute
-        zeros, so the result always covers the full registry."""
+        zeros, so the result always covers the full registry.
+
+        The gradients are written into ``grad_vector``; the returned
+        read-only mapping holds views into it, which the next backward pass
+        overwrites.
+        """
         if trace.consumed:
             raise UsageError("ForwardTrace already consumed by a backward pass")
         trace.consumed = True
         if d_survival is None and d_grade is None:
             raise UsageError("backward needs at least one head gradient")
 
-        grads = {name: np.zeros_like(p) for name, p in self.params().items()}
+        grads = self._grads
         rep = trace.outputs["representation"]
         d_rep = np.zeros_like(rep)
-        if d_survival is not None:
-            if "survival" not in trace.segments:
-                raise UsageError("network has no survival head")
-            d_rep += _backward_layers(
-                trace.segment_caches("survival"), d_survival, grads)
-        if d_grade is not None:
-            if "grade" not in trace.segments:
-                raise UsageError("network has no grade head")
-            d_rep += _backward_layers(
-                trace.segment_caches("grade"), d_grade, grads)
+        for head, layers, upstream in (
+                ("survival", self.survival_layers, d_survival),
+                ("grade", self.grade_layers, d_grade)):
+            if upstream is None:
+                for layer in layers:
+                    for name, _ in layer.param_items():
+                        grads[name].fill(0.0)
+                continue
+            if head not in trace.segments:
+                raise UsageError(f"network has no {head} head")
+            d_rep += _backward_layers(trace.segment_caches(head), upstream, grads)
 
-        d_trunk_in = _backward_layers(trace.segment_caches("trunk"), d_rep, grads)
-        if self.config.variant == "fused":
-            d_gene = d_trunk_in[:, trace.concat_split:]
-            _backward_layers(trace.segment_caches("gene"), d_gene, grads)
-        elif self.config.variant == "gene-only":
-            _backward_layers(trace.segment_caches("gene"), d_trunk_in, grads)
+        # Only the gene branch's columns of the trunk input need a gradient;
+        # nothing reads the gradient w.r.t. the raw inputs.
+        variant = self.config.variant
+        gene_from = {"fused": trace.concat_split, "gene-only": 0}.get(
+            variant, self.config.trunk_input_dim())
+        d_gene = _backward_layers(trace.segment_caches("trunk"), d_rep, grads,
+                                  gene_from)
+        if variant in ("fused", "gene-only"):
+            _backward_layers(trace.segment_caches("gene"), d_gene, grads,
+                             self.config.gene_dim)
         return grads
 
     def predict(self, gene_x: Array | None = None,
@@ -511,7 +562,7 @@ def _build_structure(config: NetworkConfig, mask: AdjacencyMask | None) -> Netwo
             dense("grade.1", config.head_hidden_dim, config.grade_classes,
                   "log_softmax_rows", 0.0),
         ]
-    return Network(config=config, gene_layers=gene_layers, image_layers=[],
+    return Network(config=config, gene_layers=gene_layers,
                    trunk_layers=trunk_layers, survival_layers=survival_layers,
                    grade_layers=grade_layers)
 
@@ -534,11 +585,11 @@ def assemble(config: NetworkConfig, mask: AdjacencyMask | None,
             row_nnz = np.bincount(m.rows, minlength=m.dim)
             fans = col_nnz[m.cols] + row_nnz[m.rows]
             limit = np.sqrt(6.0 / fans)
-            layer.weights = gen.uniform(-1.0, 1.0, size=m.nnz) * limit
+            layer.weights[...] = gen.uniform(-1.0, 1.0, size=m.nnz) * limit
         else:
             d_in, d_out = layer.weights.shape
             limit = np.sqrt(6.0 / (d_in + d_out))
-            layer.weights = gen.uniform(-limit, limit, size=(d_in, d_out))
+            layer.weights[...] = gen.uniform(-limit, limit, size=(d_in, d_out))
     net.init_seed = rng.seed
     return net
 
@@ -589,6 +640,14 @@ def save_checkpoint(network: Network, path) -> None:
             fh.write(f"{_sha256(path / name)}  {name}\n")
 
 
+def _plain_name(name: str, where: str) -> str:
+    """A file name from a checkpoint's own listing must stay inside it."""
+    if "/" in name or "\\" in name or ".." in name:
+        raise DataError(f"{where}: file name {name!r} leaves the checkpoint "
+                        "directory")
+    return name
+
+
 def load_checkpoint(path) -> Network:
     """Rebuild a network from a checkpoint directory, verifying checksums.
     The loaded parameters are bit-identical to what was saved."""
@@ -596,11 +655,15 @@ def load_checkpoint(path) -> Network:
     checksum_file = path / _CHECKSUM_NAME
     if not checksum_file.is_file():
         raise DataError(f"missing {_CHECKSUM_NAME} in {path}")
-    for line in checksum_file.read_text(encoding="utf-8").splitlines():
+    lines = checksum_file.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        digest, name = line.split("  ", 1)
-        target = path / name
+        where = f"{_CHECKSUM_NAME}:{lineno}"
+        digest, sep, name = line.partition("  ")
+        if not sep or not name:
+            raise DataError(f"{where}: malformed checksum line {line!r}")
+        target = path / _plain_name(name, where)
         if not target.is_file():
             raise DataError(f"checkpoint file missing: {name}")
         if _sha256(target) != digest:
@@ -621,18 +684,24 @@ def load_checkpoint(path) -> Network:
         mask = AdjacencyMask.load(path / _MASK_NAME, genes=genes)
     net = _build_structure(config, mask)
     net.init_seed = manifest.get("seed")
-    params = {}
     expected = net.params()
+    loaded = set()
     for entry in manifest["params"]:
         name, shape = entry["name"], tuple(entry["shape"])
+        _plain_name(name, _MANIFEST_NAME)
         if name not in expected:
             raise DataError(f"unexpected parameter {name!r} in manifest")
-        raw = np.fromfile(path / f"{name}.bin", dtype="<f8")
-        if raw.size != int(np.prod(shape)):
-            raise DataError(f"parameter {name!r}: size mismatch on disk")
-        params[name] = raw.reshape(shape)
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
+        view = expected[name]
+        if shape != view.shape:
+            raise DimensionError(f"shape mismatch for {name!r}: {shape}")
+        # Read straight into the parameter's slot of the network's vector.
+        with open(path / f"{name}.bin", "rb") as fh:
+            if fh.readinto(memoryview(view).cast("B")) != view.nbytes or fh.read(1):
+                raise DataError(f"parameter {name!r}: size mismatch on disk")
+        if sys.byteorder != "little":
+            view.byteswap(inplace=True)
+        loaded.add(name)
+    if loaded != set(expected):
+        missing = sorted(set(expected) - loaded)
         raise DataError(f"checkpoint missing parameters: {missing[:5]}")
-    net.set_params(params)
     return net

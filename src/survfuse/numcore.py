@@ -1,12 +1,16 @@
 """Float64 matrix primitives: activations, layer gradients, Adam, RNG streams.
 
-Everything here is a pure function of its arguments (plus an explicit RNG
-stream where randomness is involved), so concurrent use is safe. All arrays
-are C-contiguous float64; mixed inputs are coerced on entry.
+Activations, dropout and the dense-layer forward are pure functions of their
+arguments (plus an explicit RNG stream where randomness is involved).
+``dense_backward`` may write its weight and bias gradients into caller-owned
+arrays, and ``adam_step`` updates parameters and moments in place, so one
+``AdamState`` must not be shared between concurrent updates. All arrays are
+C-contiguous float64; mixed inputs are coerced on entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,11 +178,17 @@ def dense_forward(x: Array, w: Array, b: Array | None) -> Array:
     return z
 
 
-def dense_backward(x: Array, w: Array, upstream_z: Array):
-    """Gradients of z = x @ w + b given dL/dz: returns (dx, dw, db)."""
-    dw = x.T @ upstream_z
-    db = upstream_z.sum(axis=0)
-    dx = upstream_z @ w.T
+def dense_backward(x: Array, w: Array, upstream_z: Array, dw: Array | None = None,
+                   db: Array | None = None, dx_start: int = 0):
+    """Gradients of z = x @ w + b given dL/dz: returns (dx, dw, db).
+
+    ``dw`` and ``db``, when given, receive their gradients in place. ``dx``
+    covers input columns ``dx_start:`` only, and is None when that range is
+    empty: columns whose gradient nobody reads are never computed.
+    """
+    dw = np.matmul(x.T, upstream_z, out=dw)
+    db = np.sum(upstream_z, axis=0, out=db)
+    dx = upstream_z @ w[dx_start:].T if dx_start < w.shape[0] else None
     return dx, dw, db
 
 
@@ -186,16 +196,30 @@ def dense_backward(x: Array, w: Array, upstream_z: Array):
 # Adam with decoupled weight decay
 # ---------------------------------------------------------------------------
 
+# Elements per pass of the in-place update. The sixteen passes over one chunk
+# of parameter, gradient, moments and scratch then stay in a core's L2 cache
+# instead of streaming the whole model through memory sixteen times.
+_ADAM_CHUNK = 1 << 15
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment estimates plus the step counter."""
+    """Per-parameter first/second moment estimates plus the step counter.
+
+    It also owns the fixed-size scratch that ``adam_step`` works in, so a step
+    allocates nothing that grows with the model.
+    """
 
     first_moment: dict[str, Array] = field(default_factory=dict)
     second_moment: dict[str, Array] = field(default_factory=dict)
     step_count: int = 0
+    work: Array = field(default_factory=lambda: np.empty((2, _ADAM_CHUNK)),
+                        init=False, repr=False)
+    finite: Array = field(default_factory=lambda: np.empty(_ADAM_CHUNK, dtype=bool),
+                          init=False, repr=False)
 
     @classmethod
-    def for_params(cls, params: dict[str, Array]) -> "AdamState":
+    def for_params(cls, params: Mapping[str, Array]) -> "AdamState":
         return cls(
             first_moment={k: np.zeros_like(v) for k, v in params.items()},
             second_moment={k: np.zeros_like(v) for k, v in params.items()},
@@ -204,46 +228,76 @@ class AdamState:
 
 
 def adam_step(
-    params: dict[str, Array],
-    grads: dict[str, Array],
+    params: Mapping[str, Array],
+    grads: Mapping[str, Array],
     state: AdamState,
     rate: float,
     weight_decay: float = 0.0,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[dict[str, Array], AdamState]:
+) -> tuple[Mapping[str, Array], AdamState]:
     """One Adam update over all parameters; weight decay is decoupled
     (applied to the parameter directly, never mixed into the moments).
 
-    Inputs are left untouched; fresh parameter and state dicts are returned.
+    The update is in place: every parameter array, both moments and
+    ``state.step_count`` change, and ``grads`` is only read. The same
+    ``params`` and ``state`` objects are returned. All gradients
+    are checked before anything is written, so a rejected step leaves the
+    parameters and the state as they were. Each element goes through the
+    same floating-point operations in the same order as the out-of-place
+    update m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p = p - (rate*(m/bc1) / (sqrt(v/bc2)+eps) + (rate*wd)*p), so the
+    result is bit-identical to it.
     """
     if rate <= 0:
         raise ValueError(f"learning rate must be positive, got {rate}")
-    t = state.step_count + 1
-    new_params: dict[str, Array] = {}
-    new_m: dict[str, Array] = {}
-    new_v: dict[str, Array] = {}
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    flat = []
     for name, p in params.items():
         g = grads[name]
         if p.shape != g.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        m = beta1 * state.first_moment[name] + (1.0 - beta1) * g
-        v = beta2 * state.second_moment[name] + (1.0 - beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        step = rate * m_hat / (np.sqrt(v_hat) + eps)
-        if weight_decay:
-            step = step + rate * weight_decay * p
-        new_params[name] = p - step
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(new_m, new_v, t)
+        if not p.flags.c_contiguous:
+            raise ValueError(f"parameter {name!r} must be C-contiguous to be "
+                             "updated in place")
+        flat.append((name, p.reshape(-1), np.ascontiguousarray(g).reshape(-1),
+                     state.first_moment[name].reshape(-1),
+                     state.second_moment[name].reshape(-1)))
+    for name, _, g, _, _ in flat:
+        for lo in range(0, g.size, _ADAM_CHUNK):
+            chunk = g[lo:lo + _ADAM_CHUNK]
+            if not np.isfinite(chunk, out=state.finite[:chunk.size]).all():
+                raise NumericError(f"non-finite gradient for parameter {name!r}")
+
+    t = state.step_count + 1
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    decay = rate * weight_decay
+    for _, p_all, g_all, m_all, v_all in flat:
+        for lo in range(0, p_all.size, _ADAM_CHUNK):
+            span = slice(lo, lo + _ADAM_CHUNK)
+            p, g, m, v = p_all[span], g_all[span], m_all[span], v_all[span]
+            a, b = state.work[0, :p.size], state.work[1, :p.size]
+            np.multiply(m, beta1, out=m)
+            np.multiply(g, 1.0 - beta1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, beta2, out=v)
+            np.multiply(g, 1.0 - beta2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, eps, out=a)
+            np.divide(m, bc1, out=b)
+            np.multiply(b, rate, out=b)
+            np.divide(b, a, out=b)
+            if weight_decay:
+                np.multiply(p, decay, out=a)
+                np.add(b, a, out=b)
+            np.subtract(p, b, out=p)
+    state.step_count = t
+    return params, state
 
 
 @dataclass(frozen=True)

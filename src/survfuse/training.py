@@ -296,6 +296,9 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     history = TrainingHistory()
     params = network.params()
     state = AdamState.for_params(params)
+    # adam_step updates the network's parameters in place, so the best epoch
+    # is kept as a copy, not as a reference.
+    best_vector = np.empty_like(network.param_vector)
     shuffle_stream = RngStream(profile.seed, _STREAM_SHUFFLE)
     dropout_stream = RngStream(profile.seed, _STREAM_DROPOUT)
     schedule = (LrSchedule(profile.base_lr, profile.epochs)
@@ -304,7 +307,6 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     n = len(train_ids)
     c = 0
     best_score = -math.inf
-    best_params = None
     for epoch in range(profile.epochs):
         rate = lr_at(schedule, epoch)
         perm = shuffle_stream.generator(epoch).permutation(n)
@@ -341,26 +343,26 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
                 continue
             grads = network.backward(trace, d_survival=d_survival,
                                      d_grade=d_grade)
-            params, state = adam_step(params, grads, state, rate,
-                                      weight_decay=profile.weight_decay)
-            network.set_params(params)
+            adam_step(params, grads, state, rate,
+                      weight_decay=profile.weight_decay)
         if eval_ids is not None:
             snap = evaluate_network(network, cohort, eval_ids, tasks_needed)
             snap = replace(snap, epoch=epoch)
             history.snapshots.append(snap)
             if snap.score is not None and snap.score > best_score:
                 best_score = snap.score
-                best_params = params
+                np.copyto(best_vector, network.param_vector)
                 history.best_epoch = epoch
 
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        del state  # free the Adam moments so the copy below adds no peak memory
         save_checkpoint(network, out_dir / "final")
-        final_params = params
-        if best_params is not None:
-            network.set_params(best_params)
+        final_vector = network.param_vector.copy()
+        if history.best_epoch is not None:
+            np.copyto(network.param_vector, best_vector)
         save_checkpoint(network, out_dir / "best")
-        network.set_params(final_params)
+        np.copyto(network.param_vector, final_vector)
         history.to_csv(out_dir / "history.csv")
     return network, history

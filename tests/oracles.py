@@ -185,6 +185,27 @@ def adam_scalar(p, g, m, v, t, rate, wd=0.0, b1=0.9, b2=0.999, eps=1e-8):
     return p, m, v
 
 
+def adam_arrays(params, grads, moments, t, rate, wd=0.0, b1=0.9, b2=0.999,
+                eps=1e-8):
+    """The out-of-place array Adam update with decoupled weight decay, written
+    as the textbook formula: returns fresh (params, moments) dicts, where
+    moments maps each name to its (m, v) pair. Inputs are left untouched."""
+    new_params, new_moments = {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        m, v = moments[name]
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        step = rate * m_hat / (np.sqrt(v_hat) + eps)
+        if wd:
+            step = step + rate * wd * p
+        new_params[name] = p - step
+        new_moments[name] = (m, v)
+    return new_params, new_moments
+
+
 def standardize_two_pass(train_rows, rows):
     """Column z-scores fitted on train_rows by explicit accumulation,
     applied to rows; zero-variance columns map to 0."""

@@ -225,6 +225,36 @@ def test_train_rerun_is_bit_identical(trained, data_dir, splits_file,
         assert sha(first / "final" / name) == sha(second / "final" / name), name
 
 
+def test_train_drops_samples_missing_a_needed_modality(data_dir, splits_file,
+                                                      tmp_path, capsys):
+    """A fused run on a cohort with one embedding row removed drops that
+    sample from the cohort and the splits, warns on stderr, and trains; eval
+    of the checkpoint applies the same rule."""
+    rows = (data_dir / "embeddings.csv").read_text().splitlines(keepends=True)
+    dropped = rows[1].split(",", 1)[0]
+    (tmp_path / "embeddings.csv").write_text("".join(rows[:1] + rows[2:]))
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out",
+                          embeddings=str(tmp_path / "embeddings.csv"))
+    capsys.readouterr()
+    assert main(["train", str(config), "--rep", "0"]) == 0
+    err = capsys.readouterr().err
+    assert "dropped 1 samples missing a modality the fused variant needs" in err
+    assert "dropped 1 split sample ids not in the loaded cohort" in err
+    summary = json.loads((tmp_path / "out" / "rep00" / "summary.json")
+                         .read_text())
+    train_ids, test_ids = SplitSet.load(splits_file).repetitions[0]
+    assert dropped in train_ids + test_ids
+    assert summary["n_train"] + summary["n_test"] == \
+        len(train_ids) + len(test_ids) - 1
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--config", str(config), "--model",
+                 str(tmp_path / "out" / "rep00" / "final"), "--rep", "0",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == summary["test_metrics"]
+    assert "dropped 1 samples" in capsys.readouterr().err
+
+
 def test_train_all_reps_aggregates(data_dir, splits_file, tmp_path):
     config = write_config(tmp_path / "run.json", data_dir, splits_file,
                           tmp_path / "out")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -445,6 +448,67 @@ def test_checkpoint_detects_missing_file(tmp_path):
     save_checkpoint(net, tmp_path / "ckpt")
     (tmp_path / "ckpt" / "trunk.1.w.bin").unlink()
     with pytest.raises(DataError, match="missing"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def _rewrite_checksums(ckpt, edit):
+    """Apply ``edit`` to the checksum lines and write them back."""
+    path = ckpt / "checksums.txt"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+
+
+def _reseal(ckpt, name):
+    """Make the checksum of file ``name`` match its current contents."""
+    digest = hashlib.sha256((ckpt / name).read_bytes()).hexdigest()
+    _rewrite_checksums(ckpt, lambda lines: [
+        f"{digest}  {name}" if line.endswith("  " + name) else line
+        for line in lines])
+
+
+@pytest.mark.parametrize("name", ["../outside.bin", "sub/trunk.0.w.bin",
+                                  "sub\\trunk.0.w.bin"])
+def test_checkpoint_rejects_checksum_names_leaving_directory(tmp_path, name):
+    net = micro_network("gene-only", "survival", seed=1)
+    save_checkpoint(net, tmp_path / "ckpt")
+    (tmp_path / "outside.bin").write_bytes(b"")
+    _rewrite_checksums(tmp_path / "ckpt", lambda lines: lines + [
+        f"{hashlib.sha256(b'').hexdigest()}  {name}"])
+    with pytest.raises(DataError, match="leaves the checkpoint directory"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_rejects_manifest_names_leaving_directory(tmp_path):
+    net = micro_network("gene-only", "survival", seed=1)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["params"][0]["name"] = "../" + manifest["params"][0]["name"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    _reseal(ckpt, "manifest.json")
+    with pytest.raises(DataError, match="manifest.json.*leaves"):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("cut", [8, -8])
+def test_checkpoint_rejects_parameter_file_of_wrong_size(tmp_path, cut):
+    net = micro_network("gene-only", "survival", seed=1)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, ckpt)
+    target = ckpt / "trunk.1.b.bin"
+    raw = target.read_bytes()
+    target.write_bytes(raw[:cut] if cut < 0 else raw + raw[:cut])
+    _reseal(ckpt, target.name)
+    with pytest.raises(DataError, match="trunk.1.b.*size mismatch"):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("bad", ["no-separator-here", "deadbeef  "])
+def test_checkpoint_malformed_checksum_line_names_line(tmp_path, bad):
+    net = micro_network("gene-only", "survival", seed=1)
+    save_checkpoint(net, tmp_path / "ckpt")
+    _rewrite_checksums(tmp_path / "ckpt", lambda lines: lines[:2] + [bad] + lines[2:])
+    with pytest.raises(DataError, match="checksums.txt:3: malformed"):
         load_checkpoint(tmp_path / "ckpt")
 
 

@@ -309,13 +309,36 @@ def test_adam_zero_grad_zero_decay_is_noop():
 
 def test_adam_first_step_magnitude_is_rate():
     params = {"w": np.array([1.0, -1.0, 0.3])}
+    before = params["w"].copy()
     state = AdamState.for_params(params)
-    new_params, _ = adam_step(params, {"w": np.array([0.5, -2.0, 1.0])},
-                              state, rate=0.01)
-    step = params["w"] - new_params["w"]
+    adam_step(params, {"w": np.array([0.5, -2.0, 1.0])}, state, rate=0.01)
+    step = before - params["w"]
     # bias correction makes m_hat/sqrt(v_hat) = sign(g) up to eps
     assert np.allclose(np.abs(step), 0.01, rtol=1e-6)
     assert np.array_equal(np.sign(step), np.sign([0.5, -2.0, 1.0]))
+
+
+def test_adam_matches_array_oracle_bit_for_bit():
+    """50 steps with weight decay on tensors of several shapes, one of them
+    longer than a chunk of the in-place update: every parameter and moment
+    equals the out-of-place textbook formula exactly."""
+    gen = np.random.default_rng(31)
+    shapes = {"a.w": (3, 4), "a.b": (4,), "big": (70_001,), "s": (1,)}
+    params = {k: gen.standard_normal(s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    moments = {k: (np.zeros(s), np.zeros(s)) for k, s in shapes.items()}
+    state = AdamState.for_params(params)
+    for t in range(1, 51):
+        grads = {k: gen.standard_normal(s) * 10.0 ** gen.integers(-6, 2)
+                 for k, s in shapes.items()}
+        adam_step(params, grads, state, rate=1e-3, weight_decay=4e-4)
+        ref, moments = oracles.adam_arrays(ref, grads, moments, t, 1e-3,
+                                           wd=4e-4)
+    for k in shapes:
+        assert np.array_equal(params[k], ref[k]), k
+        assert np.array_equal(state.first_moment[k], moments[k][0]), k
+        assert np.array_equal(state.second_moment[k], moments[k][1]), k
+    assert state.step_count == 50
 
 
 def test_adam_quadratic_descent():
@@ -349,14 +372,29 @@ def test_adam_decoupled_decay_ignores_moments():
         2.0 - 0.1 * 0.5 * 2.0, rel=1e-15)
 
 
-def test_adam_leaves_inputs_untouched():
+def test_adam_updates_in_place_and_leaves_grads_untouched():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([0.3])}
     state = AdamState.for_params(params)
-    adam_step(params, grads, state, rate=0.01)
-    assert float(params["w"][0]) == 1.0
-    assert state.step_count == 0
-    assert not state.first_moment["w"].any()
+    w, m, v = params["w"], state.first_moment["w"], state.second_moment["w"]
+    returned = adam_step(params, grads, state, rate=0.01)
+    assert returned[0] is params and returned[1] is state
+    assert float(grads["w"][0]) == 0.3
+    assert params["w"] is w and float(w[0]) < 1.0
+    assert state.first_moment["w"] is m and m[0] > 0.0
+    assert state.second_moment["w"] is v and v[0] > 0.0
+    assert state.step_count == 1
+
+
+def test_adam_rejected_step_changes_nothing():
+    # The bad gradient comes after a good one: nothing may be half-applied.
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
+    state = AdamState.for_params(params)
+    with pytest.raises(NumericError, match="'b'"):
+        adam_step(params, {"a": np.array([0.1, 0.2]), "b": np.array([np.inf])},
+                  state, rate=0.01)
+    assert params["a"].tolist() == [1.0, 2.0] and params["b"][0] == 3.0
+    assert not state.first_moment["a"].any() and state.step_count == 0
 
 
 def test_adam_nonfinite_grad_names_parameter():
@@ -371,6 +409,14 @@ def test_adam_shape_mismatch():
     state = AdamState.for_params(params)
     with pytest.raises(DimensionError):
         adam_step(params, {"w": np.zeros(3)}, state, rate=0.01)
+
+
+def test_adam_rejects_non_contiguous_params():
+    # A strided view cannot be updated in place through a flat view of it.
+    params = {"w": np.zeros((4, 4))[:, ::2]}
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(params, {"w": np.ones((4, 2))},
+                  AdamState.for_params(params), rate=0.01)
 
 
 def test_adam_rejects_bad_rate():

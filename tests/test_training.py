@@ -413,6 +413,29 @@ def test_train_best_tracks_validation_score(tmp_path):
     assert scores[best] == max(s for s in scores if s is not None)
 
 
+def test_best_checkpoint_holds_best_epoch_not_final(tmp_path):
+    """Adam updates parameters in place, so the best epoch must be saved as
+    a copy. On this seed the best epoch (0) is not the last one and scores
+    differently from it, so a snapshot that aliased the live parameters
+    would write the final weights into best/."""
+    cohort, mask = micro_cohort(20)
+    ids = list(cohort.sample_ids)
+    net = micro_net(mask, 20)
+    net, history = train(net, cohort, ids[:32],
+                         micro_profile(20, epochs=6, weight_decay=4e-4),
+                         eval_ids=ids[32:], out_dir=tmp_path / "run")
+    best_epoch = history.best_epoch
+    assert best_epoch is not None and best_epoch < len(history.snapshots) - 1
+    best = load_checkpoint(tmp_path / "run" / "best")
+    final = load_checkpoint(tmp_path / "run" / "final")
+    assert evaluate_network(best, cohort, ids[32:]).score == \
+        history.snapshots[best_epoch].score
+    assert evaluate_network(final, cohort, ids[32:]).score == \
+        history.snapshots[-1].score != history.snapshots[best_epoch].score
+    assert not np.array_equal(best.param_vector, final.param_vector)
+    assert np.array_equal(net.param_vector, final.param_vector)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation helpers
 # ---------------------------------------------------------------------------
