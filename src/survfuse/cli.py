@@ -27,6 +27,7 @@ import numpy as np
 
 from .datakit import (
     SplitSet,
+    _parse_float,
     gen_splits,
     load_cohort,
     read_clinical,
@@ -38,7 +39,15 @@ from .errors import ConfigError, DataError, SurvfuseError
 from .genegraph import build_adjacency, intersect_features, parse_edge_list, serialize_graph
 from .netmodel import NetworkConfig, assemble, load_checkpoint
 from .numcore import RngStream
-from .surveval import build_metrics, km_curve, km_export_csv, km_export_svg, risk_tertiles, save_metrics
+from .surveval import (
+    GROUP_NAMES,
+    build_metrics,
+    km_curve,
+    km_export_csv,
+    km_export_svg,
+    risk_tertiles,
+    save_metrics,
+)
 from .training import design_matrices, preset_names, profile_preset, train
 
 _STREAM_INIT = 31
@@ -149,11 +158,7 @@ def _read_risks(path) -> dict[str, float]:
             sid, tok = row
             if sid in risks:
                 raise DataError(f"{path.name}:{lineno}: duplicate sample {sid!r}")
-            try:
-                risks[sid] = float(tok)
-            except ValueError:
-                raise DataError(
-                    f"{path.name}:{lineno}: unparseable number {tok!r}") from None
+            risks[sid] = _parse_float(tok, f"{path.name}:{lineno}")
     return risks
 
 
@@ -466,15 +471,15 @@ def cmd_km(args) -> int:
     groups = risk_tertiles(risks)
     times = np.asarray([clinical[sid][1] for sid in order])
     events = np.asarray([clinical[sid][2] for sid in order], dtype=np.int64)
-    curves = {}
-    for name in ("Low", "Mid", "High"):
-        member = np.asarray([lab == name for lab in groups.labels])
+    labels = np.asarray(groups.labels)
+    curves, sizes = {}, {}
+    for name in GROUP_NAMES:
+        member = labels == name
         curves[name] = km_curve(times[member], events[member])
+        sizes[name] = int(member.sum())
     km_export_csv(curves, args.out)
     if args.svg is not None:
         km_export_svg(curves, args.svg)
-    sizes = {name: int(np.sum([lab == name for lab in groups.labels]))
-             for name in ("Low", "Mid", "High")}
     print(f"wrote KM curves (Low/Mid/High sizes "
           f"{sizes['Low']}/{sizes['Mid']}/{sizes['High']}) to {args.out}")
     return 0

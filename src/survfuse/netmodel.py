@@ -27,9 +27,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import ConfigError, DataError, DimensionError, UsageError
 from .genegraph import AdjacencyMask
@@ -44,6 +44,9 @@ from .numcore import (
     dense_forward,
     dropout_mask,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 VARIANTS = ("gene-only", "image-only", "fused")
 HEAD_CHOICES = ("survival", "grade", "both")
@@ -106,6 +109,10 @@ class MaskedSparseLayer:
         indptr = np.zeros(self.mask.dim + 1, dtype=np.intp)
         np.cumsum(counts, out=indptr[1:])
         self._indptr = indptr
+        # Importing scipy.sparse takes about a quarter second. Pay it while
+        # the network is built, and only for networks with a gene branch:
+        # the scoring commands build none and never load scipy.
+        import scipy.sparse  # noqa: F401
 
     @property
     def dim_in(self) -> int:
@@ -119,6 +126,7 @@ class MaskedSparseLayer:
         return [(f"{self.name}.values", "weights")]
 
     def sparse_weight(self) -> csr_array:
+        from scipy.sparse import csr_array
         return csr_array(
             (self.weights, self.mask.cols, self._indptr),
             shape=(self.mask.dim, self.mask.dim))

@@ -42,6 +42,16 @@ def c_index(risks, times, events, tie_rule: str = "half") -> float:
     """Concordance over pairs (i, j) with t_j < t_i and an observed event
     at j: concordant when risk_j > risk_i. Tied risks score 0.5 under the
     default rule; ``tie_rule='strict'`` scores them 0.
+
+    Samples are walked by time, latest first, one group of equal times at a
+    time. A Fenwick tree over dense risk ranks holds every sample already
+    walked, which is every sample that outlived the current group. Each event
+    in the group reads from it how many of those have a lower risk
+    (concordant) and how many an equal one (tied); then the whole group is
+    inserted. That is O(n log n) time and O(n) memory. The three pair counts
+    are exact integers and the score is formed from them by the same float
+    operations as the pairwise definition, so the result is bit-identical to
+    counting every pair.
     """
     if tie_rule not in ("half", "strict"):
         raise ValueError(f"tie_rule must be 'half' or 'strict', got {tie_rule!r}")
@@ -50,16 +60,37 @@ def c_index(risks, times, events, tie_rule: str = "half") -> float:
     d = _events_vec(events)
     if not (len(y) == len(t) == len(d)):
         raise DataError("risks, times, events must have equal lengths")
-    # comparable[j, i]: j died strictly before i was last seen
-    comparable = (t[:, None] < t[None, :]) & (d[:, None] == 1)
-    total = int(comparable.sum())
+    distinct_risks, rank = np.unique(y, return_inverse=True)
+    order = np.argsort(t, kind="stable")[::-1]
+    t_desc = t[order]
+    starts = np.flatnonzero(np.r_[True, t_desc[1:] != t_desc[:-1]])
+    stops = np.r_[starts[1:], len(t)]
+    rank_desc = rank[order].tolist()
+    event_desc = d[order].tolist()
+    size = len(distinct_risks)
+    tree = [0] * (size + 1)  # tree[k] covers ranks [k - (k & -k), k)
+    at_rank = [0] * size
+    concordant = tied = total = 0
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        for r, e in zip(rank_desc[start:stop], event_desc[start:stop]):
+            if e:
+                k = r
+                while k:
+                    concordant += tree[k]
+                    k &= k - 1
+                tied += at_rank[r]
+                total += start
+        for r in rank_desc[start:stop]:
+            at_rank[r] += 1
+            k = r + 1
+            while k <= size:
+                tree[k] += 1
+                k += k & -k
     if total == 0:
         raise UndefinedResultError("no comparable pairs for concordance")
-    concordant = comparable & (y[:, None] > y[None, :])
-    tied = comparable & (y[:, None] == y[None, :])
-    score = concordant.sum()
+    score = np.int64(concordant)
     if tie_rule == "half":
-        score = score + 0.5 * tied.sum()
+        score = score + 0.5 * np.int64(tied)
     return float(score / total)
 
 
@@ -83,19 +114,22 @@ class KMCurve:
 def km_curve(times, events) -> KMCurve:
     """S(t) = prod over event times u <= t of (1 - d_u / n_u), where n_u
     counts subjects still at risk at u. Censored subjects leave the risk
-    set without creating a step. No events yields an empty (flat) curve."""
+    set without creating a step. No events yields an empty (flat) curve.
+
+    d_u is how often u repeats among the event times, and n_u is n less the
+    subjects whose time is below u, found by binary search in the sorted
+    times. That is O(n log n) time and O(n) memory. Both counts are exact
+    integers, so the factors and the product are the ones the definition
+    gives.
+    """
     t = _vec(times, "times")
     if np.any(t < 0):
         raise DataError("survival times must be non-negative")
     d = _events_vec(events)
     if len(t) != len(d):
         raise DataError("times and events must have equal lengths")
-    event_times = np.unique(t[d == 1])
-    at_risk = np.empty(len(event_times), dtype=np.int64)
-    n_events = np.empty(len(event_times), dtype=np.int64)
-    for i, u in enumerate(event_times):
-        at_risk[i] = int((t >= u).sum())
-        n_events[i] = int(((t == u) & (d == 1)).sum())
+    event_times, n_events = np.unique(t[d == 1], return_counts=True)
+    at_risk = len(t) - np.searchsorted(np.sort(t), event_times, "left")
     factors = 1.0 - n_events / np.maximum(at_risk, 1)
     return KMCurve(event_times=event_times, survival=np.cumprod(factors),
                    at_risk=at_risk, events=n_events)
@@ -205,6 +239,18 @@ def per_class_f1(cm: ConfusionMatrix, class_index: int) -> float:
     return float(2 * precision * recall / (precision + recall))
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; each block of equal values, sorted
+    positions i..j, shares the midrank (i + j) / 2 + 1."""
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    starts = np.flatnonzero(np.r_[True, sorted_values[1:] != sorted_values[:-1]])
+    ends = np.r_[starts[1:], len(values)] - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    return ranks
+
+
 def micro_auc_ap(scores, true_classes) -> tuple[float, float]:
     """Micro-averaged one-vs-rest ROC-AUC and average precision.
 
@@ -232,17 +278,7 @@ def micro_auc_ap(scores, true_classes) -> tuple[float, float]:
     n_pos = int(pos.sum())
     n_neg = len(pooled) - n_pos
 
-    # Midranks: average rank over each tied block.
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    sorted_scores = pooled[order]
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks = _midranks(pooled)
     auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
     # AP over distinct thresholds, high scores first.

@@ -95,6 +95,42 @@ def cindex_pairs(risks, times, events, tie_rule="half"):
     return num / den
 
 
+def cindex_matrix(risks, times, events, tie_rule="half"):
+    """Concordance from three n x n boolean pair matrices, the way the
+    package computed it before it counted pairs with a Fenwick tree. Returns
+    None when no pair is comparable. Quadratic memory: small n only."""
+    y = np.asarray(risks, dtype=np.float64)
+    t = np.asarray(times, dtype=np.float64)
+    d = np.asarray(events, dtype=np.int64)
+    # comparable[j, i]: j died strictly before i was last seen
+    comparable = (t[:, None] < t[None, :]) & (d[:, None] == 1)
+    total = int(comparable.sum())
+    if total == 0:
+        return None
+    concordant = comparable & (y[:, None] > y[None, :])
+    tied = comparable & (y[:, None] == y[None, :])
+    score = concordant.sum()
+    if tie_rule == "half":
+        score = score + 0.5 * tied.sum()
+    return float(score / total)
+
+
+def midranks_loop(values):
+    """1-based midranks by walking each tied block of the stably sorted
+    values; returns a float64 array in input order."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_values = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def km_hand(times, events):
     """Product-limit estimate computed step by step; returns a list of
     (event_time, survival, at_risk, n_events) tuples."""

@@ -456,3 +456,16 @@ def test_km_too_few_samples_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "km.csv")])
     assert rc == 1
     assert "tertiles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "km"])
+@pytest.mark.parametrize("risk", [float("nan"), float("inf")])
+def test_non_finite_risk_names_file_and_line(tmp_path, capsys, command, risk):
+    rows = [(f"S{i}", risk if i == 4 else float(i), float(10 - i), 1)
+            for i in range(9)]
+    clinical, risks = km_inputs(tmp_path, rows)
+    rc = main([command, "--risks", str(risks), "--clinical", str(clinical),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert (f"error: risks.csv:6: non-finite number {repr(risk)!r}"
+            in capsys.readouterr().err)

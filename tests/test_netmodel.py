@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from helpers import (
     random_mask,
     randomize_params,
 )
+import survfuse
 from survfuse.errors import ConfigError, DataError, DimensionError, UsageError
 from survfuse.genegraph import GeneGraph, build_adjacency
 from survfuse.netmodel import (
@@ -515,3 +520,22 @@ def test_checkpoint_malformed_checksum_line_names_line(tmp_path, bad):
 def test_checkpoint_rejects_other_directories(tmp_path):
     with pytest.raises(DataError):
         load_checkpoint(tmp_path)
+
+
+def test_scipy_loads_with_the_first_gene_layer_not_at_import():
+    code = (
+        "import json, sys\n"
+        "import survfuse.cli\n"
+        "at_import = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "from helpers import micro_network\n"
+        "micro_network('image-only', 'both')\n"
+        "image_only = 'scipy.sparse' in sys.modules\n"
+        "micro_network('fused', 'both')\n"
+        "print(json.dumps([at_import, image_only, 'scipy.sparse' in sys.modules]))\n")
+    paths = [str(Path(survfuse.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], False, True]

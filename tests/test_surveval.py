@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from survfuse.surveval import (
     micro_auc_ap,
     per_class_f1,
     predicted_classes,
+    _midranks,
     risk_tertiles,
     save_metrics,
 )
@@ -84,6 +86,23 @@ def test_c_index_matches_pair_oracle(seed, with_ties, strict):
     else:
         assert c_index(risks, times, events, tie_rule=rule) == \
             pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("rule", ["half", "strict"])
+def test_c_index_equals_matrix_formula_bit_for_bit(rule):
+    # Day-resolution times and one-decimal risks: many ties of both kinds.
+    gen = np.random.default_rng(2024)
+    n = 3000
+    times = gen.integers(0, 400, size=n).astype(np.float64)
+    risks = np.round(gen.standard_normal(n), 1)
+    events = (gen.random(n) < 0.7).astype(np.int64)
+    expect = oracles.cindex_matrix(risks, times, events, rule)
+    assert c_index(risks, times, events, tie_rule=rule) == expect
+    # No comparable pair: every event shares the latest time.
+    times[events == 1] = times.max()
+    assert oracles.cindex_matrix(risks, times, events, rule) is None
+    with pytest.raises(UndefinedResultError):
+        c_index(risks, times, events, tie_rule=rule)
 
 
 def test_c_index_undefined_cases():
@@ -194,6 +213,42 @@ def test_km_curve_properties(seed):
     if len(curve) and events[times.argmax()] == 1 and \
             (times == times.max()).sum() == 1:
         assert s[-1] == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.5, 4.0, 9.0]),
+                          st.integers(0, 1)), min_size=1, max_size=40),
+       st.sampled_from([0.0, 2.5, 9.0]))
+def test_km_matches_hand_oracle_with_censoring_at_event_times(rows, shared):
+    # One event and one censoring always share a time.
+    rows = rows + [(shared, 1), (shared, 0)]
+    times = np.array([t for t, _ in rows])
+    events = np.array([e for _, e in rows])
+    curve = km_curve(times, events)
+    assert curve.at_risk.dtype == np.int64
+    assert curve.events.dtype == np.int64
+    expect = oracles.km_hand(list(times), list(events))
+    assert curve.event_times.tolist() == [u for u, _, _, _ in expect]
+    assert curve.survival.tolist() == [s for _, s, _, _ in expect]
+    assert curve.at_risk.tolist() == [n_u for _, _, n_u, _ in expect]
+    assert curve.events.tolist() == [d_u for _, _, _, d_u in expect]
+
+
+def test_c_index_and_km_memory_stays_linear():
+    # Pair matrices at n=20,000 would take 400 MB each.
+    gen = np.random.default_rng(5)
+    n = 20_000
+    times = gen.integers(0, 5000, size=n).astype(np.float64)
+    risks = np.round(gen.standard_normal(n), 3)
+    events = (gen.random(n) < 0.7).astype(np.int64)
+    tracemalloc.start()
+    try:
+        c_index(risks, times, events)
+        km_curve(times, events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_km_rejects_bad_input():
@@ -359,6 +414,39 @@ def test_micro_auc_ap_handles_tied_scores():
                                 abs=1e-12)
     assert ap == pytest.approx(oracles.binary_ap_blocks(pooled, ind),
                                abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_midranks_equal_block_loop(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 40))
+    k = int(gen.integers(2, 5))
+    # Rows drawn from a few fixed score vectors tie most pooled scores.
+    palette = softmax_rows(gen, 3, k)
+    scores = palette[gen.integers(0, 3, size=n)]
+    labels = gen.integers(0, k, size=n)
+    pooled = scores.reshape(-1)
+    pos = (np.eye(k, dtype=np.int64)[labels].reshape(-1) == 1)
+    expect = oracles.midranks_loop(pooled)
+    assert _midranks(pooled).tolist() == expect.tolist()
+    n_pos, n_neg = int(pos.sum()), len(pooled) - int(pos.sum())
+    auc = (expect[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert micro_auc_ap(scores, labels)[0] == auc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                          st.integers(0, 1)), min_size=1, max_size=30))
+def test_micro_auc_matches_pair_oracle_on_heavy_ties(rows):
+    # Two classes, scores on a five-point grid: nearly every pooled score is
+    # tied. The midrank sum and the pair count are the same exact integer
+    # multiple of 0.5, so the two AUCs agree exactly.
+    scores = np.array([[p, 1.0 - p] for p, _ in rows])
+    labels = [y for _, y in rows]
+    pooled, ind = oracles.pooled_one_vs_rest(scores.tolist(), labels)
+    auc, _ = micro_auc_ap(scores, labels)
+    assert auc == oracles.binary_auc_pairs(pooled, ind)
 
 
 def test_micro_auc_ap_monotone_affine_invariance():
