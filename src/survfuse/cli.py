@@ -27,7 +27,7 @@ import numpy as np
 
 from .datakit import (
     SplitSet,
-    _parse_float,
+    _float_tokens,
     gen_splits,
     load_cohort,
     read_clinical,
@@ -137,29 +137,49 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _read_risks(path) -> dict[str, float]:
+def _read_risks(path) -> tuple[dict[str, int], np.ndarray]:
+    """Parse a sample_id,risk file: returns sample id -> row, and the risks
+    converted in one call."""
     path = Path(path)
+    name = path.name
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError(f"{path.name}: empty file") from None
+            raise DataError(f"{name}: empty file") from None
         if tuple(header) != ("sample_id", "risk"):
-            raise DataError(
-                f"{path.name}: expected header sample_id,risk")
-        risks: dict[str, float] = {}
+            raise DataError(f"{name}: expected header sample_id,risk")
+        row_of: dict[str, int] = {}
+        tokens: list[str] = []
+        linenos: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise DataError(
-                    f"{path.name}:{lineno}: expected 2 columns, got {len(row)}")
-            sid, tok = row
-            if sid in risks:
-                raise DataError(f"{path.name}:{lineno}: duplicate sample {sid!r}")
-            risks[sid] = _parse_float(tok, f"{path.name}:{lineno}")
-    return risks
+                problem = f"{name}:{lineno}: expected 2 columns, got {len(row)}"
+            elif row[0] in row_of:
+                problem = f"{name}:{lineno}: duplicate sample {row[0]!r}"
+            else:
+                row_of[row[0]] = len(tokens)
+                tokens.append(row[1])
+                linenos.append(lineno)
+                continue
+            # A bad number on an earlier line is reported first.
+            _float_tokens(tokens, lambda i: f"{name}:{linenos[i]}")
+            raise DataError(problem)
+    return row_of, _float_tokens(tokens, lambda i: f"{name}:{linenos[i]}")
+
+
+def _scored_samples(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Risks, times and events of every clinical row, in clinical order."""
+    row_of, risks = _read_risks(_require_file(args.risks, "risks"))
+    table = read_clinical(_require_file(args.clinical, "clinical"))
+    rows = [row_of.get(sid) for sid in table.sample_ids]
+    if None in rows:
+        raise DataError(
+            f"risks file missing sample {table.sample_ids[rows.index(None)]!r}")
+    return risks[rows], table.time, table.event
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +205,15 @@ def _load_run_cohort(cfg: RunConfig, keep_genes: tuple[str, ...] | None = None):
     embeddings = _require_file(cfg.embeddings, "embeddings") if needs_image else None
     cohort = load_cohort(clinical, expression_path=expression,
                          embedding_path=embeddings)
-    complete = tuple(
-        s for s in cohort.samples
-        if (s.expression is not None or not needs_gene)
-        and (s.image_embedding is not None or not needs_image))
-    if len(complete) < len(cohort):
-        if not complete:
+    complete = ((cohort.has_expression | (not needs_gene))
+                & (cohort.has_embedding | (not needs_image)))
+    if not complete.all():
+        if not complete.any():
             raise DataError(f"no sample has every modality the {cfg.variant} "
                             "variant needs")
-        _warn(f"dropped {len(cohort) - len(complete)} samples missing a "
+        _warn(f"dropped {int((~complete).sum())} samples missing a "
               f"modality the {cfg.variant} variant needs")
-        cohort = replace(cohort, samples=complete)
+        cohort = cohort.take(np.flatnonzero(complete))
     mask = None
     if needs_gene:
         if keep_genes is not None:
@@ -227,10 +245,9 @@ def _load_splits(cfg: RunConfig, cohort) -> SplitSet:
 
 
 def _embedding_width(cohort) -> int:
-    for s in cohort.samples:
-        if s.image_embedding is not None:
-            return len(s.image_embedding)
-    raise DataError("cohort has no image embeddings")
+    if not cohort.has_embedding.any():
+        raise DataError("cohort has no image embeddings")
+    return cohort.embedding.shape[1]
 
 
 def _evaluate_to_report(network, cohort, ids, tie_rule: str,
@@ -257,8 +274,8 @@ def _aggregate_by_patient(cohort, ids, risks, times, events):
     """Collapse sample-level risks to one median risk per patient; survival
     labels are shared within a patient so the first sample's are used."""
     by_patient: dict[str, list[int]] = {}
-    for i, sid in enumerate(ids):
-        by_patient.setdefault(cohort.get(sid).patient_id, []).append(i)
+    for i, row in enumerate(cohort.rows(ids)):
+        by_patient.setdefault(cohort.sample_patients[row], []).append(i)
     agg_risks, agg_times, agg_events = [], [], []
     for rows in by_patient.values():
         agg_risks.append(float(np.median([risks[i] for i in rows])))
@@ -288,8 +305,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_splits(args) -> int:
-    order, clinical = read_clinical(_require_file(args.clinical, "clinical"))
-    pairs = [(sid, clinical[sid][0]) for sid in order]
+    table = read_clinical(_require_file(args.clinical, "clinical"))
+    pairs = list(zip(table.sample_ids, table.patient_ids))
     split_set = gen_splits(pairs, reps=args.reps, train_frac=args.train_frac,
                            grouping=args.group, seed=args.seed)
     split_set.save(args.out)
@@ -415,18 +432,11 @@ def cmd_eval(args) -> int:
     if args.risks is not None:
         if args.model is not None:
             raise ConfigError("--risks bypass and --model are mutually exclusive")
-        risks_map = _read_risks(_require_file(args.risks, "risks"))
-        order, clinical = read_clinical(_require_file(args.clinical, "clinical"))
-        missing = [sid for sid in order if sid not in risks_map]
-        if missing:
-            raise DataError(f"risks file missing sample {missing[0]!r}")
-        risks = np.asarray([risks_map[sid] for sid in order])
-        times = np.asarray([clinical[sid][1] for sid in order])
-        events = np.asarray([clinical[sid][2] for sid in order], dtype=np.int64)
+        risks, times, events = _scored_samples(args)
         report = build_metrics(risks=risks, times=times, events=events,
                                tie_rule=args.tie_rule or "half")
         save_metrics(report, args.out)
-        print(f"wrote metrics for {len(order)} samples to {args.out}")
+        print(f"wrote metrics for {len(risks)} samples to {args.out}")
         return 0
 
     if args.config is None or args.model is None:
@@ -462,15 +472,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_km(args) -> int:
-    risks_map = _read_risks(_require_file(args.risks, "risks"))
-    order, clinical = read_clinical(_require_file(args.clinical, "clinical"))
-    missing = [sid for sid in order if sid not in risks_map]
-    if missing:
-        raise DataError(f"risks file missing sample {missing[0]!r}")
-    risks = np.asarray([risks_map[sid] for sid in order])
+    risks, times, events = _scored_samples(args)
     groups = risk_tertiles(risks)
-    times = np.asarray([clinical[sid][1] for sid in order])
-    events = np.asarray([clinical[sid][2] for sid in order], dtype=np.int64)
     labels = np.asarray(groups.labels)
     curves, sizes = {}, {}
     for name in GROUP_NAMES:

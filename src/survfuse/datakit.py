@@ -5,6 +5,21 @@ File formats (all CSV, UTF-8):
   expression  first column sample_id, remaining headers are gene symbols
   embedding   first column sample_id, remaining headers are dimension indices
 
+A ``Cohort`` is stored by column: sample ids with their patient ids, a
+float64 time array, int64 event and grade arrays, and one float64 matrix
+per modality with one row per sample plus a boolean presence mask. Rows
+without the modality are never handed out (the loaders leave zeros there).
+Gathering a design matrix is one row index, restricting the gene panel one
+column index, and standardizing one whole-matrix operation.
+
+The readers convert a whole expression or embedding row, or a whole
+clinical or risk column, with one ``np.array(tokens, dtype=...)`` call and
+one ``isfinite`` check, row by row so a file's tokens are never all held at
+once. numpy converts each Python ``str`` by calling ``float()`` (``int()``
+for integers) on it, so the values are bit-identical to a token-by-token
+parse. Only input that fails the vectorized conversion is walked token by
+token, to raise the error naming its file, line and token.
+
 Floats are written with repr() so every load/save round-trip is bit-exact.
 """
 
@@ -16,6 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,92 +59,159 @@ class Sample:
     image_embedding: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+# Cohort fields that hold one entry per sample, in row order.
+_ROW_FIELDS = ("sample_ids", "sample_patients", "time", "event", "grade",
+               "expression", "has_expression", "embedding", "has_embedding")
+
+
+def _take_rows(columns: dict, rows: np.ndarray) -> dict:
+    return {name: ([value[i] for i in rows] if isinstance(value, (list, tuple))
+                   else value[rows])
+            for name, value in columns.items()}
+
+
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    samples: tuple[Sample, ...]
-    gene_order: tuple[str, ...]
+    """Samples stored by column, one row per sample.
+
+    ``expression`` is n x len(gene_order) and ``embedding`` n x width, both
+    float64; ``has_expression``/``has_embedding`` mark the rows that carry
+    the modality, and the other rows are never read. A matrix left out means
+    no sample has that modality; a mask left out means every sample has it.
+    """
+
+    sample_ids: tuple[str, ...]
+    sample_patients: tuple[str, ...]
+    time: np.ndarray
+    event: np.ndarray
+    grade: np.ndarray
+    gene_order: tuple[str, ...] = ()
+    expression: np.ndarray | None = None
+    has_expression: np.ndarray | None = None
+    embedding: np.ndarray | None = None
+    has_embedding: np.ndarray | None = None
     grade_names: tuple[str, ...] = DEFAULT_GRADE_NAMES
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        object.__setattr__(self, "gene_order", tuple(self.gene_order))
-        object.__setattr__(self, "grade_names", tuple(self.grade_names))
-        ids = [s.sample_id for s in self.samples]
-        if len(set(ids)) != len(ids):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        ids = tuple(self.sample_ids)
+        n = len(ids)
+        put("sample_ids", ids)
+        put("sample_patients", tuple(self.sample_patients))
+        put("gene_order", tuple(self.gene_order))
+        put("grade_names", tuple(self.grade_names))
+        put("time", np.asarray(self.time, dtype=np.float64))
+        put("event", np.asarray(self.event, dtype=np.int64))
+        put("grade", np.asarray(self.grade, dtype=np.int64))
+        for name, mask_name, width in (
+                ("expression", "has_expression", len(self.gene_order)),
+                ("embedding", "has_embedding", 0)):
+            matrix, present = getattr(self, name), getattr(self, mask_name)
+            if matrix is None:
+                matrix, present = np.zeros((n, width)), np.zeros(n, dtype=bool)
+            elif present is None:
+                present = np.ones(n, dtype=bool)
+            matrix = np.asarray(matrix, dtype=np.float64)
+            if matrix.ndim != 2 or matrix.shape[0] != n:
+                raise DataError(
+                    f"{name} matrix of shape {matrix.shape} for {n} samples")
+            put(name, matrix)
+            put(mask_name, np.asarray(present, dtype=bool))
+        for name in ("sample_patients", "time", "event", "grade",
+                     "has_expression", "has_embedding"):
+            if np.shape(getattr(self, name)) != (n,):
+                raise DataError(f"cohort column {name} does not have {n} rows")
+
+        index = {sid: i for i, sid in enumerate(ids)}
+        if len(index) != n:
             raise DataError("duplicate sample ids in cohort")
-        k = len(self.grade_names)
-        p = len(self.gene_order)
-        emb_width = None
-        for s in self.samples:
-            if s.expression is None and s.image_embedding is None:
-                raise DataError(f"sample {s.sample_id!r} has no modality data")
-            if s.expression is not None and len(s.expression) != p:
-                raise DataError(
-                    f"sample {s.sample_id!r}: expression width "
-                    f"{len(s.expression)} != gene count {p}")
-            if s.image_embedding is not None:
-                if emb_width is None:
-                    emb_width = len(s.image_embedding)
-                elif len(s.image_embedding) != emb_width:
-                    raise DataError(
-                        f"sample {s.sample_id!r}: embedding width "
-                        f"{len(s.image_embedding)} != {emb_width}")
-            if not 0 <= s.grade < k:
-                raise DataError(
-                    f"sample {s.sample_id!r}: grade {s.grade} outside [0, {k})")
-            if s.time < 0:
-                raise DataError(f"sample {s.sample_id!r}: negative time")
-            if s.event not in (0, 1):
-                raise DataError(f"sample {s.sample_id!r}: event must be 0/1")
-        object.__setattr__(
-            self, "_index", {s.sample_id: i for i, s in enumerate(self.samples)})
+        put("_index", index)
+        p, k = len(self.gene_order), len(self.grade_names)
+        width = self.expression.shape[1]
+        # Report the first bad sample, and its first problem in this order.
+        checks = (
+            (~(self.has_expression | self.has_embedding),
+             lambda i: f"sample {ids[i]!r} has no modality data"),
+            (self.has_expression & (width != p),
+             lambda i: f"sample {ids[i]!r}: expression width {width} != "
+                       f"gene count {p}"),
+            ((self.grade < 0) | (self.grade >= k),
+             lambda i: f"sample {ids[i]!r}: grade {self.grade[i]} outside "
+                       f"[0, {k})"),
+            (self.time < 0, lambda i: f"sample {ids[i]!r}: negative time"),
+            ((self.event != 0) & (self.event != 1),
+             lambda i: f"sample {ids[i]!r}: event must be 0/1"),
+        )
+        bad = np.zeros(n, dtype=bool)
+        for rows, _ in checks:
+            bad |= rows
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(next(message(i) for rows, message in checks
+                                 if rows[i]))
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def sample_ids(self) -> tuple[str, ...]:
-        return tuple(s.sample_id for s in self.samples)
+        return len(self.sample_ids)
 
     @property
     def patient_ids(self) -> tuple[str, ...]:
         """Distinct patients in first-appearance order."""
-        seen: dict[str, None] = {}
-        for s in self.samples:
-            seen.setdefault(s.patient_id, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.sample_patients))
 
-    def get(self, sample_id: str) -> Sample:
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        """One ``Sample`` per row; its modality arrays are views of the
+        matrix rows, or None where the sample lacks the modality."""
+        return tuple(
+            Sample(sample_id=sid, patient_id=pid, time=t, event=e, grade=g,
+                   expression=x if has_x else None,
+                   image_embedding=m if has_m else None)
+            for sid, pid, t, e, g, x, has_x, m, has_m in zip(
+                self.sample_ids, self.sample_patients, self.time.tolist(),
+                self.event.tolist(), self.grade.tolist(), self.expression,
+                self.has_expression.tolist(), self.embedding,
+                self.has_embedding.tolist()))
+
+    def rows(self, ids) -> np.ndarray:
+        """Row positions of ``ids``, in the order given."""
+        index = self._index
         try:
-            return self.samples[self._index[sample_id]]
-        except KeyError:
-            raise DataError(f"unknown sample id {sample_id!r}") from None
+            return np.array([index[sid] for sid in ids], dtype=np.intp)
+        except KeyError as exc:
+            raise DataError(f"unknown sample id {exc.args[0]!r}") from None
 
-    def _rows(self, ids) -> list[Sample]:
-        return [self.get(i) for i in ids]
+    def _gather(self, matrix, present, ids, what: str) -> np.ndarray:
+        rows = self.rows(ids)
+        missing = ~present[rows]
+        if missing.any():
+            sid = self.sample_ids[rows[np.argmax(missing)]]
+            raise DataError(f"sample {sid!r} has no {what}")
+        return matrix[rows]
 
     def expression_matrix(self, ids) -> np.ndarray:
-        rows = self._rows(ids)
-        for s in rows:
-            if s.expression is None:
-                raise DataError(f"sample {s.sample_id!r} has no expression data")
-        return np.stack([s.expression for s in rows]).astype(np.float64)
+        return self._gather(self.expression, self.has_expression, ids,
+                            "expression data")
 
     def embedding_matrix(self, ids) -> np.ndarray:
-        rows = self._rows(ids)
-        for s in rows:
-            if s.image_embedding is None:
-                raise DataError(f"sample {s.sample_id!r} has no image embedding")
-        return np.stack([s.image_embedding for s in rows]).astype(np.float64)
+        return self._gather(self.embedding, self.has_embedding, ids,
+                            "image embedding")
 
     def times(self, ids) -> np.ndarray:
-        return np.asarray([s.time for s in self._rows(ids)], dtype=np.float64)
+        return self.time[self.rows(ids)]
 
     def events(self, ids) -> np.ndarray:
-        return np.asarray([s.event for s in self._rows(ids)], dtype=np.int64)
+        return self.event[self.rows(ids)]
 
     def grades(self, ids) -> np.ndarray:
-        return np.asarray([s.grade for s in self._rows(ids)], dtype=np.int64)
+        return self.grade[self.rows(ids)]
+
+    def take(self, rows) -> "Cohort":
+        """The samples at positions ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return replace(self, **_take_rows(
+            {name: getattr(self, name) for name in _ROW_FIELDS}, rows))
 
     def gene_subset(self, keep) -> "Cohort":
         """Restrict expression columns to ``keep`` (in the given order)."""
@@ -137,12 +220,8 @@ class Cohort:
         if missing:
             raise DataError(f"genes not in cohort: {missing[:5]}")
         cols = np.asarray([index[g] for g in keep], dtype=np.intp)
-        samples = tuple(
-            replace(s, expression=s.expression[cols])
-            if s.expression is not None else s
-            for s in self.samples)
-        return Cohort(samples=samples, gene_order=tuple(keep),
-                      grade_names=self.grade_names)
+        return replace(self, gene_order=tuple(keep),
+                       expression=self.expression[:, cols])
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +229,7 @@ class Cohort:
 # ---------------------------------------------------------------------------
 
 _CLINICAL_COLUMNS = ("sample_id", "patient_id", "time_days", "event", "grade")
+_INT64 = np.iinfo(np.int64)
 
 
 def _parse_float(token: str, where: str) -> float:
@@ -164,72 +244,146 @@ def _parse_float(token: str, where: str) -> float:
 
 def _parse_int(token: str, where: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise DataError(f"{where}: unparseable integer {token!r}") from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise DataError(f"{where}: integer {token!r} out of range")
+    return value
 
 
-def _read_feature_csv(path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
+def _float_tokens(tokens, where) -> np.ndarray:
+    """``tokens`` as a float64 array, converted in one call.
+
+    Only when that conversion fails, or yields a non-finite value, are the
+    tokens walked one at a time through ``_parse_float``, so the error names
+    the first bad token; ``where(i)`` is the file:line of token ``i``.
+    """
+    try:
+        values = np.array(tokens, dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_float(tok, where(i)) for i, tok in enumerate(tokens)])
+
+
+def _read_feature_csv(path, row_of: dict[str, int]):
     """Shared reader for expression/embedding files: header names the
-    feature columns, each body row is sample_id followed by the values."""
+    feature columns, each body row is sample_id followed by the values.
+
+    Returns the feature names, a float64 matrix with one row per entry of
+    ``row_of`` (sample id -> row) and the mask of rows the file filled; the
+    other rows hold zeros. Each body row is converted as it is read.
+    """
     path = Path(path)
+    name = path.name
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError(f"{path.name}: empty file") from None
+            raise DataError(f"{name}: empty file") from None
         if len(header) < 2:
-            raise DataError(f"{path.name}: header needs sample_id + features")
-        features = tuple(header[1:])
-        rows: dict[str, np.ndarray] = {}
+            raise DataError(f"{name}: header needs sample_id + features")
+        width = len(header)
+        matrix = np.zeros((len(row_of), width - 1))
+        present = np.zeros(len(row_of), dtype=bool)
+        seen: set[str] = set()
+        unknown = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
+            if len(row) != width:
                 raise DataError(
-                    f"{path.name}:{lineno}: expected {len(header)} columns, "
-                    f"got {len(row)}")
+                    f"{name}:{lineno}: expected {width} columns, got {len(row)}")
             sid = row[0]
-            if sid in rows:
-                raise DataError(f"{path.name}:{lineno}: duplicate sample {sid!r}")
-            values = [_parse_float(tok, f"{path.name}:{lineno}")
-                      for tok in row[1:]]
-            rows[sid] = np.asarray(values, dtype=np.float64)
-    return features, rows
+            if sid in seen:
+                raise DataError(f"{name}:{lineno}: duplicate sample {sid!r}")
+            seen.add(sid)
+            values = _float_tokens(row[1:], lambda _: f"{name}:{lineno}")
+            i = row_of.get(sid)
+            if i is not None:
+                matrix[i] = values
+                present[i] = True
+            elif unknown is None:
+                unknown = sid
+    if unknown is not None:
+        raise DataError(f"{name}: sample {unknown!r} not in clinical table")
+    return tuple(header[1:]), matrix, present
 
 
-def read_clinical(path) -> tuple[list[str], dict[str, tuple[str, float, int, int]]]:
-    """Parse a clinical table; returns sample ids in file order and a map
-    sample_id -> (patient_id, time_days, event, grade)."""
+class ClinicalTable(NamedTuple):
+    """A clinical file by column, in file order."""
+
+    sample_ids: list[str]
+    patient_ids: list[str]
+    time: np.ndarray
+    event: np.ndarray
+    grade: np.ndarray
+
+
+def _clinical_numbers(name: str, linenos, times, events, grades):
+    """Convert the three numeric clinical columns, one call each. If any
+    token fails, walk the rows in file order, as a row-by-row parse would,
+    so the error names the first bad token."""
+    try:
+        time = np.array(times, dtype=np.float64)
+        if np.isfinite(time).all():
+            return (time, np.array(events, dtype=np.int64),
+                    np.array(grades, dtype=np.int64))
+    except (ValueError, OverflowError):
+        pass
+    time, event, grade = [], [], []
+    for lineno, t, e, g in zip(linenos, times, events, grades):
+        where = f"{name}:{lineno}"
+        time.append(_parse_float(t, where))
+        event.append(_parse_int(e, where))
+        grade.append(_parse_int(g, where))
+    return (np.array(time, dtype=np.float64), np.array(event, dtype=np.int64),
+            np.array(grade, dtype=np.int64))
+
+
+def read_clinical(path) -> ClinicalTable:
+    """Parse a clinical table into columns, in file order."""
     path = Path(path)
+    name = path.name
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError(f"{path.name}: empty file") from None
+            raise DataError(f"{name}: empty file") from None
         if tuple(header) != _CLINICAL_COLUMNS:
             raise DataError(
-                f"{path.name}: expected columns "
+                f"{name}: expected columns "
                 f"{','.join(_CLINICAL_COLUMNS)}, got {','.join(header)}")
-        clinical: dict[str, tuple[str, float, int, int]] = {}
-        order: list[str] = []
+        rows: list[list[str]] = []
+        linenos: list[int] = []
+        seen: set[str] = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(_CLINICAL_COLUMNS):
-                raise DataError(
-                    f"{path.name}:{lineno}: expected "
-                    f"{len(_CLINICAL_COLUMNS)} columns, got {len(row)}")
-            where = f"{path.name}:{lineno}"
-            sid, pid = row[0], row[1]
-            if sid in clinical:
-                raise DataError(f"{where}: duplicate sample id {sid!r}")
-            clinical[sid] = (pid, _parse_float(row[2], where),
-                             _parse_int(row[3], where), _parse_int(row[4], where))
-            order.append(sid)
-    return order, clinical
+                problem = (f"{name}:{lineno}: expected "
+                           f"{len(_CLINICAL_COLUMNS)} columns, got {len(row)}")
+            elif row[0] in seen:
+                problem = f"{name}:{lineno}: duplicate sample id {row[0]!r}"
+            else:
+                seen.add(row[0])
+                rows.append(row)
+                linenos.append(lineno)
+                continue
+            # A bad number on an earlier line is reported first.
+            _clinical_numbers(name, linenos, *_columns(rows)[2:])
+            raise DataError(problem)
+    sample_ids, patient_ids, times, events, grades = _columns(rows)
+    return ClinicalTable(sample_ids, patient_ids,
+                         *_clinical_numbers(name, linenos, times, events, grades))
+
+
+def _columns(rows: list[list[str]]) -> list[list[str]]:
+    return [list(column) for column in zip(*rows)] or [[] for _ in _CLINICAL_COLUMNS]
 
 
 def load_cohort(clinical_path, expression_path=None, embedding_path=None,
@@ -239,46 +393,32 @@ def load_cohort(clinical_path, expression_path=None, embedding_path=None,
     Modality rows must reference known sample ids; clinical rows with no
     modality data at all are dropped (reported via a warning).
     """
-    order, clinical = read_clinical(clinical_path)
-
+    table = read_clinical(clinical_path)
+    row_of = {sid: i for i, sid in enumerate(table.sample_ids)}
+    n = len(row_of)
     genes: tuple[str, ...] = ()
-    expr_rows: dict[str, np.ndarray] = {}
+    expression, has_expression = np.zeros((n, 0)), np.zeros(n, dtype=bool)
     if expression_path is not None:
-        genes, expr_rows = _read_feature_csv(expression_path)
-        unknown = [sid for sid in expr_rows if sid not in clinical]
-        if unknown:
-            raise DataError(
-                f"{Path(expression_path).name}: sample {unknown[0]!r} "
-                "not in clinical table")
-    emb_rows: dict[str, np.ndarray] = {}
+        genes, expression, has_expression = _read_feature_csv(
+            expression_path, row_of)
+    embedding, has_embedding = np.zeros((n, 0)), np.zeros(n, dtype=bool)
     if embedding_path is not None:
-        _, emb_rows = _read_feature_csv(embedding_path)
-        unknown = [sid for sid in emb_rows if sid not in clinical]
-        if unknown:
-            raise DataError(
-                f"{Path(embedding_path).name}: sample {unknown[0]!r} "
-                "not in clinical table")
+        _, embedding, has_embedding = _read_feature_csv(embedding_path, row_of)
 
-    samples: list[Sample] = []
-    dropped: list[str] = []
-    for sid in order:
-        pid, time, event, grade = clinical[sid]
-        expr = expr_rows.get(sid)
-        emb = emb_rows.get(sid)
-        if expr is None and emb is None:
-            dropped.append(sid)
-            continue
-        samples.append(Sample(sample_id=sid, patient_id=pid, time=time,
-                              event=event, grade=grade, expression=expr,
-                              image_embedding=emb))
-    if dropped:
+    columns = dict(sample_ids=table.sample_ids,
+                   sample_patients=table.patient_ids, time=table.time,
+                   event=table.event, grade=table.grade,
+                   expression=expression, has_expression=has_expression,
+                   embedding=embedding, has_embedding=has_embedding)
+    dropped = ~(has_expression | has_embedding)
+    if dropped.any():
         warnings.warn(
-            f"dropped {len(dropped)} clinical rows with no modality data "
-            f"(first: {dropped[0]!r})", stacklevel=2)
-    if not samples:
-        raise DataError("no samples with modality data")
-    return Cohort(samples=tuple(samples), gene_order=genes,
-                  grade_names=tuple(grade_names))
+            f"dropped {int(dropped.sum())} clinical rows with no modality data "
+            f"(first: {table.sample_ids[np.argmax(dropped)]!r})", stacklevel=2)
+        if dropped.all():
+            raise DataError("no samples with modality data")
+        columns = _take_rows(columns, np.flatnonzero(~dropped))
+    return Cohort(gene_order=genes, grade_names=tuple(grade_names), **columns)
 
 
 def save_cohort(cohort: Cohort, clinical_path, expression_path=None,
@@ -286,29 +426,23 @@ def save_cohort(cohort: Cohort, clinical_path, expression_path=None,
     with open(clinical_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CLINICAL_COLUMNS)
-        for s in cohort.samples:
-            writer.writerow([s.sample_id, s.patient_id, repr(float(s.time)),
-                             s.event, s.grade])
-    if expression_path is not None:
-        with open(expression_path, "w", newline="", encoding="utf-8") as fh:
+        writer.writerows(zip(cohort.sample_ids, cohort.sample_patients,
+                             map(repr, cohort.time.tolist()),
+                             cohort.event.tolist(), cohort.grade.tolist()))
+    width = cohort.embedding.shape[1] if cohort.has_embedding.any() else 0
+    for path, features, matrix, present in (
+            (expression_path, cohort.gene_order, cohort.expression,
+             cohort.has_expression),
+            (embedding_path, map(str, range(width)), cohort.embedding,
+             cohort.has_embedding)):
+        if path is None:
+            continue
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["sample_id", *cohort.gene_order])
-            for s in cohort.samples:
-                if s.expression is not None:
-                    writer.writerow(
-                        [s.sample_id, *(repr(float(v)) for v in s.expression)])
-    if embedding_path is not None:
-        width = next(
-            (len(s.image_embedding) for s in cohort.samples
-             if s.image_embedding is not None), 0)
-        with open(embedding_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", *map(str, range(width))])
-            for s in cohort.samples:
-                if s.image_embedding is not None:
-                    writer.writerow(
-                        [s.sample_id,
-                         *(repr(float(v)) for v in s.image_embedding)])
+            writer.writerow(["sample_id", *features])
+            for sid, values, has in zip(cohort.sample_ids, matrix, present):
+                if has:
+                    writer.writerow([sid, *map(repr, values.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +462,19 @@ def standardize_expression(cohort: Cohort, train_ids) -> tuple[Cohort, Expressio
     train_ids = list(train_ids)
     if not train_ids:
         raise ConfigError("standardization needs non-empty training ids")
+    # The moments are taken over a C-contiguous copy of the training rows,
+    # and the transform is elementwise, so every bit matches a per-sample
+    # z-score.
     x = cohort.expression_matrix(train_ids)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
-    safe = np.where(std > 0, std, 1.0)
     live = std > 0
-
-    def transform(v: np.ndarray) -> np.ndarray:
-        return np.where(live, (v - mean) / safe, 0.0)
-
-    samples = tuple(
-        replace(s, expression=transform(s.expression))
-        if s.expression is not None else s
-        for s in cohort.samples)
+    z = cohort.expression - mean
+    z /= np.where(live, std, 1.0)
+    z[:, ~live] = 0.0
+    z[~cohort.has_expression] = 0.0
     stats = ExpressionStats(gene_order=cohort.gene_order, mean=mean, std=std)
-    return Cohort(samples=samples, gene_order=cohort.gene_order,
-                  grade_names=cohort.grade_names), stats
+    return replace(cohort, expression=z), stats
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +505,11 @@ class SplitSet:
 
     @classmethod
     def load(cls, path) -> "SplitSet":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON in split file {path}: {exc}") from None
         try:
             reps = tuple(
                 (tuple(rep["train"]), tuple(rep["test"]))
@@ -403,7 +537,7 @@ def gen_splits(cohort, reps: int, train_frac: float = 0.8,
     if grouping not in ("patient", "sample"):
         raise ConfigError(f"grouping must be 'patient' or 'sample', got {grouping!r}")
     if isinstance(cohort, Cohort):
-        pairs = [(s.sample_id, s.patient_id) for s in cohort.samples]
+        pairs = list(zip(cohort.sample_ids, cohort.sample_patients))
     else:
         pairs = [(str(sid), str(pid)) for sid, pid in cohort]
     if grouping == "patient":
@@ -586,14 +720,11 @@ def synth_gen(patients: int, genes: int, causal_genes: int,
         embedding = embedding + embedding_noise * gen_embed.standard_normal(
             embedding.shape)
 
-    samples = tuple(
-        Sample(sample_id=f"P{i + 1:04d}-S01", patient_id=f"P{i + 1:04d}",
-               time=float(observed[i]), event=int(event[i]),
-               grade=int(grade[i]), expression=x[i],
-               image_embedding=embedding[i])
-        for i in range(patients))
-    cohort = Cohort(samples=samples, gene_order=names,
-                    grade_names=DEFAULT_GRADE_NAMES)
+    patient_ids = [f"P{i + 1:04d}" for i in range(patients)]
+    cohort = Cohort(sample_ids=[f"{pid}-S01" for pid in patient_ids],
+                    sample_patients=patient_ids, time=observed, event=event,
+                    grade=grade, gene_order=names, expression=x,
+                    embedding=embedding, grade_names=DEFAULT_GRADE_NAMES)
     truth = SynthTruth(risk=risk, beta=beta, causal_index=causal,
                        event_time=event_time, censor_time=censor_time)
     return cohort, graph, truth

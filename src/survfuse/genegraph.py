@@ -194,6 +194,8 @@ class AdjacencyMask:
 
     @classmethod
     def load(cls, path, genes: tuple[str, ...]) -> "AdjacencyMask":
+        """Read a mask written by ``save``; blank lines are skipped, and the
+        first other line must be the ``dim`` header."""
         path = Path(path)
         rows: list[int] = []
         cols: list[int] = []
@@ -207,13 +209,19 @@ class AdjacencyMask:
                 if len(tokens) != 2:
                     raise ParseError(
                         f"{path.name}:{lineno}: expected 2 columns, got {len(tokens)}")
-                if lineno == 1:
+                if dim is None:
                     if tokens[0] != "dim":
-                        raise ParseError(f"{path.name}:1: missing 'dim' header")
-                    dim = int(tokens[1])
+                        raise ParseError(
+                            f"{path.name}:{lineno}: missing 'dim' header")
+                    dim = _mask_int(tokens[1], f"{path.name}:{lineno}")
                     continue
-                rows.append(int(tokens[0]))
-                cols.append(int(tokens[1]))
+                try:
+                    rows.append(int(tokens[0]))
+                    cols.append(int(tokens[1]))
+                except ValueError:
+                    # Parse again token by token: the bad one raises.
+                    for token in tokens:
+                        _mask_int(token, f"{path.name}:{lineno}")
         if dim is None:
             raise ParseError(f"{path.name}: empty mask file")
         if dim != len(genes):
@@ -224,6 +232,13 @@ class AdjacencyMask:
         if len(r) and (r.min() < 0 or r.max() >= dim or c.min() < 0 or c.max() >= dim):
             raise DataError(f"{path.name}: mask coordinates out of range")
         return cls(genes=genes, rows=r, cols=c)
+
+
+def _mask_int(token: str, where: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{where}: unparseable integer {token!r}") from None
 
 
 def build_adjacency(graph: GeneGraph, order: tuple[str, ...] | None = None) -> AdjacencyMask:

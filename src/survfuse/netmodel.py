@@ -291,47 +291,6 @@ def _backward_layers(caches: list[LayerCache], upstream: Array,
 
 
 # ---------------------------------------------------------------------------
-# Stand-alone forward operations
-# ---------------------------------------------------------------------------
-
-def sgcn_forward(x: Array, layer1: MaskedSparseLayer, layer2: DenseLayer,
-                 mode: str = "eval", gen=None) -> tuple[Array, ForwardTrace]:
-    """Gene branch: sparse masked layer then a dense compression layer."""
-    x = as_matrix(x)
-    out, caches = _run_layers(x, [layer1, layer2], mode, gen)
-    trace = ForwardTrace(caches=caches, segments={"gene": (0, 2)}, mode=mode)
-    trace.outputs["gene"] = out
-    return out, trace
-
-
-def fusion_forward(z_image: Array, z_gene: Array, trunk,
-                   mode: str = "eval", gen=None) -> tuple[Array, ForwardTrace]:
-    """Concatenate the two modality blocks (image first) and run the trunk."""
-    z_image, z_gene = as_matrix(z_image), as_matrix(z_gene)
-    if z_image.shape[0] != z_gene.shape[0]:
-        raise DimensionError(
-            f"row mismatch: image {z_image.shape[0]} vs gene {z_gene.shape[0]}")
-    z = np.concatenate([z_image, z_gene], axis=1)
-    out, caches = _run_layers(z, trunk, mode, gen)
-    trace = ForwardTrace(caches=caches, segments={"trunk": (0, len(caches))},
-                         concat_split=z_image.shape[1], mode=mode)
-    trace.outputs["representation"] = out
-    return out, trace
-
-
-def survival_head(z: Array, head) -> Array:
-    """Two dense layers ending in a sigmoid; one risk per sample in (0,1)."""
-    out, _ = _run_layers(as_matrix(z), head, "eval", None)
-    return out
-
-
-def grade_head(z: Array, head) -> Array:
-    """Two dense layers ending in row-wise log-softmax."""
-    out, _ = _run_layers(as_matrix(z), head, "eval", None)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Network assembly
 # ---------------------------------------------------------------------------
 

@@ -55,28 +55,6 @@ def as_matrix(values) -> Array:
     return a
 
 
-def matmul(a: Array, b: Array) -> Array:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matmul produced non-finite values")
-    return out
-
-
-def hadamard(a: Array, b: Array) -> Array:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    out = a * b
-    if not np.all(np.isfinite(out)):
-        raise NumericError("hadamard produced non-finite values")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Activations
 # ---------------------------------------------------------------------------

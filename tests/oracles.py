@@ -259,6 +259,18 @@ def standardize_two_pass(train_rows, rows):
     return np.asarray(out)
 
 
+def standardize_per_sample(train_rows, rows):
+    """Per-gene z-score the way the row-per-sample cohort did it: moments
+    over the stacked training rows, then each row transformed on its own;
+    zero-variance genes map to 0. Returns (rows, mean, std)."""
+    x = np.stack(train_rows).astype(np.float64)
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    safe = np.where(std > 0, std, 1.0)
+    live = std > 0
+    return [np.where(live, (v - mean) / safe, 0.0) for v in rows], mean, std
+
+
 def rel_err(analytic, numeric):
     """Worst relative error with the unit floor in the denominator."""
     a = np.asarray(analytic, dtype=np.float64)

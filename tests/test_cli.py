@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -378,6 +379,39 @@ def test_eval_missing_sample_in_risks_exits_1(data_dir, tmp_path, capsys):
 
 def test_eval_without_model_or_risks_exits_2(tmp_path):
     assert main(["eval", "--out", str(tmp_path / "m.json")]) == 2
+
+
+def test_eval_bad_mask_token_names_file_and_line(trained, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained["out"] / "rep00" / "final", ckpt)
+    mask = ckpt / "mask.tsv"
+    lines = mask.read_text().splitlines()
+    lines[2] = lines[2].split("\t")[0] + "\tx"
+    mask.write_text("\n".join(lines) + "\n")
+    checksums = ckpt / "checksums.txt"
+    checksums.write_text("".join(
+        f"{sha(mask)}  mask.tsv\n" if line.endswith("  mask.tsv")
+        else line + "\n" for line in checksums.read_text().splitlines()))
+    rc = main(["eval", "--config", str(trained["config"]),
+               "--model", str(ckpt), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "error: mask.tsv:3: unparseable integer 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_invalid_splits_json_names_the_file(trained, data_dir, tmp_path,
+                                            capsys, command):
+    bad = tmp_path / "splits.json"
+    bad.write_text("")
+    config = write_config(tmp_path / "run.json", data_dir, bad,
+                          tmp_path / "out")
+    args = ["train", str(config)] if command == "train" else [
+        "eval", "--config", str(config), "--model",
+        str(trained["out"] / "rep00" / "final"), "--out",
+        str(tmp_path / "m.json")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"invalid JSON in split file {bad}" in err
 
 
 # ---------------------------------------------------------------------------

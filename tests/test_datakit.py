@@ -1,13 +1,17 @@
 import json
+import tempfile
+import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from survfuse.datakit import (
     Cohort,
-    Sample,
     SplitSet,
     gen_splits,
     load_cohort,
@@ -20,21 +24,17 @@ from survfuse.errors import ConfigError, DataError
 from survfuse.surveval import c_index
 
 
-def small_sample(sid="S1", pid="P1", **overrides):
-    fields = dict(sample_id=sid, patient_id=pid, time=10.0, event=1, grade=0,
-                  expression=np.array([0.1, 0.2]),
-                  image_embedding=np.array([1.0, 2.0, 3.0]))
-    fields.update(overrides)
-    return Sample(**fields)
-
-
-def small_cohort():
-    samples = (
-        small_sample("S1", "P1", grade=0),
-        small_sample("S2", "P1", grade=1, time=5.0, event=0),
-        small_sample("S3", "P2", grade=2, time=8.5),
-    )
-    return Cohort(samples=samples, gene_order=("GA", "GB"))
+def small_cohort(**overrides):
+    """Three samples, two genes, 3-wide embeddings; ``overrides`` replace
+    whole columns."""
+    columns = dict(sample_ids=("S1", "S2", "S3"),
+                   sample_patients=("P1", "P1", "P2"),
+                   time=[10.0, 5.0, 8.5], event=[1, 0, 1], grade=[0, 1, 2],
+                   gene_order=("GA", "GB"),
+                   expression=np.tile([0.1, 0.2], (3, 1)),
+                   embedding=np.tile([1.0, 2.0, 3.0], (3, 1)))
+    columns.update(overrides)
+    return Cohort(**columns)
 
 
 # ---------------------------------------------------------------------------
@@ -54,29 +54,53 @@ def test_cohort_basic_accessors():
     assert cohort.grades(["S1", "S2", "S3"]).tolist() == [0, 1, 2]
     with pytest.raises(DataError, match="unknown sample"):
         cohort.times(["S9"])
+    assert [s.sample_id for s in cohort.samples] == ["S1", "S2", "S3"]
+    first = cohort.samples[0]
+    assert (first.patient_id, first.time, first.event, first.grade) == \
+        ("P1", 10.0, 1, 0)
+    assert first.expression.tolist() == [0.1, 0.2]
+
+
+def test_cohort_missing_modality_rows():
+    cohort = small_cohort(has_expression=[True, False, True],
+                          has_embedding=[True, True, False])
+    assert cohort.samples[1].expression is None
+    assert cohort.samples[2].image_embedding is None
+    assert cohort.expression_matrix(["S3", "S1"]).shape == (2, 2)
+    with pytest.raises(DataError, match="'S2' has no expression"):
+        cohort.expression_matrix(["S1", "S2"])
+    with pytest.raises(DataError, match="'S3' has no image embedding"):
+        cohort.embedding_matrix(["S3"])
+    sub = cohort.take([2, 0])
+    assert sub.sample_ids == ("S3", "S1")
+    assert sub.has_embedding.tolist() == [False, True]
+    assert sub.times(["S1", "S3"]).tolist() == [10.0, 8.5]
 
 
 def test_cohort_validation():
     base = small_cohort()
     with pytest.raises(DataError, match="duplicate sample"):
-        Cohort(samples=(small_sample("S1"), small_sample("S1")),
-               gene_order=("GA", "GB"))
-    with pytest.raises(DataError, match="no modality"):
-        Cohort(samples=(small_sample(expression=None, image_embedding=None),),
-               gene_order=())
+        small_cohort(sample_ids=("S1", "S1", "S3"))
+    with pytest.raises(DataError, match="'S2' has no modality"):
+        small_cohort(has_expression=[True, False, True],
+                     has_embedding=[True, False, True])
     with pytest.raises(DataError, match="expression width"):
-        Cohort(samples=(small_sample(expression=np.array([1.0])),),
-               gene_order=("GA", "GB"))
-    with pytest.raises(DataError, match="embedding width"):
-        Cohort(samples=(small_sample("S1"),
-                        small_sample("S2", image_embedding=np.array([1.0]))),
-               gene_order=("GA", "GB"))
+        small_cohort(expression=np.ones((3, 1)))
+    # One matrix holds every embedding, so widths cannot differ by sample;
+    # what can go wrong is the row count.
+    with pytest.raises(DataError, match="embedding matrix"):
+        small_cohort(embedding=np.ones((2, 3)))
     with pytest.raises(DataError, match="grade"):
-        Cohort(samples=(small_sample(grade=3),), gene_order=("GA", "GB"))
+        small_cohort(grade=[0, 3, 1])
     with pytest.raises(DataError, match="negative time"):
-        Cohort(samples=(small_sample(time=-1.0),), gene_order=("GA", "GB"))
+        small_cohort(time=[10.0, -1.0, 8.5])
     with pytest.raises(DataError, match="event"):
-        Cohort(samples=(small_sample(event=2),), gene_order=("GA", "GB"))
+        small_cohort(event=[1, 2, 0])
+    # The first bad sample is the one reported.
+    with pytest.raises(DataError, match="'S2': negative time"):
+        small_cohort(time=[10.0, -1.0, 8.5], grade=[0, 1, 3])
+    with pytest.raises(DataError, match="sample_patients"):
+        small_cohort(sample_patients=("P1", "P2"))
     assert base.grade_names == ("II", "III", "IV")
 
 
@@ -131,15 +155,13 @@ def test_save_cohort_is_byte_deterministic(tmp_path):
 
 def test_multi_sample_patient_fixture(tmp_path):
     # 469 patients carrying 953 samples total (15 with three, 454 with two)
-    samples = []
-    for p in range(469):
-        pid = f"P{p:04d}"
-        n = 3 if p < 15 else 2
-        for s in range(n):
-            samples.append(Sample(
-                sample_id=f"{pid}-S{s}", patient_id=pid, time=float(p + 1),
-                event=p % 2, grade=p % 3, expression=np.array([float(p)])))
-    cohort = Cohort(samples=tuple(samples), gene_order=("GA",))
+    rows = [(f"P{p:04d}-S{s}", f"P{p:04d}", float(p + 1), p % 2, p % 3,
+             [float(p)])
+            for p in range(469) for s in range(3 if p < 15 else 2)]
+    sids, pids, times, events, grades, expression = zip(*rows)
+    cohort = Cohort(sample_ids=sids, sample_patients=pids, time=times,
+                    event=events, grade=grades, gene_order=("GA",),
+                    expression=expression)
     assert len(cohort) == 953
     clinical, expr, _ = paths(tmp_path)
     save_cohort(cohort, clinical, expr)
@@ -195,6 +217,26 @@ def test_read_clinical_validation(tmp_path):
         "S1,P1,10.0,1,0\nS1,P2,3.0,0,1\n")
     with pytest.raises(DataError, match="duplicate"):
         read_clinical(path)
+    # A bad number on an earlier line wins over a later duplicate, and
+    # rows are checked in file order, columns left to right.
+    path.write_text(
+        "sample_id,patient_id,time_days,event,grade\n"
+        "S1,P1,ten,1,0\nS1,P2,3.0,0,1\n")
+    with pytest.raises(DataError, match="clinical.csv:2: unparseable number"):
+        read_clinical(path)
+    path.write_text(
+        "sample_id,patient_id,time_days,event,grade\n"
+        "S1,P1,10.0,1,0\nS2,P2,3.0,x,1\nS3,P3,nan,0,1\n")
+    with pytest.raises(DataError,
+                       match="clinical.csv:3: unparseable integer 'x'"):
+        read_clinical(path)
+    # int() accepts this token but it does not fit the int64 column.
+    path.write_text(
+        "sample_id,patient_id,time_days,event,grade\n"
+        "S1,P1,10.0,1,0\nS2,P2,3.0,0,99999999999999999999\n")
+    with pytest.raises(DataError, match="clinical.csv:3: integer "
+                                        "'99999999999999999999' out of range"):
+        read_clinical(path)
 
 
 def test_read_clinical_preserves_order(tmp_path):
@@ -202,9 +244,115 @@ def test_read_clinical_preserves_order(tmp_path):
     path.write_text(
         "sample_id,patient_id,time_days,event,grade\n"
         "S2,P1,3.0,0,1\nS1,P1,10.0,1,0\n")
-    order, rows = read_clinical(path)
-    assert order == ["S2", "S1"]
-    assert rows["S1"] == ("P1", 10.0, 1, 0)
+    table = read_clinical(path)
+    assert table.sample_ids == ["S2", "S1"]
+    assert table.patient_ids == ["P1", "P1"]
+    assert (table.time.dtype, table.event.dtype, table.grade.dtype) == \
+        (np.float64, np.int64, np.int64)
+    assert (table.time[1], table.event[1], table.grade[1]) == (10.0, 1, 0)
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+                -1e308, 1.7976931348623157e308]
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_save_load_round_trip_keeps_every_bit(data):
+    n = data.draw(st.integers(3, 6))
+    p = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(1, 3))
+
+    def matrix(width):
+        drawn = data.draw(st.lists(_finite, min_size=n * width,
+                                   max_size=n * width))
+        edges = np.tile(_EDGE_FLOATS, (n, 1))
+        return np.hstack([np.reshape(drawn, (n, width)), edges])
+
+    # Sample 0 has no expression and sample 1 no embedding; rows without
+    # the modality hold zeros.
+    has_expression = np.arange(n) != 0
+    has_embedding = np.arange(n) != 1
+    expression, embedding = matrix(p), matrix(d)
+    expression[~has_expression] = 0.0
+    embedding[~has_embedding] = 0.0
+    cohort = Cohort(
+        sample_ids=[f"S{i}" for i in range(n)],
+        sample_patients=[f"P{i // 2}" for i in range(n)],
+        time=data.draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                                min_size=n, max_size=n)),
+        event=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        grade=data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        gene_order=[f"G{j}" for j in range(expression.shape[1])],
+        expression=expression, has_expression=has_expression,
+        embedding=embedding, has_embedding=has_embedding)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = paths(Path(tmp))
+        save_cohort(cohort, *files)
+        loaded = load_cohort(*files)
+    assert loaded.sample_ids == cohort.sample_ids
+    assert loaded.sample_patients == cohort.sample_patients
+    assert loaded.gene_order == cohort.gene_order
+    assert np.array_equal(loaded.time.view(np.int64), cohort.time.view(np.int64))
+    assert np.array_equal(loaded.event, cohort.event)
+    assert np.array_equal(loaded.grade, cohort.grade)
+    assert np.array_equal(loaded.has_expression, has_expression)
+    assert np.array_equal(loaded.has_embedding, has_embedding)
+    assert np.array_equal(loaded.expression.view(np.int64),
+                          expression.view(np.int64))
+    assert np.array_equal(loaded.embedding.view(np.int64),
+                          embedding.view(np.int64))
+
+
+@pytest.mark.parametrize("which", ["expr", "emb"])
+@pytest.mark.parametrize("token,problem", [
+    ("x", "unparseable number 'x'"),
+    ("", "unparseable number ''"),
+    ("0x10", "unparseable number '0x10'"),
+    ("nan", "non-finite number 'nan'"),
+    ("-inf", "non-finite number '-inf'"),
+    ("1e400", "non-finite number '1e400'"),
+])
+def test_bad_token_mid_row_names_file_line_and_token(tmp_path, which, token,
+                                                     problem):
+    clinical, expr, emb = paths(tmp_path)
+    clinical.write_text("sample_id,patient_id,time_days,event,grade\n"
+                        "S1,P1,10.0,1,0\nS2,P2,5.0,0,1\n")
+    gen = np.random.default_rng(0)
+    for path in (expr, emb):
+        rows = [["sample_id", *(f"F{j}" for j in range(199))]]
+        for sid in ("S1", "S2"):
+            rows.append([sid, *map(repr, gen.standard_normal(199).tolist())])
+        if path.stem == which:
+            rows[2][149] = token  # column 150 of 200, on line 3
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(DataError) as exc:
+        load_cohort(clinical, expr, emb)
+    assert str(exc.value) == f"{which}.csv:3: {problem}"
+
+
+def test_load_cohort_peak_memory_stays_near_matrix_size(tmp_path):
+    n, p = 160, 2000
+    gen = np.random.default_rng(1)
+    cohort = small_cohort(
+        sample_ids=[f"S{i}" for i in range(n)],
+        sample_patients=[f"P{i}" for i in range(n)],
+        time=gen.exponential(size=n), event=gen.integers(0, 2, size=n),
+        grade=gen.integers(0, 3, size=n),
+        gene_order=[f"G{j}" for j in range(p)],
+        expression=gen.standard_normal((n, p)), embedding=None)
+    clinical, expr, _ = paths(tmp_path)
+    save_cohort(cohort, clinical, expr)
+    tracemalloc.start()
+    try:
+        loaded = load_cohort(clinical, expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.expression, cohort.expression)
+    # Holding every token of the file at once would take about 24 MB.
+    assert peak < 3 * (loaded.expression.nbytes + loaded.embedding.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +374,12 @@ def test_standardize_train_moments():
 
 
 def test_standardize_constant_gene_maps_to_zero():
-    samples = tuple(
-        small_sample(f"S{i}", f"P{i}",
-                     expression=np.array([5.0, float(i)]))
-        for i in range(4))
-    cohort = Cohort(samples=samples, gene_order=("GA", "GB"))
+    cohort = small_cohort(
+        sample_ids=[f"S{i}" for i in range(4)],
+        sample_patients=[f"P{i}" for i in range(4)],
+        time=[10.0] * 4, event=[1] * 4, grade=[0] * 4,
+        expression=[[5.0, float(i)] for i in range(4)],
+        embedding=np.tile([1.0, 2.0, 3.0], (4, 1)))
     out, stats = standardize_expression(cohort, ["S0", "S1", "S2", "S3"])
     assert not out.expression_matrix(list(cohort.sample_ids))[:, 0].any()
     assert stats.std[0] == 0.0
@@ -247,6 +396,27 @@ def test_standardize_matches_two_pass_oracle():
         cohort.expression_matrix(train_ids).tolist(),
         cohort.expression_matrix(test_ids).tolist())
     assert np.allclose(out.expression_matrix(test_ids), expect, atol=1e-12)
+
+
+def test_standardize_equals_per_sample_oracle_bit_for_bit():
+    cohort, _, _ = synth_gen(patients=30, genes=9, causal_genes=3,
+                             censor_rate=0.2, label_noise=0.0, seed=12,
+                             embedding_dim=3)
+    x = cohort.expression.copy()
+    x[:, 4] = 2.5  # a zero-variance gene
+    cohort = small_cohort(**{name: getattr(cohort, name) for name in (
+        "sample_ids", "sample_patients", "time", "event", "grade",
+        "gene_order", "embedding")}, expression=x)
+    ids = list(cohort.sample_ids)
+    train_ids = ids[::3] + ids[1::3]
+    out, stats = standardize_expression(cohort, train_ids)
+    rows = {s.sample_id: s.expression for s in cohort.samples}
+    expect, mean, std = oracles.standardize_per_sample(
+        [rows[sid] for sid in train_ids], [rows[sid] for sid in ids])
+    assert np.array_equal(out.expression_matrix(ids), np.stack(expect))
+    assert np.array_equal(stats.mean, mean)
+    assert np.array_equal(stats.std, std)
+    assert not out.expression[:, 4].any()
 
 
 def test_standardize_requires_train_ids():

@@ -194,6 +194,19 @@ def test_mask_load_errors(tmp_path):
     out_of_range = write(tmp_path, "dim\t2\n0\t5\n", "m3.tsv")
     with pytest.raises(DataError, match="out of range"):
         AdjacencyMask.load(out_of_range, genes=("a", "b"))
+    bad_token = write(tmp_path, "dim\t2\n0\t0\n1\tx\n", "m4.tsv")
+    with pytest.raises(ParseError, match=r"^m4.tsv:3: unparseable integer 'x'$"):
+        AdjacencyMask.load(bad_token, genes=("a", "b"))
+    bad_dim = write(tmp_path, "dim\ttwo\n", "m5.tsv")
+    with pytest.raises(ParseError, match=r"^m5.tsv:1: unparseable integer 'two'$"):
+        AdjacencyMask.load(bad_dim, genes=("a", "b"))
+
+
+def test_mask_load_finds_header_after_blank_lines(tmp_path):
+    path = write(tmp_path, "\n\ndim\t2\n0\t0\n\n1\t1\n", "mask.tsv")
+    loaded = AdjacencyMask.load(path, genes=("a", "b"))
+    assert loaded.rows.tolist() == [0, 1]
+    assert loaded.cols.tolist() == [0, 1]
 
 
 @settings(max_examples=50, deadline=None)

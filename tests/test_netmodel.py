@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,12 +25,8 @@ from survfuse.netmodel import (
     MaskedSparseLayer,
     NetworkConfig,
     assemble,
-    fusion_forward,
-    grade_head,
     load_checkpoint,
     save_checkpoint,
-    sgcn_forward,
-    survival_head,
 )
 from survfuse.numcore import RngStream
 from survfuse.training import SurvivalBatchLabels, cox_loss, nll_loss
@@ -50,6 +47,24 @@ def scatter_dense(mask, values, junk=None):
     return dense
 
 
+def fused_around(masked, compress, image_dim=3, seed=0):
+    """An assembled fused dual-head network whose gene branch is the layers
+    ``masked`` then ``compress``; the rest is initialized from ``seed``."""
+    cfg = NetworkConfig(variant="fused", heads="both", gene_dim=masked.dim_in,
+                        image_dim=image_dim, gene_branch_dim=compress.dim_out,
+                        trunk_dims=(6, 4), head_hidden_dim=3, dropout_p=0.0)
+    net = assemble(cfg, masked.mask, RngStream(seed, 31))
+    return dataclasses.replace(net, gene_layers=[masked, compress])
+
+
+def gene_branch_output(net, gene_x, image_x=None):
+    """Eval-mode forward; returns the gene branch output and the trace."""
+    if image_x is None:
+        image_x = np.zeros((len(gene_x), net.config.image_dim))
+    trace = net.forward(gene_x=gene_x, image_x=image_x)
+    return trace.segment_caches("gene")[-1].out, trace
+
+
 # ---------------------------------------------------------------------------
 # Masked sparse layer
 # ---------------------------------------------------------------------------
@@ -61,12 +76,25 @@ def test_identity_mask_linear_layer_is_identity():
     layer1 = MaskedSparseLayer.from_dense("m", mask, np.eye(4),
                                           activation="linear")
     x = np.random.default_rng(0).standard_normal((3, 4))
-    out, _ = sgcn_forward(x, layer1, identity_dense("c", 4))
+    out, _ = gene_branch_output(fused_around(layer1, identity_dense("c", 4)), x)
     assert np.array_equal(out, x)
+    # A o W with W all ones is the adjacency itself, and with W all zeros
+    # the layer is zero.
+    mask = random_mask(6, seed=3)
+    x = np.random.default_rng(1).standard_normal((3, 6))
+    ones = MaskedSparseLayer.from_dense("m", mask, np.ones((6, 6)),
+                                        activation="linear")
+    out, _ = gene_branch_output(fused_around(ones, identity_dense("c", 6)), x)
+    assert np.max(np.abs(out - oracles.matmul_loops(x, mask.dense()))) < 1e-12
+    zeros = MaskedSparseLayer.from_dense("m", mask, np.zeros((6, 6)),
+                                         activation="linear")
+    out, _ = gene_branch_output(fused_around(zeros, identity_dense("c", 6)), x)
+    assert not out.any()
 
 
 def test_sgcn_matches_dense_hadamard_oracle():
-    """sigma(x (A o W)) computed the slow dense way, scalar selu included."""
+    """sigma(x (A o W)) computed the slow dense way, scalar selu and loop
+    matrix products included."""
     gen = np.random.default_rng(14)
     mask = random_mask(6, seed=3)
     values = gen.standard_normal(mask.nnz)
@@ -75,13 +103,14 @@ def test_sgcn_matches_dense_hadamard_oracle():
     b2 = gen.standard_normal(4)
     layer2 = DenseLayer("c", w2, b2, activation="selu")
     x = gen.standard_normal((3, 6))
-    out, trace = sgcn_forward(x, layer1, layer2)
+    out, trace = gene_branch_output(fused_around(layer1, layer2), x)
 
     selu = np.vectorize(oracles.selu_scalar)
-    hidden = selu(x @ (mask.dense() * scatter_dense(mask, values)))
-    expect = selu(hidden @ w2 + b2)
+    hidden = selu(oracles.matmul_loops(
+        x, mask.dense() * scatter_dense(mask, values)))
+    expect = selu(oracles.matmul_loops(hidden, w2) + b2)
     assert np.max(np.abs(out - expect)) < 1e-12
-    assert trace.segments == {"gene": (0, 2)}
+    assert trace.segments["gene"] == (0, 2)
 
 
 def test_from_dense_discards_off_mask_junk():
@@ -93,10 +122,14 @@ def test_from_dense_discards_off_mask_junk():
         "m", mask, scatter_dense(mask, values, junk=1e6))
     assert np.array_equal(clean.weights, junked.weights)
     x = gen.standard_normal((5, 8))
-    same = identity_dense("c", 8)
-    out_a, _ = sgcn_forward(x, clean, same)
-    out_b, _ = sgcn_forward(x, junked, same)
+    image_x = gen.standard_normal((5, 3))
+    out_a, trace_a = gene_branch_output(
+        fused_around(clean, identity_dense("c", 8)), x, image_x)
+    out_b, trace_b = gene_branch_output(
+        fused_around(junked, identity_dense("c", 8)), x, image_x)
     assert np.array_equal(out_a, out_b)
+    for head in ("survival", "grade"):
+        assert np.array_equal(trace_a.outputs[head], trace_b.outputs[head])
 
 
 def test_masked_layer_validates_weight_count():
@@ -114,55 +147,68 @@ def test_masked_layer_validates_weight_count():
 
 def test_fusion_concatenates_image_first():
     gen = np.random.default_rng(6)
-    z_img = gen.standard_normal((4, 3))
-    z_gene = gen.standard_normal((4, 2))
-    w = gen.standard_normal((5, 2))
-    trunk = [DenseLayer("t0", w, np.zeros(2), activation="linear")]
-    out, trace = fusion_forward(z_img, z_gene, trunk)
-    expect = np.concatenate([z_img, z_gene], axis=1) @ w
-    assert np.allclose(out, expect, atol=1e-15)
-    assert trace.concat_split == 3
-    swapped = np.concatenate([z_gene, z_img], axis=1) @ w
-    assert not np.allclose(out, swapped)
+    net = randomize_params(micro_network("fused", "both"), seed=7)
+    gene_x, image_x = gen.standard_normal((4, 12)), gen.standard_normal((4, 7))
+    z_gene, trace = gene_branch_output(net, gene_x, image_x)
+    first = trace.segment_caches("trunk")[0]
+    assert np.array_equal(first.x, np.concatenate([image_x, z_gene], axis=1))
+    assert trace.concat_split == 7
+    w, b = net.params()["trunk.0.w"], net.params()["trunk.0.b"]
+    expect = oracles.matmul_loops(first.x, w) + b
+    assert np.allclose(first.pre, expect, atol=1e-13)
+    swapped = oracles.matmul_loops(
+        np.concatenate([z_gene, image_x], axis=1), w) + b
+    assert not np.allclose(first.pre, swapped)
 
 
 def test_fusion_row_mismatch():
+    net = micro_network("fused", "both")
     with pytest.raises(DimensionError, match="row"):
-        fusion_forward(np.zeros((3, 2)), np.zeros((4, 2)),
-                       [identity_dense("t", 4)])
+        net.forward(gene_x=np.zeros((3, 12)), image_x=np.zeros((4, 7)))
+
+
+def _set_head(net, head, fill):
+    """Overwrite every parameter of one head through ``fill(name, value)``."""
+    net.set_params({name: fill(name, value) if name.startswith(head + ".")
+                    else value
+                    for name, value in net.params().items()})
 
 
 def test_survival_head_zero_weights_give_half():
-    head = [DenseLayer("s0", np.zeros((6, 3)), np.zeros(3), activation="relu"),
-            DenseLayer("s1", np.zeros((3, 1)), np.zeros(1), activation="sigmoid")]
-    out = survival_head(np.random.default_rng(0).standard_normal((5, 6)), head)
+    net = randomize_params(micro_network("fused", "both"), seed=8)
+    _set_head(net, "survival", lambda _, v: np.zeros_like(v))
+    gen = np.random.default_rng(0)
+    out = net.forward(gene_x=gen.standard_normal((5, 12)),
+                      image_x=gen.standard_normal((5, 7))).outputs["survival"]
     assert out.shape == (5, 1)
     assert np.all(out == 0.5)
 
 
 def test_survival_head_outputs_in_unit_interval():
     gen = np.random.default_rng(19)
-    head = [DenseLayer("s0", gen.standard_normal((6, 3)), gen.standard_normal(3),
-                       activation="relu"),
-            DenseLayer("s1", gen.standard_normal((3, 1)) * 5,
-                       gen.standard_normal(1), activation="sigmoid")]
-    out = survival_head(gen.standard_normal((50, 6)), head)
+    net = randomize_params(micro_network("fused", "both"), seed=9)
+    _set_head(net, "survival", lambda name, v: v * 5 if name.endswith(".1.w")
+              else v)
+    trace = net.forward(gene_x=gen.standard_normal((50, 12)),
+                        image_x=gen.standard_normal((50, 7)))
+    out = trace.outputs["survival"]
+    assert out.shape == (50, 1)
     assert np.all((out > 0.0) & (out < 1.0))
+    pre = trace.segment_caches("survival")[-1].pre
+    expect = np.vectorize(oracles.sigmoid_scalar)(pre)
+    assert np.max(np.abs(out - expect)) < 1e-15
 
 
 def test_grade_head_rows_are_log_probabilities():
     gen = np.random.default_rng(23)
-    head = [DenseLayer("g0", gen.standard_normal((6, 3)), gen.standard_normal(3),
-                       activation="relu"),
-            DenseLayer("g1", gen.standard_normal((3, 4)), gen.standard_normal(4),
-                       activation="log_softmax_rows")]
-    out = grade_head(gen.standard_normal((7, 6)), head)
+    net = randomize_params(micro_network("fused", "both", k=4), seed=10)
+    out = net.forward(gene_x=gen.standard_normal((7, 12)),
+                      image_x=gen.standard_normal((7, 7))).outputs["grade"]
     assert out.shape == (7, 4)
     assert np.max(np.abs(np.exp(out).sum(axis=1) - 1.0)) < 1e-12
-    zero_head = [DenseLayer("g0", np.zeros((6, 3)), np.zeros(3), activation="relu"),
-                 DenseLayer("g1", np.zeros((3, 4)), np.zeros(4),
-                            activation="log_softmax_rows")]
-    uniform = grade_head(np.ones((2, 6)), zero_head)
+    _set_head(net, "grade", lambda _, v: np.zeros_like(v))
+    uniform = net.forward(gene_x=np.ones((2, 12)),
+                          image_x=np.ones((2, 7))).outputs["grade"]
     assert np.allclose(uniform, -np.log(4.0), atol=1e-15)
 
 

@@ -21,23 +21,22 @@ from survfuse.numcore import (
     dense_backward,
     dense_forward,
     dropout_mask,
-    hadamard,
     lr_at,
-    matmul,
 )
 
 # ---------------------------------------------------------------------------
-# matmul / hadamard
+# The matrix product inside dense_forward
 # ---------------------------------------------------------------------------
 
 
 def test_matmul_identity():
     m = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(matmul(np.eye(2), m), m)
+    assert np.array_equal(dense_forward(np.eye(2), m, None), m)
 
 
 def test_matmul_hand_example():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
+    out = dense_forward(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                        np.array([[1.0], [1.0]]), None)
     assert np.array_equal(out, [[3.0], [7.0]])
 
 
@@ -45,30 +44,11 @@ def test_matmul_matches_triple_loop():
     gen = np.random.default_rng(42)
     a = gen.standard_normal((5, 7))
     b = gen.standard_normal((7, 3))
-    assert np.max(np.abs(matmul(a, b) - oracles.matmul_loops(a, b))) < 1e-12
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(DimensionError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_nonfinite_output():
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
-        matmul([[1e308, 1e308]], [[1.0], [1.0]])
-
-
-def test_hadamard_identities():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(hadamard(a, np.ones_like(a)), a)
-    assert np.array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-    out = hadamard(a, [[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(out, [[0.0, 2.0], [3.0, 0.0]])
-
-
-def test_hadamard_shape_mismatch():
-    with pytest.raises(DimensionError):
-        hadamard(np.zeros((2, 2)), np.zeros((2, 3)))
+    c = gen.standard_normal(3)
+    assert np.max(np.abs(dense_forward(a, b, None)
+                         - oracles.matmul_loops(a, b))) < 1e-12
+    assert np.max(np.abs(dense_forward(a, b, c)
+                         - (oracles.matmul_loops(a, b) + c))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
