@@ -20,7 +20,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,8 @@ from .datakit import (
 )
 from .errors import ConfigError, DataError, SurvfuseError
 from .genegraph import build_adjacency, intersect_features, parse_edge_list, serialize_graph
-from .netmodel import NetworkConfig, assemble, load_checkpoint
+from .netmodel import (HEAD_CHOICES, HEAD_TASKS, VARIANT_INPUTS, VARIANTS,
+                       NetworkConfig, assemble, load_checkpoint)
 from .numcore import RngStream
 from .surveval import (
     GROUP_NAMES,
@@ -48,7 +49,8 @@ from .surveval import (
     risk_tertiles,
     save_metrics,
 )
-from .training import design_matrices, preset_names, profile_preset, train
+from .training import (SCHEDULE_TASKS, SCHEDULES, check_heads, design_matrices,
+                       preset_names, profile_preset, train)
 
 _STREAM_INIT = 31
 
@@ -59,8 +61,8 @@ _STREAM_INIT = 31
 
 @dataclass
 class RunConfig:
-    """Flat run description; every field can live in the JSON file and the
-    scalar ones can be overridden by flags."""
+    """Flat run description; every field can live in the JSON file, and the
+    ones ``override`` lists can also be set by flags."""
 
     variant: str = "fused"
     schedule: str = "alternate"
@@ -107,14 +109,12 @@ class RunConfig:
         return replace(self, **updates)
 
     def resolved_heads(self) -> str:
+        """The heads given, else the choice that builds exactly the heads
+        the schedule trains."""
         if self.heads is not None:
             return self.heads
-        return {
-            "alternate": "both",
-            "joint-add": "both",
-            "survival-only": "survival",
-            "grade-only": "grade",
-        }[self.schedule]
+        tasks = SCHEDULE_TASKS[self.schedule]
+        return next(h for h, t in HEAD_TASKS.items() if t == tasks)
 
     def resolved_profile(self):
         overrides = {"schedule": self.schedule}
@@ -198,8 +198,8 @@ def _load_run_cohort(cfg: RunConfig, keep_genes: tuple[str, ...] | None = None):
     existing checkpoint) the panel is restricted to it instead of
     re-intersecting with the edge list.
     """
-    needs_gene = cfg.variant in ("fused", "gene-only")
-    needs_image = cfg.variant in ("fused", "image-only")
+    needs_gene = "gene" in VARIANT_INPUTS[cfg.variant]
+    needs_image = "image" in VARIANT_INPUTS[cfg.variant]
     clinical = _require_file(cfg.clinical, "clinical")
     expression = _require_file(cfg.expression, "expression") if needs_gene else None
     embeddings = _require_file(cfg.embeddings, "embeddings") if needs_image else None
@@ -321,16 +321,15 @@ def _train_one_rep(cfg: RunConfig, cohort, mask, split_set: SplitSet,
                    rep: int, out_root: Path, verbose: bool) -> dict:
     profile = cfg.resolved_profile()
     train_ids, test_ids = split_set.repetitions[rep]
-    if cfg.variant in ("fused", "gene-only"):
+    inputs = VARIANT_INPUTS[cfg.variant]
+    run_cohort = cohort
+    if "gene" in inputs:
         run_cohort, _ = standardize_expression(cohort, train_ids)
-    else:
-        run_cohort = cohort
     net_config = NetworkConfig(
         variant=cfg.variant,
         heads=cfg.resolved_heads(),
         gene_dim=len(run_cohort.gene_order) if mask is not None else 0,
-        image_dim=(_embedding_width(run_cohort)
-                   if cfg.variant in ("fused", "image-only") else 1000),
+        image_dim=_embedding_width(run_cohort) if "image" in inputs else 1000,
         grade_classes=len(run_cohort.grade_names),
         dropout_p=profile.dropout_p)
     network = assemble(net_config, mask, RngStream(profile.seed, _STREAM_INIT))
@@ -345,14 +344,8 @@ def _train_one_rep(cfg: RunConfig, cohort, mask, split_set: SplitSet,
         "schedule": profile.schedule,
         "heads": net_config.heads,
         "rep": rep,
-        "profile": {
-            "epochs": profile.epochs,
-            "base_lr": profile.base_lr,
-            "weight_decay": profile.weight_decay,
-            "batch_size": profile.batch_size,
-            "dropout_p": profile.dropout_p,
-            "seed": profile.seed,
-        },
+        "profile": {k: v for k, v in asdict(profile).items()
+                    if k != "schedule"},
         "n_train": len(train_ids),
         "n_test": len(test_ids),
         "n_genes": len(run_cohort.gene_order) if mask is not None else None,
@@ -378,16 +371,10 @@ def cmd_train(args) -> int:
     cfg = cfg.override(args)
     if cfg.out is None:
         raise ConfigError("no output directory set (config 'out' or --out)")
-    # Fail fast on incompatible settings before touching any data.
-    profile = cfg.resolved_profile()
-    heads = cfg.resolved_heads()
-    if profile.schedule in ("alternate", "joint-add") and heads != "both":
-        raise ConfigError(
-            f"schedule {profile.schedule!r} needs heads='both', got {heads!r}")
-    if profile.schedule == "survival-only" and heads == "grade":
-        raise ConfigError("survival-only schedule needs a survival head")
-    if profile.schedule == "grade-only" and heads == "survival":
-        raise ConfigError("grade-only schedule needs a grade head")
+    # Fail fast on bad settings before touching any data.
+    if cfg.variant not in VARIANT_INPUTS:
+        raise ConfigError(f"unknown variant {cfg.variant!r}")
+    check_heads(cfg.resolved_profile().schedule, cfg.resolved_heads())
 
     cohort, mask = _load_run_cohort(cfg)
     split_set = _load_splits(cfg, cohort)
@@ -444,13 +431,10 @@ def cmd_eval(args) -> int:
     cfg = RunConfig.from_file(_require_file(args.config, "run config"))
     cfg = cfg.override(args)
     network = load_checkpoint(Path(args.model))
-    if args.require is not None:
-        if args.require in ("survival", "both") and not network.config.with_survival:
-            raise ConfigError("survival metrics requested on a model "
-                              "without a survival head")
-        if args.require in ("grade", "both") and not network.config.with_grade:
-            raise ConfigError("grade metrics requested on a model "
-                              "without a grade head")
+    for task in HEAD_TASKS[args.require] if args.require else ():
+        if task not in HEAD_TASKS[network.config.heads]:
+            raise ConfigError(f"{task} metrics requested on a model "
+                              f"without a {task} head")
     keep = network.mask.genes if network.mask is not None else None
     run_cfg = replace(cfg, variant=network.config.variant)
     cohort, _ = _load_run_cohort(run_cfg, keep_genes=keep)
@@ -462,7 +446,7 @@ def cmd_eval(args) -> int:
     train_ids, test_ids = split_set.repetitions[args.rep]
     if not test_ids:
         raise DataError(f"repetition {args.rep} has an empty test side")
-    if network.config.variant in ("fused", "gene-only"):
+    if "gene" in network.config.inputs:
         cohort, _ = standardize_expression(cohort, train_ids)
     report = _evaluate_to_report(network, cohort, test_ids, cfg.tie_rule,
                                  cfg.aggregation)
@@ -523,10 +507,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--all-reps", action="store_true",
                    help="train every repetition and write an aggregate")
-    p.add_argument("--variant", choices=("gene-only", "image-only", "fused"))
-    p.add_argument("--schedule", choices=("alternate", "joint-add",
-                                          "survival-only", "grade-only"))
-    p.add_argument("--heads", choices=("survival", "grade", "both"))
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--schedule", choices=SCHEDULES)
+    p.add_argument("--heads", choices=HEAD_CHOICES)
     p.add_argument("--preset", choices=preset_names())
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -550,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits")
     p.add_argument("--tie-rule", choices=("half", "strict"), dest="tie_rule")
     p.add_argument("--aggregation", choices=("sample", "patient"))
-    p.add_argument("--require", choices=("survival", "grade", "both"),
+    p.add_argument("--require", choices=HEAD_CHOICES,
                    help="fail unless the model carries these heads")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_eval)

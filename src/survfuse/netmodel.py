@@ -1,4 +1,4 @@
-"""Layer types, the four model variants, and bit-exact checkpointing.
+"""Layer types, the three model variants, and bit-exact checkpointing.
 
 A network is a plain container of layers grouped into a gene branch, an
 image branch, a shared trunk, and up to two output heads. The gene branch
@@ -48,8 +48,14 @@ from .numcore import (
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
-VARIANTS = ("gene-only", "image-only", "fused")
-HEAD_CHOICES = ("survival", "grade", "both")
+# Which input matrices each variant reads.
+VARIANT_INPUTS = {"gene-only": ("gene",), "image-only": ("image",),
+                  "fused": ("gene", "image")}
+# Which task heads each head choice builds.
+HEAD_TASKS = {"survival": ("survival",), "grade": ("grade",),
+              "both": ("survival", "grade")}
+VARIANTS = tuple(VARIANT_INPUTS)
+HEAD_CHOICES = tuple(HEAD_TASKS)
 
 
 @dataclass
@@ -161,15 +167,15 @@ class NetworkConfig:
     dropout_p: float = 0.25
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in VARIANT_INPUTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.heads not in HEAD_CHOICES:
+        if self.heads not in HEAD_TASKS:
             raise ConfigError(f"unknown heads choice {self.heads!r}")
-        if self.variant in ("fused", "gene-only") and self.gene_dim < 1:
+        if "gene" in self.inputs and self.gene_dim < 1:
             raise ConfigError(f"variant {self.variant!r} needs gene_dim >= 1")
-        if self.variant in ("fused", "image-only") and self.image_dim < 1:
+        if "image" in self.inputs and self.image_dim < 1:
             raise ConfigError(f"variant {self.variant!r} needs image_dim >= 1")
-        if self.heads in ("grade", "both") and self.grade_classes < 2:
+        if self.with_grade and self.grade_classes < 2:
             raise ConfigError("grade head needs >= 2 classes")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
@@ -181,12 +187,16 @@ class NetworkConfig:
                 raise ConfigError("trunk dims must be positive")
 
     @property
+    def inputs(self) -> tuple[str, ...]:
+        return VARIANT_INPUTS[self.variant]
+
+    @property
     def with_survival(self) -> bool:
-        return self.heads in ("survival", "both")
+        return "survival" in HEAD_TASKS[self.heads]
 
     @property
     def with_grade(self) -> bool:
-        return self.heads in ("grade", "both")
+        return "grade" in HEAD_TASKS[self.heads]
 
     def resolved_trunk_dims(self) -> tuple[int, ...]:
         if self.trunk_dims is not None:
@@ -374,14 +384,14 @@ class Network:
             gen = rng.generator(*key)
 
         trace = ForwardTrace(mode=mode)
-        if cfg.variant in ("fused", "gene-only"):
+        if "gene" in cfg.inputs:
             if gene_x is None:
                 raise DimensionError(f"variant {cfg.variant!r} requires gene_x")
             gene_x = as_matrix(gene_x)
             if gene_x.shape[1] != cfg.gene_dim:
                 raise DimensionError(
                     f"gene_x width {gene_x.shape[1]} != gene_dim {cfg.gene_dim}")
-        if cfg.variant in ("fused", "image-only"):
+        if "image" in cfg.inputs:
             if image_x is None:
                 raise DimensionError(f"variant {cfg.variant!r} requires image_x")
             image_x = as_matrix(image_x)
@@ -457,7 +467,7 @@ class Network:
             variant, self.config.trunk_input_dim())
         d_gene = _backward_layers(trace.segment_caches("trunk"), d_rep, grads,
                                   gene_from)
-        if variant in ("fused", "gene-only"):
+        if "gene" in self.config.inputs:
             _backward_layers(trace.segment_caches("gene"), d_gene, grads,
                              self.config.gene_dim)
         return grads
@@ -478,7 +488,7 @@ class Network:
 
 def _build_structure(config: NetworkConfig, mask: AdjacencyMask | None) -> Network:
     """Allocate all layers with zero weights; init or checkpoint fills them."""
-    if config.variant in ("fused", "gene-only"):
+    if "gene" in config.inputs:
         if mask is None:
             raise ConfigError("gene branch requires an adjacency mask")
         if mask.dim != config.gene_dim:
@@ -646,7 +656,7 @@ def load_checkpoint(path) -> Network:
     config = NetworkConfig(**cfg_dict)
 
     mask = None
-    if config.variant in ("fused", "gene-only"):
+    if "gene" in config.inputs:
         genes = tuple(manifest["genes"])
         mask = AdjacencyMask.load(path / _MASK_NAME, genes=genes)
     net = _build_structure(config, mask)

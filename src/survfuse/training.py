@@ -16,11 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, UndefinedResultError
-from .netmodel import Network, save_checkpoint
+from .netmodel import HEAD_TASKS, Network, save_checkpoint
 from .numcore import AdamState, LrSchedule, RngStream, adam_step, lr_at
 from .surveval import accuracy_and_micro_f1, c_index, confusion, predicted_classes
 
-SCHEDULES = ("alternate", "joint-add", "survival-only", "grade-only")
+# Which tasks each schedule trains (alternate takes them in turn).
+SCHEDULE_TASKS = {"alternate": ("survival", "grade"),
+                  "joint-add": ("survival", "grade"),
+                  "survival-only": ("survival",), "grade-only": ("grade",)}
+SCHEDULES = tuple(SCHEDULE_TASKS)
 
 _STREAM_SHUFFLE = 21
 _STREAM_DROPOUT = 22
@@ -158,15 +162,23 @@ def select_task(c: int, schedule: str) -> tuple[str, ...]:
     iterations to survival and even ones to grade; joint-add returns both."""
     if c < 1:
         raise ValueError(f"iteration counter starts at 1, got {c}")
-    if schedule == "alternate":
-        return ("survival",) if c % 2 == 1 else ("grade",)
-    if schedule == "joint-add":
-        return ("survival", "grade")
-    if schedule == "survival-only":
-        return ("survival",)
-    if schedule == "grade-only":
-        return ("grade",)
-    raise ConfigError(f"unknown schedule {schedule!r}")
+    if schedule not in SCHEDULE_TASKS:
+        raise ConfigError(f"unknown schedule {schedule!r}")
+    tasks = SCHEDULE_TASKS[schedule]
+    return (tasks[(c - 1) % 2],) if schedule == "alternate" else tasks
+
+
+def check_heads(schedule: str, heads: str) -> tuple[str, ...]:
+    """The tasks ``schedule`` (a known one, as TrainingProfile checks)
+    trains; a ConfigError unless the ``heads`` choice builds a head for each
+    of them."""
+    if heads not in HEAD_TASKS:
+        raise ConfigError(f"unknown heads choice {heads!r}")
+    for task in SCHEDULE_TASKS[schedule]:
+        if task not in HEAD_TASKS[heads]:
+            raise ConfigError(f"schedule {schedule!r} needs a {task} head, "
+                              f"which heads={heads!r} lacks")
+    return SCHEDULE_TASKS[schedule]
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +210,6 @@ class TrainingHistory:
     snapshots: list[EpochSnapshot] = field(default_factory=list)
     best_epoch: int | None = None
 
-    def losses_for(self, task: str) -> list[float]:
-        return [r.loss for r in self.records if r.task == task]
-
     def task_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for r in self.records:
@@ -219,28 +228,18 @@ class TrainingHistory:
 # Training loop
 # ---------------------------------------------------------------------------
 
-def _schedule_tasks(schedule: str) -> set[str]:
-    if schedule in ("alternate", "joint-add"):
-        return {"survival", "grade"}
-    return {"survival"} if schedule == "survival-only" else {"grade"}
-
-
 def design_matrices(network: Network, cohort, ids):
     """Modality matrices the variant needs, None for the unused ones."""
-    variant = network.config.variant
-    gene_x = (cohort.expression_matrix(ids)
-              if variant in ("fused", "gene-only") else None)
-    image_x = (cohort.embedding_matrix(ids)
-               if variant in ("fused", "image-only") else None)
+    inputs = network.config.inputs
+    gene_x = cohort.expression_matrix(ids) if "gene" in inputs else None
+    image_x = cohort.embedding_matrix(ids) if "image" in inputs else None
     return gene_x, image_x
 
 
 def evaluate_network(network: Network, cohort, ids,
-                     tasks: set[str] | None = None) -> EpochSnapshot:
+                     tasks: tuple[str, ...] = HEAD_TASKS["both"]) -> EpochSnapshot:
     """Evaluation-mode metrics on one id set. ``tasks`` limits which heads
     are scored; the summary score averages whatever is available."""
-    if tasks is None:
-        tasks = {"survival", "grade"}
     gene_x, image_x = design_matrices(network, cohort, ids)
     outputs = network.predict(gene_x=gene_x, image_x=image_x)
     ci = None
@@ -278,12 +277,7 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     when no evaluation is possible) along with history.csv. The whole run
     is bit-reproducible from (profile, cohort, split).
     """
-    tasks_needed = _schedule_tasks(profile.schedule)
-    if "survival" in tasks_needed and not network.config.with_survival:
-        raise ConfigError(
-            f"schedule {profile.schedule!r} needs a survival head")
-    if "grade" in tasks_needed and not network.config.with_grade:
-        raise ConfigError(f"schedule {profile.schedule!r} needs a grade head")
+    tasks_needed = check_heads(profile.schedule, network.config.heads)
 
     train_ids = list(train_ids)
     if not train_ids:

@@ -19,6 +19,19 @@ VARIANT_HEAD_COMBOS = [
     for heads in ("survival", "grade", "both")
 ]
 
+SCHEDULE_HEAD_COMBOS = [
+    (schedule, heads)
+    for schedule in ("alternate", "joint-add", "survival-only", "grade-only")
+    for heads in ("survival", "grade", "both")
+]
+
+# The pairs a run accepts: the heads cover every task the schedule trains.
+ACCEPTED_SCHEDULE_HEADS = {
+    ("alternate", "both"), ("joint-add", "both"),
+    ("survival-only", "survival"), ("survival-only", "both"),
+    ("grade-only", "grade"), ("grade-only", "both"),
+}
+
 
 def random_mask(p, seed, edges=None):
     """Symmetric self-looped adjacency over p placeholder genes."""

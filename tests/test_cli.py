@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+import helpers
 from survfuse.cli import main
 from survfuse.datakit import SplitSet
 from survfuse.surveval import build_metrics
@@ -291,6 +292,66 @@ def test_train_incompatible_heads_fail_fast(data_dir, splits_file, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("schedule,heads", helpers.SCHEDULE_HEAD_COMBOS)
+def test_train_accepts_exactly_the_heads_its_schedule_needs(
+        data_dir, splits_file, tmp_path, capsys, schedule, heads):
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", schedule=schedule, heads=heads,
+                          epochs=0)
+    rc = main(["train", str(config)])
+    err = capsys.readouterr().err
+    if (schedule, heads) in helpers.ACCEPTED_SCHEDULE_HEADS:
+        assert rc == 0, err
+    else:
+        missing = "survival" if heads == "grade" else "grade"
+        assert rc == 2
+        assert f"needs a {missing} head" in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("schedule,heads", [
+    ("alternate", "both"), ("joint-add", "both"),
+    ("survival-only", "survival"), ("grade-only", "grade")])
+def test_train_default_heads_follow_schedule(data_dir, splits_file, tmp_path,
+                                             schedule, heads):
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", schedule=schedule, epochs=0)
+    assert main(["train", str(config)]) == 0
+    summary = json.loads((tmp_path / "out" / "rep00" / "summary.json")
+                         .read_text())
+    assert summary["heads"] == heads
+
+
+@pytest.mark.parametrize("value,extra", [
+    ("foo", {"variant": "foo"}),
+    ("none", {"heads": "none", "schedule": "survival-only"})],
+    ids=["variant", "heads"])
+def test_train_unknown_choice_in_config_exits_2_before_reading_data(
+        data_dir, splits_file, tmp_path, capsys, value, extra):
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", **extra)
+    assert main(["train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert repr(value) in err
+    assert "dropped" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,choices", [
+    (["train", "run.json", "--variant"], ("gene-only", "image-only", "fused")),
+    (["train", "run.json", "--schedule"],
+     ("alternate", "joint-add", "survival-only", "grade-only")),
+    (["train", "run.json", "--heads"], ("survival", "grade", "both")),
+    (["eval", "--out", "m.json", "--require"], ("survival", "grade", "both")),
+])
+def test_choice_flags_list_every_table_key(capsys, argv, choices):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(choice in err for choice in choices)
+
+
 def test_train_rep_out_of_range_exits_2(data_dir, splits_file, tmp_path):
     config = write_config(tmp_path / "run.json", data_dir, splits_file,
                           tmp_path / "out")
@@ -325,20 +386,32 @@ def test_eval_matches_training_report(trained, tmp_path):
     assert report == summary["test_metrics"]
 
 
-def test_eval_require_matches_heads(trained, data_dir, splits_file, tmp_path):
+def test_eval_require_matches_heads(trained, data_dir, splits_file, tmp_path,
+                                    capsys):
     out = tmp_path / "metrics.json"
-    rc = main(["eval", "--config", str(trained["config"]),
-               "--model", str(trained["out"] / "rep00" / "final"),
-               "--require", "both", "--out", str(out)])
-    assert rc == 0
-    config = write_config(tmp_path / "run.json", data_dir, splits_file,
-                          tmp_path / "run_out", variant="gene-only",
-                          schedule="survival-only", epochs=0)
-    assert main(["train", str(config)]) == 0
-    rc = main(["eval", "--config", str(config),
-               "--model", str(tmp_path / "run_out" / "rep00" / "final"),
-               "--require", "grade", "--out", str(out)])
-    assert rc == 2
+    models = {"both": (trained["config"], trained["out"] / "rep00" / "final")}
+    for heads, variant, schedule in (("survival", "gene-only", "survival-only"),
+                                     ("grade", "fused", "grade-only")):
+        config = write_config(tmp_path / f"{heads}.json", data_dir,
+                              splits_file, tmp_path / heads, variant=variant,
+                              schedule=schedule, epochs=0)
+        assert main(["train", str(config)]) == 0
+        models[heads] = (config, tmp_path / heads / "rep00" / "final")
+    capsys.readouterr()
+    # --require passes exactly when the model has every head it names.
+    accepted = {("survival", "survival"), ("survival", "both"),
+                ("grade", "grade"), ("grade", "both"), ("both", "both")}
+    for require in ("survival", "grade", "both"):
+        for heads, (config, model) in models.items():
+            rc = main(["eval", "--config", str(config), "--model", str(model),
+                       "--require", require, "--out", str(out)])
+            err = capsys.readouterr().err
+            if (require, heads) in accepted:
+                assert rc == 0, (require, heads, err)
+            else:
+                missing = "survival" if heads == "grade" else "grade"
+                assert rc == 2, (require, heads)
+                assert f"without a {missing} head" in err
 
 
 def test_eval_risks_bypass_equals_direct_metrics(data_dir, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from survfuse.datakit import synth_gen
 from survfuse.errors import ConfigError, DataError, NumericError
@@ -360,6 +361,20 @@ def test_train_head_coverage_checked():
     with pytest.raises(ConfigError):
         train(net, cohort, list(cohort.sample_ids),
               micro_profile(5, schedule="survival-only"))
+
+
+@pytest.mark.parametrize("schedule,heads", helpers.SCHEDULE_HEAD_COMBOS)
+def test_train_accepts_exactly_the_heads_its_schedule_needs(schedule, heads):
+    cohort, mask = micro_cohort(5)
+    net = micro_net(mask, 5, heads=heads)
+    ids = list(cohort.sample_ids)
+    profile = micro_profile(5, schedule=schedule, epochs=0)
+    if (schedule, heads) in helpers.ACCEPTED_SCHEDULE_HEADS:
+        train(net, cohort, ids, profile)
+    else:
+        missing = "survival" if heads == "grade" else "grade"
+        with pytest.raises(ConfigError, match=f"needs a {missing} head"):
+            train(net, cohort, ids, profile)
 
 
 def test_train_empty_ids_rejected():
