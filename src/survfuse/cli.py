@@ -42,6 +42,7 @@ from .netmodel import (HEAD_CHOICES, HEAD_TASKS, VARIANT_INPUTS, VARIANTS,
 from .numcore import RngStream
 from .surveval import (
     GROUP_NAMES,
+    TIE_RULES,
     build_metrics,
     km_curve,
     km_export_csv,
@@ -53,6 +54,8 @@ from .training import (SCHEDULE_TASKS, SCHEDULES, check_heads, design_matrices,
                        preset_names, profile_preset, train)
 
 _STREAM_INIT = 31
+# What the survival metrics score: each sample, or each patient's median risk.
+AGGREGATIONS = ("sample", "patient")
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +99,11 @@ class RunConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {unknown}")
+        for key, choices in (("tie_rule", TIE_RULES),
+                             ("aggregation", AGGREGATIONS)):
+            if key in raw and raw[key] not in choices:
+                raise ConfigError(f"{path}: unknown {key} {raw[key]!r} "
+                                  f"(choose from {', '.join(choices)})")
         return cls(**raw)
 
     def override(self, args: argparse.Namespace) -> "RunConfig":
@@ -531,8 +539,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bypass: score a sample_id,risk CSV instead of a model")
     p.add_argument("--clinical", help="clinical CSV (with --risks)")
     p.add_argument("--splits")
-    p.add_argument("--tie-rule", choices=("half", "strict"), dest="tie_rule")
-    p.add_argument("--aggregation", choices=("sample", "patient"))
+    p.add_argument("--tie-rule", choices=TIE_RULES, dest="tie_rule")
+    p.add_argument("--aggregation", choices=AGGREGATIONS)
     p.add_argument("--require", choices=HEAD_CHOICES,
                    help="fail unless the model carries these heads")
     p.add_argument("--verbose", action="store_true")

@@ -9,7 +9,7 @@ that restricts the first network layer to known gene-gene interactions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,34 +37,16 @@ class GeneGraph:
 
     genes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
-    _adj: dict[str, set[str]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if len(set(self.genes)) != len(self.genes):
+        known = set(self.genes)
+        if len(known) != len(self.genes):
             raise DataError("duplicate gene symbols in graph")
-        if not self._adj:
-            adj: dict[str, set[str]] = {g: set() for g in self.genes}
-            for a, b in self.edges:
-                if a == b:
-                    raise DataError(f"self-pair ({a!r}, {b!r}) in edge set")
-                if a not in adj or b not in adj:
-                    raise DataError(f"edge endpoint not in gene list: ({a!r}, {b!r})")
-                adj[a].add(b)
-                adj[b].add(a)
-            object.__setattr__(self, "_adj", adj)
-
-    @property
-    def n_genes(self) -> int:
-        return len(self.genes)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def neighbors(self, gene: str) -> frozenset[str]:
-        if gene not in self._adj:
-            raise KeyError(f"gene {gene!r} not in graph")
-        return frozenset(self._adj[gene])
+        for a, b in self.edges:
+            if a == b:
+                raise DataError(f"self-pair ({a!r}, {b!r}) in edge set")
+            if a not in known or b not in known:
+                raise DataError(f"edge endpoint not in gene list: ({a!r}, {b!r})")
 
     def subgraph(self, keep: list[str] | tuple[str, ...]) -> "GeneGraph":
         """Restrict to ``keep`` (order preserved); edges touching dropped
@@ -82,14 +64,14 @@ def _canonical(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def parse_edge_list(path, has_header: bool | None = None) -> GeneGraph:
+def parse_edge_list(path) -> GeneGraph:
     """Read an interaction edge list.
 
     Each non-blank, non-comment ('#'-prefixed) line must hold exactly two
     whitespace-separated symbols. Duplicate pairs (either orientation)
     collapse to one undirected edge and self-pairs are dropped, though
-    their symbols still count as genes. ``has_header=None`` auto-detects a
-    leading header line by its vocabulary; pass True/False to force.
+    their symbols still count as genes. A leading line made only of header
+    vocabulary (``gene1 gene2``, ``source target``, ...) is skipped.
     """
     path = Path(path)
     genes: list[str] = []
@@ -107,10 +89,7 @@ def parse_edge_list(path, has_header: bool | None = None) -> GeneGraph:
                     f"{path.name}:{lineno}: expected 2 columns, got {len(tokens)}")
             if first_data_line:
                 first_data_line = False
-                is_header = has_header
-                if is_header is None:
-                    is_header = all(t.lower() in _HEADER_WORDS for t in tokens)
-                if is_header:
+                if all(t.lower() in _HEADER_WORDS for t in tokens):
                     continue
             a, b = tokens
             for g in (a, b):
@@ -180,11 +159,6 @@ class AdjacencyMask:
     def nnz(self) -> int:
         return len(self.rows)
 
-    def dense(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim))
-        m[self.rows, self.cols] = 1.0
-        return m
-
     def save(self, path) -> None:
         """Write 'dim<TAB>n' header then one 'row<TAB>col' line per nonzero."""
         with open(path, "w", encoding="utf-8") as fh:
@@ -241,21 +215,16 @@ def _mask_int(token: str, where: str) -> int:
         raise ParseError(f"{where}: unparseable integer {token!r}") from None
 
 
-def build_adjacency(graph: GeneGraph, order: tuple[str, ...] | None = None) -> AdjacencyMask:
-    """Binary adjacency over ``order`` (default: graph vertex order), with
-    every diagonal entry forced to 1 so each gene always sees itself."""
-    genes = tuple(order) if order is not None else graph.genes
+def build_adjacency(graph: GeneGraph) -> AdjacencyMask:
+    """Binary adjacency in the graph's vertex order, with every diagonal
+    entry forced to 1 so each gene always sees itself."""
+    genes = graph.genes
     index = {g: i for i, g in enumerate(genes)}
-    known = set(graph.genes)
-    missing = [g for g in genes if g not in known]
-    if missing:
-        raise KeyError(f"genes not in graph: {missing[:5]}")
     coords: set[tuple[int, int]] = {(i, i) for i in range(len(genes))}
     for a, b in graph.edges:
-        if a in index and b in index:
-            i, j = index[a], index[b]
-            coords.add((i, j))
-            coords.add((j, i))
+        i, j = index[a], index[b]
+        coords.add((i, j))
+        coords.add((j, i))
     ordered = sorted(coords)
     rows = np.asarray([r for r, _ in ordered], dtype=np.intp)
     cols = np.asarray([c for _, c in ordered], dtype=np.intp)

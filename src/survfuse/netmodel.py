@@ -6,7 +6,7 @@ starts with a sparse layer whose weights exist only at the nonzeros of a
 gene-interaction adjacency mask, so interactions absent from the graph can
 never influence the forward product.
 
-Variants:
+Variants (``VARIANT_LAYOUT`` holds these rules):
   fused       masked(p->p) + dense(p->1000) gene branch, 1000-wide image
               embeddings passed through, trunk 2000->512->128->32 (ReLU),
               heads on the 32-wide shared representation
@@ -48,9 +48,14 @@ from .numcore import (
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
-# Which input matrices each variant reads.
-VARIANT_INPUTS = {"gene-only": ("gene",), "image-only": ("image",),
-                  "fused": ("gene", "image")}
+# Per variant: the input matrices it reads, whether a dense gene.compress
+# follows gene.masked, the default trunk widths and the trunk activation.
+VARIANT_LAYOUT = {
+    "gene-only": (("gene",), False, (1000, 512, 128, 32), "selu"),
+    "image-only": (("image",), False, (512, 256, 128, 32), "relu"),
+    "fused": (("gene", "image"), True, (512, 128, 32), "relu"),
+}
+VARIANT_INPUTS = {v: layout[0] for v, layout in VARIANT_LAYOUT.items()}
 # Which task heads each head choice builds.
 HEAD_TASKS = {"survival": ("survival",), "grade": ("grade",),
               "both": ("survival", "grade")}
@@ -137,23 +142,12 @@ class MaskedSparseLayer:
             (self.weights, self.mask.cols, self._indptr),
             shape=(self.mask.dim, self.mask.dim))
 
-    @classmethod
-    def from_dense(cls, name: str, mask: AdjacencyMask, dense_weights: Array,
-                   **kwargs) -> "MaskedSparseLayer":
-        """Gather a dense p x p matrix down to the mask pattern. Values at
-        zero positions of the mask are discarded by construction."""
-        dense_weights = as_matrix(dense_weights)
-        if dense_weights.shape != (mask.dim, mask.dim):
-            raise DimensionError(
-                f"dense weights {dense_weights.shape} != mask dim {mask.dim}")
-        values = np.ascontiguousarray(dense_weights[mask.rows, mask.cols])
-        return cls(name=name, mask=mask, weights=values, **kwargs)
-
 
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture description; widths beyond the fixed endpoints may be
-    overridden for small test instances."""
+    overridden for small test instances. ``gene_branch_dim`` is the width
+    of the fused variant's gene.compress layer."""
 
     variant: str
     heads: str = "both"
@@ -198,30 +192,6 @@ class NetworkConfig:
     def with_grade(self) -> bool:
         return "grade" in HEAD_TASKS[self.heads]
 
-    def resolved_trunk_dims(self) -> tuple[int, ...]:
-        if self.trunk_dims is not None:
-            return self.trunk_dims
-        if self.variant == "fused":
-            return (512, 128, 32)
-        if self.variant == "gene-only":
-            return (self.gene_branch_dim, 512, 128, 32)
-        return (512, 256, 128, 32)
-
-    def resolved_trunk_activation(self) -> str:
-        if self.trunk_activation is not None:
-            return self.trunk_activation
-        return "selu" if self.variant == "gene-only" else "relu"
-
-    def trunk_input_dim(self) -> int:
-        if self.variant == "fused":
-            return self.image_dim + self.gene_branch_dim
-        if self.variant == "gene-only":
-            return self.gene_dim
-        return self.image_dim
-
-    def representation_dim(self) -> int:
-        return self.resolved_trunk_dims()[-1]
-
 
 @dataclass
 class LayerCache:
@@ -240,8 +210,6 @@ class ForwardTrace:
     caches: list[LayerCache] = field(default_factory=list)
     segments: dict[str, tuple[int, int]] = field(default_factory=dict)
     outputs: dict[str, Array] = field(default_factory=dict)
-    concat_split: int | None = None
-    mode: str = "eval"
     consumed: bool = False
 
     def segment_caches(self, name: str) -> list[LayerCache]:
@@ -359,16 +327,6 @@ class Network:
         layer order. The values are the live views into ``param_vector``."""
         return self._params
 
-    def set_params(self, params: Mapping[str, Array]) -> None:
-        """Copy new values into every parameter (all names required)."""
-        for name, view in self._params.items():
-            new = params[name]
-            if new.shape != view.shape:
-                raise DimensionError(
-                    f"shape mismatch for {name!r}: {new.shape}")
-        for name, view in self._params.items():
-            np.copyto(view, params[name])
-
     def forward(self, gene_x: Array | None = None, image_x: Array | None = None,
                 mode: str = "eval", rng: RngStream | None = None,
                 key: tuple[int, ...] = ()) -> ForwardTrace:
@@ -383,21 +341,18 @@ class Network:
                 raise UsageError("train-mode forward needs an RngStream")
             gen = rng.generator(*key)
 
-        trace = ForwardTrace(mode=mode)
-        if "gene" in cfg.inputs:
-            if gene_x is None:
-                raise DimensionError(f"variant {cfg.variant!r} requires gene_x")
-            gene_x = as_matrix(gene_x)
-            if gene_x.shape[1] != cfg.gene_dim:
+        trace = ForwardTrace()
+        xs = {}
+        for name, x, dim in (("gene", gene_x, cfg.gene_dim),
+                             ("image", image_x, cfg.image_dim)):
+            if name not in cfg.inputs:
+                continue
+            if x is None:
+                raise DimensionError(f"variant {cfg.variant!r} requires {name}_x")
+            xs[name] = as_matrix(x)
+            if xs[name].shape[1] != dim:
                 raise DimensionError(
-                    f"gene_x width {gene_x.shape[1]} != gene_dim {cfg.gene_dim}")
-        if "image" in cfg.inputs:
-            if image_x is None:
-                raise DimensionError(f"variant {cfg.variant!r} requires image_x")
-            image_x = as_matrix(image_x)
-            if image_x.shape[1] != cfg.image_dim:
-                raise DimensionError(
-                    f"image_x width {image_x.shape[1]} != image_dim {cfg.image_dim}")
+                    f"{name}_x width {xs[name].shape[1]} != {name}_dim {dim}")
 
         def add_segment(name, x, layers):
             lo = len(trace.caches)
@@ -406,19 +361,15 @@ class Network:
             trace.segments[name] = (lo, len(trace.caches))
             return out
 
-        if cfg.variant == "fused":
-            gene_out = add_segment("gene", gene_x, self.gene_layers)
-            image_out = image_x  # embeddings pass straight through
-            if image_out.shape[0] != gene_out.shape[0]:
-                raise DimensionError(
-                    f"row mismatch: image {image_out.shape[0]} vs gene "
-                    f"{gene_out.shape[0]}")
-            trunk_in = np.concatenate([image_out, gene_out], axis=1)
-            trace.concat_split = image_out.shape[1]
-        elif cfg.variant == "gene-only":
-            trunk_in = add_segment("gene", gene_x, self.gene_layers)
-        else:
-            trunk_in = image_x
+        if "gene" in xs:
+            xs["gene"] = add_segment("gene", xs["gene"], self.gene_layers)
+        # The trunk reads the image embeddings (passed straight through)
+        # first, then the gene branch output.
+        parts = [xs[name] for name in ("image", "gene") if name in xs]
+        if len(parts) > 1 and parts[0].shape[0] != parts[1].shape[0]:
+            raise DimensionError(f"row mismatch: image {parts[0].shape[0]} "
+                                 f"vs gene {parts[1].shape[0]}")
+        trunk_in = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
 
         rep = add_segment("trunk", trunk_in, self.trunk_layers)
         trace.outputs["representation"] = rep
@@ -461,15 +412,15 @@ class Network:
             d_rep += _backward_layers(trace.segment_caches(head), upstream, grads)
 
         # Only the gene branch's columns of the trunk input need a gradient;
-        # nothing reads the gradient w.r.t. the raw inputs.
-        variant = self.config.variant
-        gene_from = {"fused": trace.concat_split, "gene-only": 0}.get(
-            variant, self.config.trunk_input_dim())
+        # nothing reads the gradient w.r.t. the raw inputs. Those columns
+        # follow the image columns.
+        cfg = self.config
+        gene_from = cfg.image_dim if "image" in cfg.inputs else 0
         d_gene = _backward_layers(trace.segment_caches("trunk"), d_rep, grads,
                                   gene_from)
-        if "gene" in self.config.inputs:
+        if "gene" in cfg.inputs:
             _backward_layers(trace.segment_caches("gene"), d_gene, grads,
-                             self.config.gene_dim)
+                             cfg.gene_dim)
         return grads
 
     def predict(self, gene_x: Array | None = None,
@@ -480,10 +431,8 @@ class Network:
 
     @property
     def mask(self) -> AdjacencyMask | None:
-        for layer in self.gene_layers:
-            if isinstance(layer, MaskedSparseLayer):
-                return layer.mask
-        return None
+        """The adjacency mask of gene.masked, the first gene layer."""
+        return self.gene_layers[0].mask if self.gene_layers else None
 
 
 def _build_structure(config: NetworkConfig, mask: AdjacencyMask | None) -> Network:
@@ -501,41 +450,39 @@ def _build_structure(config: NetworkConfig, mask: AdjacencyMask | None) -> Netwo
         return DenseLayer(name=name, weights=np.zeros((d_in, d_out)),
                           bias=np.zeros(d_out), activation=act, dropout_p=p)
 
+    inputs, compress, trunk_dims, trunk_act = VARIANT_LAYOUT[config.variant]
     p_drop = config.dropout_p
     gene_layers: list = []
-    if config.variant == "fused":
-        gene_layers = [
-            MaskedSparseLayer(name="gene.masked", mask=mask,
-                              weights=np.zeros(mask.nnz), activation="selu",
-                              dropout_p=p_drop),
-            dense("gene.compress", config.gene_dim, config.gene_branch_dim,
-                  "selu", p_drop),
-        ]
-    elif config.variant == "gene-only":
-        gene_layers = [
-            MaskedSparseLayer(name="gene.masked", mask=mask,
-                              weights=np.zeros(mask.nnz), activation="selu",
-                              dropout_p=p_drop),
-        ]
+    if "gene" in inputs:
+        gene_layers.append(MaskedSparseLayer(
+            name="gene.masked", mask=mask, weights=np.zeros(mask.nnz),
+            activation="selu", dropout_p=p_drop))
+        if compress:
+            gene_layers.append(dense("gene.compress", config.gene_dim,
+                                     config.gene_branch_dim, "selu", p_drop))
 
-    trunk_act = config.resolved_trunk_activation()
+    trunk_act = config.trunk_activation or trunk_act
+    if config.trunk_dims is not None:
+        trunk_dims = config.trunk_dims
     trunk_layers = []
-    d_in = config.trunk_input_dim()
-    for i, d_out in enumerate(config.resolved_trunk_dims()):
-        trunk_layers.append(dense(f"trunk.{i}", d_in, d_out, trunk_act, p_drop))
-        d_in = d_out
+    # The trunk input is the image columns, then the gene branch output;
+    # after the loop, width is that of the representation the heads read.
+    width = ((config.image_dim if "image" in inputs else 0)
+             + (gene_layers[-1].dim_out if gene_layers else 0))
+    for i, d_out in enumerate(trunk_dims):
+        trunk_layers.append(dense(f"trunk.{i}", width, d_out, trunk_act, p_drop))
+        width = d_out
 
-    rep = config.representation_dim()
     survival_layers = []
     if config.with_survival:
         survival_layers = [
-            dense("survival.0", rep, config.head_hidden_dim, "relu", 0.0),
+            dense("survival.0", width, config.head_hidden_dim, "relu", 0.0),
             dense("survival.1", config.head_hidden_dim, 1, "sigmoid", 0.0),
         ]
     grade_layers = []
     if config.with_grade:
         grade_layers = [
-            dense("grade.0", rep, config.head_hidden_dim, "relu", 0.0),
+            dense("grade.0", width, config.head_hidden_dim, "relu", 0.0),
             dense("grade.1", config.head_hidden_dim, config.grade_classes,
                   "log_softmax_rows", 0.0),
         ]

@@ -25,8 +25,6 @@ SELU_ALPHA = 1.6732632423543772848170429916717
 # Value that alpha dropout writes into dropped units.
 ALPHA_DROP_VALUE = -SELU_LAMBDA * SELU_ALPHA
 
-ACTIVATION_KINDS = ("linear", "relu", "selu", "sigmoid", "log_softmax_rows")
-
 
 @dataclass(frozen=True)
 class RngStream:

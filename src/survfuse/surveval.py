@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DataError, UndefinedResultError
 
 GROUP_NAMES = ("Low", "Mid", "High")
+# How c_index scores a pair of tied risks: 0.5 ("half") or 0 ("strict").
+TIE_RULES = ("half", "strict")
 # Step-plot strokes for up to three risk groups.
 _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#d62728")
 
@@ -53,8 +55,8 @@ def c_index(risks, times, events, tie_rule: str = "half") -> float:
     operations as the pairwise definition, so the result is bit-identical to
     counting every pair.
     """
-    if tie_rule not in ("half", "strict"):
-        raise ValueError(f"tie_rule must be 'half' or 'strict', got {tie_rule!r}")
+    if tie_rule not in TIE_RULES:
+        raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
     y = _vec(risks, "risks")
     t = _vec(times, "times")
     d = _events_vec(events)

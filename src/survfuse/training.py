@@ -210,12 +210,6 @@ class TrainingHistory:
     snapshots: list[EpochSnapshot] = field(default_factory=list)
     best_epoch: int | None = None
 
-    def task_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.records:
-            counts[r.task] = counts.get(r.task, 0) + 1
-        return counts
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("iteration,epoch,task,loss,lr\n")

@@ -9,8 +9,9 @@ to a generic interior point first.
 
 import numpy as np
 
+from survfuse.errors import DimensionError
 from survfuse.genegraph import GeneGraph, build_adjacency
-from survfuse.netmodel import NetworkConfig, assemble
+from survfuse.netmodel import MaskedSparseLayer, NetworkConfig, assemble
 from survfuse.numcore import RngStream
 
 VARIANT_HEAD_COMBOS = [
@@ -47,6 +48,14 @@ def random_mask(p, seed, edges=None):
     return build_adjacency(graph)
 
 
+def neighbors(graph, gene):
+    """The genes that share an edge of ``graph`` with ``gene``."""
+    if gene not in graph.genes:
+        raise KeyError(f"gene {gene!r} not in graph")
+    return frozenset(b if a == gene else a for a, b in graph.edges
+                     if gene in (a, b))
+
+
 def micro_config(variant, heads, p=12, image_dim=7, k=3, dropout_p=0.25):
     """Widths small enough that finite differences over every parameter
     stay cheap."""
@@ -79,5 +88,25 @@ def randomize_params(net, seed, scale=0.4):
     gen = np.random.default_rng(seed)
     params = {name: gen.standard_normal(v.shape) * scale
               for name, v in net.params().items()}
-    net.set_params(params)
+    set_params(net, params)
     return net
+
+
+def set_params(net, params):
+    """Copy new values into every parameter of ``net`` (all names required)."""
+    for name, view in net.params().items():
+        if params[name].shape != view.shape:
+            raise DimensionError(f"shape mismatch for {name!r}")
+    for name, view in net.params().items():
+        np.copyto(view, params[name])
+
+
+def masked_from_dense(name, mask, dense_weights, **kwargs):
+    """A masked layer holding a dense p x p matrix gathered down to the mask
+    pattern; values off the mask are discarded."""
+    dense_weights = np.asarray(dense_weights, dtype=np.float64)
+    if dense_weights.shape != (mask.dim, mask.dim):
+        raise DimensionError(
+            f"dense weights {dense_weights.shape} != mask dim {mask.dim}")
+    values = np.ascontiguousarray(dense_weights[mask.rows, mask.cols])
+    return MaskedSparseLayer(name=name, mask=mask, weights=values, **kwargs)

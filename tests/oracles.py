@@ -28,6 +28,14 @@ def matmul_loops(a, b):
     return np.asarray(out)
 
 
+def mask_dense(mask):
+    """The p x p 0/1 matrix of an adjacency mask, one nonzero at a time."""
+    out = [[0.0] * mask.dim for _ in range(mask.dim)]
+    for r, c in zip(mask.rows.tolist(), mask.cols.tolist()):
+        out[r][c] = 1.0
+    return np.asarray(out).reshape(mask.dim, mask.dim)
+
+
 def relu_scalar(v):
     return v if v > 0 else 0.0
 

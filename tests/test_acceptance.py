@@ -8,6 +8,7 @@ fails the suite when its bound is missed.
 import dataclasses
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ def test_criterion_5_mask_invariance(report):
         junk_gen = np.random.default_rng(seed + 2000)
         poisoned = dense + (1.0 - hold) * (
             1e6 + junk_gen.standard_normal(dense.shape))
-        twin_layer = MaskedSparseLayer.from_dense(
+        twin_layer = helpers.masked_from_dense(
             layer.name, mask, poisoned,
             activation=layer.activation, dropout_p=layer.dropout_p)
         twin = dataclasses.replace(
@@ -267,7 +268,7 @@ def test_criterion_7_scheduler_parity(report):
                            dropout_p=profile.dropout_p)
     net = assemble(config, build_adjacency(graph), RngStream(profile.seed, 31))
     _, history = train(net, cohort, list(cohort.sample_ids), profile)
-    counts = history.task_counts()
+    counts = Counter(r.task for r in history.records)
     run_ok = (len(history.records) == 9
               and abs(counts["survival"] - counts["grade"]) <= 1)
     ok = parity_ok and run_ok

@@ -366,6 +366,25 @@ def test_train_unknown_config_key_exits_2(data_dir, splits_file, tmp_path,
     assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["tie_rule", "aggregation"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_unknown_scoring_choice_in_config_exits_2_before_reading_data(
+        trained, data_dir, splits_file, tmp_path, capsys, command, key):
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", **{key: "weird"})
+    if command == "train":
+        argv = ["train", str(config)]
+    else:
+        argv = ["eval", "--config", str(config),
+                "--model", str(trained["out"] / "rep00" / "final"),
+                "--out", str(tmp_path / "metrics.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert key in err and "'weird'" in err and "run.json" in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "metrics.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

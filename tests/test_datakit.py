@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import neighbors
 from survfuse.datakit import (
     Cohort,
     SplitSet,
@@ -621,7 +622,7 @@ def test_synth_causal_genes_are_connected():
     queue = deque([start])
     while queue:
         g = queue.popleft()
-        for nb in graph.neighbors(g):
+        for nb in neighbors(graph, g):
             if nb in causal and nb not in seen:
                 seen.add(nb)
                 queue.append(nb)

@@ -12,10 +12,12 @@ import pytest
 import oracles
 from helpers import (
     VARIANT_HEAD_COMBOS,
+    masked_from_dense,
     micro_config,
     micro_network,
     random_mask,
     randomize_params,
+    set_params,
 )
 import survfuse
 from survfuse.errors import ConfigError, DataError, DimensionError, UsageError
@@ -73,8 +75,7 @@ def gene_branch_output(net, gene_x, image_x=None):
 def test_identity_mask_linear_layer_is_identity():
     genes = ("a", "b", "c", "d")
     mask = build_adjacency(GeneGraph(genes=genes, edges=frozenset()))
-    layer1 = MaskedSparseLayer.from_dense("m", mask, np.eye(4),
-                                          activation="linear")
+    layer1 = masked_from_dense("m", mask, np.eye(4), activation="linear")
     x = np.random.default_rng(0).standard_normal((3, 4))
     out, _ = gene_branch_output(fused_around(layer1, identity_dense("c", 4)), x)
     assert np.array_equal(out, x)
@@ -82,12 +83,11 @@ def test_identity_mask_linear_layer_is_identity():
     # the layer is zero.
     mask = random_mask(6, seed=3)
     x = np.random.default_rng(1).standard_normal((3, 6))
-    ones = MaskedSparseLayer.from_dense("m", mask, np.ones((6, 6)),
-                                        activation="linear")
+    ones = masked_from_dense("m", mask, np.ones((6, 6)), activation="linear")
     out, _ = gene_branch_output(fused_around(ones, identity_dense("c", 6)), x)
-    assert np.max(np.abs(out - oracles.matmul_loops(x, mask.dense()))) < 1e-12
-    zeros = MaskedSparseLayer.from_dense("m", mask, np.zeros((6, 6)),
-                                         activation="linear")
+    dense_mask = oracles.mask_dense(mask)
+    assert np.max(np.abs(out - oracles.matmul_loops(x, dense_mask))) < 1e-12
+    zeros = masked_from_dense("m", mask, np.zeros((6, 6)), activation="linear")
     out, _ = gene_branch_output(fused_around(zeros, identity_dense("c", 6)), x)
     assert not out.any()
 
@@ -107,7 +107,7 @@ def test_sgcn_matches_dense_hadamard_oracle():
 
     selu = np.vectorize(oracles.selu_scalar)
     hidden = selu(oracles.matmul_loops(
-        x, mask.dense() * scatter_dense(mask, values)))
+        x, oracles.mask_dense(mask) * scatter_dense(mask, values)))
     expect = selu(oracles.matmul_loops(hidden, w2) + b2)
     assert np.max(np.abs(out - expect)) < 1e-12
     assert trace.segments["gene"] == (0, 2)
@@ -118,7 +118,7 @@ def test_from_dense_discards_off_mask_junk():
     mask = random_mask(8, seed=9)
     values = gen.standard_normal(mask.nnz)
     clean = MaskedSparseLayer("m", mask, values.copy())
-    junked = MaskedSparseLayer.from_dense(
+    junked = masked_from_dense(
         "m", mask, scatter_dense(mask, values, junk=1e6))
     assert np.array_equal(clean.weights, junked.weights)
     x = gen.standard_normal((5, 8))
@@ -137,7 +137,7 @@ def test_masked_layer_validates_weight_count():
     with pytest.raises(DimensionError):
         MaskedSparseLayer("m", mask, np.zeros(mask.nnz + 1))
     with pytest.raises(DimensionError):
-        MaskedSparseLayer.from_dense("m", mask, np.zeros((4, 4)))
+        masked_from_dense("m", mask, np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,9 @@ def test_fusion_concatenates_image_first():
     z_gene, trace = gene_branch_output(net, gene_x, image_x)
     first = trace.segment_caches("trunk")[0]
     assert np.array_equal(first.x, np.concatenate([image_x, z_gene], axis=1))
-    assert trace.concat_split == 7
+    assert first.x.shape[1] == 7 + 5
+    assert np.array_equal(first.x[:, :7], image_x)
+    assert np.array_equal(first.x[:, 7:], z_gene)
     w, b = net.params()["trunk.0.w"], net.params()["trunk.0.b"]
     expect = oracles.matmul_loops(first.x, w) + b
     assert np.allclose(first.pre, expect, atol=1e-13)
@@ -169,9 +171,9 @@ def test_fusion_row_mismatch():
 
 def _set_head(net, head, fill):
     """Overwrite every parameter of one head through ``fill(name, value)``."""
-    net.set_params({name: fill(name, value) if name.startswith(head + ".")
-                    else value
-                    for name, value in net.params().items()})
+    set_params(net, {name: fill(name, value) if name.startswith(head + ".")
+                     else value
+                     for name, value in net.params().items()})
 
 
 def test_survival_head_zero_weights_give_half():
@@ -217,17 +219,42 @@ def test_grade_head_rows_are_log_probabilities():
 # ---------------------------------------------------------------------------
 
 
+_HEADS_ON_32 = [
+    ("survival.0", 32, 16, "relu"), ("survival.1", 16, 1, "sigmoid"),
+    ("grade.0", 32, 16, "relu"), ("grade.1", 16, 3, "log_softmax_rows"),
+]
+# (name, dim_in, dim_out, activation) of every layer each variant builds at
+# its default widths, for 20 genes and 1000-wide embeddings.
+_DEFAULT_STACKS = {
+    "fused": [
+        ("gene.masked", 20, 20, "selu"), ("gene.compress", 20, 1000, "selu"),
+        ("trunk.0", 2000, 512, "relu"), ("trunk.1", 512, 128, "relu"),
+        ("trunk.2", 128, 32, "relu"),
+    ] + _HEADS_ON_32,
+    "gene-only": [
+        ("gene.masked", 20, 20, "selu"),
+        ("trunk.0", 20, 1000, "selu"), ("trunk.1", 1000, 512, "selu"),
+        ("trunk.2", 512, 128, "selu"), ("trunk.3", 128, 32, "selu"),
+    ] + _HEADS_ON_32,
+    "image-only": [
+        ("trunk.0", 1000, 512, "relu"), ("trunk.1", 512, 256, "relu"),
+        ("trunk.2", 256, 128, "relu"), ("trunk.3", 128, 32, "relu"),
+    ] + _HEADS_ON_32,
+}
+
+
 def test_config_default_widths():
-    fused = NetworkConfig(variant="fused", gene_dim=10673)
-    assert fused.resolved_trunk_dims() == (512, 128, 32)
-    assert fused.resolved_trunk_activation() == "relu"
-    assert fused.trunk_input_dim() == 2000
-    gene = NetworkConfig(variant="gene-only", gene_dim=200)
-    assert gene.resolved_trunk_dims() == (1000, 512, 128, 32)
-    assert gene.resolved_trunk_activation() == "selu"
-    image = NetworkConfig(variant="image-only")
-    assert image.resolved_trunk_dims() == (512, 256, 128, 32)
-    assert image.representation_dim() == 32
+    for variant, layers in _DEFAULT_STACKS.items():
+        gene_dim = 20 if variant != "image-only" else 0
+        mask = random_mask(20, seed=1) if gene_dim else None
+        net = assemble(NetworkConfig(variant=variant, gene_dim=gene_dim),
+                       mask, RngStream(0, 31))
+        assert [(layer.name, layer.dim_in, layer.dim_out, layer.activation)
+                for layer in net.all_layers()] == layers, variant
+        assert list(net.params()) == [
+            f"{name}.{part}" for name, *_ in layers
+            for part in (("values",) if name == "gene.masked" else ("w", "b"))
+        ], variant
 
 
 def test_config_validation():

@@ -1,0 +1,120 @@
+#!/usr/bin/env bash
+# Check that two survfuse source trees write byte-identical outputs.
+#
+#   tools/bytecheck.sh PARENT_SRC CHANGE_SRC [WORK_DIR]
+#
+# PARENT_SRC and CHANGE_SRC are each a checkout root or its src/ directory
+# (make the parent one with `git archive <commit> | tar -x -C DIR`). Both
+# trees run the same commands with one BLAS thread, each in its own
+# directory under WORK_DIR (default: a new temporary directory):
+#
+#   - synth and splits with the README walkthrough settings;
+#   - the fused walkthrough train (mmmt-default, 30 epochs) for seeds 1 and
+#     7, each followed by eval of best, final, and final per patient;
+#   - 3-epoch smst-gene (gene-only) and smst-image (image-only) runs on the
+#     same data, each followed by eval of best and final.
+#
+# Every command's stdout, stderr and exit code is kept next to what it
+# wrote. The script ends with `diff -r` of the two directories and exits 0
+# only when every file is identical (1 on any difference, 2 on bad usage).
+# A fused walkthrough job takes about ten seconds on one core.
+
+set -uo pipefail
+
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+    echo "usage: $0 PARENT_SRC CHANGE_SRC [WORK_DIR]" >&2
+    exit 2
+fi
+
+src_dir() {
+    if [ -d "$1/src/survfuse" ]; then
+        (cd "$1/src" && pwd)
+    elif [ -d "$1/survfuse" ]; then
+        (cd "$1" && pwd)
+    else
+        echo "bytecheck: no survfuse package under $1" >&2
+        exit 2
+    fi
+}
+
+parent=$(src_dir "$1") || exit 2
+change=$(src_dir "$2") || exit 2
+work=${3:-$(mktemp -d)}
+mkdir -p "$work" || exit 2
+work=$(cd "$work" && pwd)
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+
+# step NAME ARGS...: run one survfuse command, keeping its streams and code.
+step() {
+    local name=$1
+    shift
+    python3 -m survfuse "$@" >"logs/$name.out" 2>"logs/$name.err"
+    echo $? >"logs/$name.rc"
+}
+
+# config FILE VARIANT SCHEDULE PRESET SEED OUT
+config() {
+    cat >"$1" <<EOF
+{
+  "variant": "$2",
+  "schedule": "$3",
+  "preset": "$4",
+  "seed": $5,
+  "expression": "data/expression.csv",
+  "embeddings": "data/embeddings.csv",
+  "clinical": "data/clinical.csv",
+  "edge_list": "data/edges.tsv",
+  "splits": "data/splits.json",
+  "out": "$6"
+}
+EOF
+}
+
+run_tree() {
+    local dir=$2
+    mkdir -p "$dir/logs"
+    cd "$dir" || return 1
+    export PYTHONPATH=$1
+    step synth synth --patients 400 --genes 200 --causal 20 --censor 0.3 \
+        --noise 0.1 --seed 7 --embedding-dim 1000 --out data/
+    step splits splits --clinical data/clinical.csv --reps 5 \
+        --train-frac 0.8 --group patient --seed 1 --out data/splits.json
+    for seed in 1 7; do
+        config "fused-$seed.json" fused alternate mmmt-default "$seed" \
+            "out-fused-$seed/"
+        step "train-fused-$seed" train "fused-$seed.json" --rep 0
+        for which in best final; do
+            step "eval-fused-$seed-$which" eval --config "fused-$seed.json" \
+                --model "out-fused-$seed/rep00/$which" --rep 0 \
+                --out "eval-fused-$seed-$which.json"
+        done
+        step "eval-fused-$seed-patient" eval --config "fused-$seed.json" \
+            --model "out-fused-$seed/rep00/final" --rep 0 \
+            --aggregation patient --out "eval-fused-$seed-patient.json"
+    done
+    for run in gene-only:smst-gene image-only:smst-image; do
+        local variant=${run%%:*} preset=${run#*:}
+        config "$preset.json" "$variant" survival-only "$preset" 7 \
+            "out-$preset/"
+        step "train-$preset" train "$preset.json" --rep 0 --epochs 3
+        for which in best final; do
+            step "eval-$preset-$which" eval --config "$preset.json" \
+                --model "out-$preset/rep00/$which" --rep 0 \
+                --out "eval-$preset-$which.json"
+        done
+    done
+}
+
+for side in parent change; do
+    rm -rf "${work:?}/$side"
+    echo "bytecheck: running the $side tree in $work/$side" >&2
+    (run_tree "${!side}" "$work/$side")
+done
+
+total=$(cd "$work/parent" && find . -type f | wc -l)
+if diff -r "$work/parent" "$work/change"; then
+    echo "bytecheck: all $total files identical"
+    exit 0
+fi
+echo "bytecheck: outputs differ (see diff above)" >&2
+exit 1
