@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -95,10 +96,18 @@ class RunConfig:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: run config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(raw) - set(_CONFIG_TYPES))
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {unknown}")
+        for key, value in raw.items():
+            allowed = _CONFIG_TYPES[key]
+            # A number field takes an integer too; no field takes a bool.
+            accepted = allowed + ((int,) if float in allowed else ())
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                expected = " or ".join("null" if t is type(None) else
+                                       t.__name__ for t in allowed)
+                raise ConfigError(f"{path}: {key} must be {expected}, "
+                                  f"got {value!r}")
         for key, choices in (("tie_rule", TIE_RULES),
                              ("aggregation", AGGREGATIONS)):
             if key in raw and raw[key] not in choices:
@@ -134,6 +143,20 @@ class RunConfig:
             if value is not None:
                 overrides[key] = value
         return profile_preset(self.preset, **overrides)
+
+
+# The JSON types each run.json key accepts, read from RunConfig's field
+# annotations: ``int | None`` takes an integer or null.
+_CONFIG_TYPES = {name: typing.get_args(hint) or (hint,)
+                 for name, hint in typing.get_type_hints(RunConfig).items()}
+
+
+def _require_out_dirs(*paths) -> None:
+    """Fail before any loading when an output file's directory is missing."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise ConfigError(f"output directory {Path(path).parent} of "
+                              f"{path} does not exist")
 
 
 def _require_file(path, what: str) -> Path:
@@ -427,6 +450,7 @@ def cmd_eval(args) -> int:
     if args.risks is not None:
         if args.model is not None:
             raise ConfigError("--risks bypass and --model are mutually exclusive")
+        _require_out_dirs(args.out)
         risks, times, events = _scored_samples(args)
         report = build_metrics(risks=risks, times=times, events=events,
                                tie_rule=args.tie_rule or "half")
@@ -438,6 +462,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs --config and --model (or --risks bypass)")
     cfg = RunConfig.from_file(_require_file(args.config, "run config"))
     cfg = cfg.override(args)
+    _require_out_dirs(args.out)
     network = load_checkpoint(Path(args.model))
     for task in HEAD_TASKS[args.require] if args.require else ():
         if task not in HEAD_TASKS[network.config.heads]:
@@ -464,6 +489,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_km(args) -> int:
+    _require_out_dirs(args.out, args.svg)
     risks, times, events = _scored_samples(args)
     groups = risk_tertiles(risks)
     labels = np.asarray(groups.labels)

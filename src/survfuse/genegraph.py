@@ -145,8 +145,11 @@ class AdjacencyMask:
         c = np.asarray(self.cols, dtype=np.intp)
         if r.shape != c.shape or r.ndim != 1:
             raise DataError("mask rows/cols must be equal-length vectors")
-        order = np.lexsort((c, r))
-        r, c = r[order], c[order]
+        # build_adjacency and checkpoints pass sorted coordinates; skip the
+        # sort for them.
+        if np.any((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] < c[:-1]))):
+            order = np.lexsort((c, r))
+            r, c = r[order], c[order]
         if len(r) > 1 and np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
             raise DataError("duplicate mask coordinates")
         self.rows, self.cols = r, c
@@ -158,61 +161,6 @@ class AdjacencyMask:
     @property
     def nnz(self) -> int:
         return len(self.rows)
-
-    def save(self, path) -> None:
-        """Write 'dim<TAB>n' header then one 'row<TAB>col' line per nonzero."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"dim\t{self.dim}\n")
-            for r, c in zip(self.rows, self.cols):
-                fh.write(f"{r}\t{c}\n")
-
-    @classmethod
-    def load(cls, path, genes: tuple[str, ...]) -> "AdjacencyMask":
-        """Read a mask written by ``save``; blank lines are skipped, and the
-        first other line must be the ``dim`` header."""
-        path = Path(path)
-        rows: list[int] = []
-        cols: list[int] = []
-        dim = None
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                tokens = line.split("\t")
-                if len(tokens) != 2:
-                    raise ParseError(
-                        f"{path.name}:{lineno}: expected 2 columns, got {len(tokens)}")
-                if dim is None:
-                    if tokens[0] != "dim":
-                        raise ParseError(
-                            f"{path.name}:{lineno}: missing 'dim' header")
-                    dim = _mask_int(tokens[1], f"{path.name}:{lineno}")
-                    continue
-                try:
-                    rows.append(int(tokens[0]))
-                    cols.append(int(tokens[1]))
-                except ValueError:
-                    # Parse again token by token: the bad one raises.
-                    for token in tokens:
-                        _mask_int(token, f"{path.name}:{lineno}")
-        if dim is None:
-            raise ParseError(f"{path.name}: empty mask file")
-        if dim != len(genes):
-            raise DataError(
-                f"mask dimension {dim} != gene-list length {len(genes)}")
-        r = np.asarray(rows, dtype=np.intp)
-        c = np.asarray(cols, dtype=np.intp)
-        if len(r) and (r.min() < 0 or r.max() >= dim or c.min() < 0 or c.max() >= dim):
-            raise DataError(f"{path.name}: mask coordinates out of range")
-        return cls(genes=genes, rows=r, cols=c)
-
-
-def _mask_int(token: str, where: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{where}: unparseable integer {token!r}") from None
 
 
 def build_adjacency(graph: GeneGraph) -> AdjacencyMask:

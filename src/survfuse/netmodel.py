@@ -16,6 +16,10 @@ Variants (``VARIANT_LAYOUT`` holds these rules):
 
 Dropout follows the activation: SELU layers use the self-normalizing
 variant, others use standard inverted dropout; heads carry none.
+
+A checkpoint (format version 2) stores ``Network.param_vector`` as one
+``params.bin``; each of its files is written or read once and hashed from
+memory. Version 1 checkpoints are rejected.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import json
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
+from itertools import zip_longest
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -34,6 +39,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, UsageError
 from .genegraph import AdjacencyMask
 from .numcore import (
+    _ADAM_CHUNK,
     Array,
     RngStream,
     activation,
@@ -256,9 +262,14 @@ def _backward_layers(caches: list[LayerCache], upstream: Array,
         d_act = d_out if cache.drop_scale is None else d_out * cache.drop_scale
         d_pre = activation_backward(layer.activation, d_act, cache.pre, cache.act)
         if isinstance(layer, MaskedSparseLayer):
-            mask = layer.mask
-            np.einsum("nk,nk->k", cache.x[:, mask.rows], d_pre[:, mask.cols],
-                      out=grads[f"{layer.name}.values"])
+            # Slices of the nonzeros keep each gather to _ADAM_CHUNK
+            # elements; every output still sums the same products in order.
+            mask, grad = layer.mask, grads[f"{layer.name}.values"]
+            step = max(1, _ADAM_CHUNK // len(d_pre))
+            for lo in range(0, mask.nnz, step):
+                span = slice(lo, lo + step)
+                np.einsum("nk,nk->k", cache.x[:, mask.rows[span]],
+                          d_pre[:, mask.cols[span]], out=grad[span])
             d_out = ((d_pre @ layer.sparse_weight().T)[:, start:]
                      if start < layer.dim_in else None)
         else:
@@ -522,63 +533,68 @@ def assemble(config: NetworkConfig, mask: AdjacencyMask | None,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+_FORMAT = "survfuse-checkpoint"
+_VERSION = 2
 _MANIFEST_NAME = "manifest.json"
 _CHECKSUM_NAME = "checksums.txt"
-_MASK_NAME = "mask.tsv"
+_PARAMS_NAME = "params.bin"
+_MASK_NAME = "mask.bin"
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _write(path: Path, data) -> str:
+    """Write ``data`` in one call and return the sha256 of what was written."""
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _manifest_params(network: Network) -> list[dict]:
+    """Name, shape and offset in ``param_vector`` of each parameter."""
+    entries, offset = [], 0
+    for name, value in network.params().items():
+        entries.append({"name": name, "shape": list(value.shape),
+                        "offset": offset})
+        offset += value.size
+    return entries
 
 
 def save_checkpoint(network: Network, path) -> None:
-    """Write a checkpoint directory: manifest, one little-endian float64
-    binary per parameter, the adjacency mask when present, and checksums."""
+    """Write a version-2 checkpoint directory: ``manifest.json`` (config,
+    seed, genes, and each parameter's name, shape and float64 offset),
+    ``params.bin`` (``param_vector`` as little-endian float64), ``mask.bin``
+    (gene branch only: the mask's rows then cols as little-endian int32) and
+    ``checksums.txt``, whose digests hash the bytes in memory."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    params = network.params()
     manifest = {
-        "format": "survfuse-checkpoint",
-        "version": 1,
+        "format": _FORMAT,
+        "version": _VERSION,
         "config": asdict(network.config),
         "seed": network.init_seed,
-        "params": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
+        "params": _manifest_params(network),
     }
+    digests: dict[str, str] = {}
     mask = network.mask
     if mask is not None:
         manifest["genes"] = list(mask.genes)
-        mask.save(path / _MASK_NAME)
-    with open(path / _MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, value in params.items():
-        with open(path / f"{name}.bin", "wb") as fh:
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-    files = sorted(p.name for p in path.iterdir() if p.name != _CHECKSUM_NAME)
+        coords = np.concatenate((mask.rows, mask.cols)).astype("<i4")
+        digests[_MASK_NAME] = _write(path / _MASK_NAME, coords)
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    digests[_MANIFEST_NAME] = _write(path / _MANIFEST_NAME, text.encode("utf-8"))
+    # On a little-endian machine this is param_vector itself, not a copy.
+    values = np.asarray(network.param_vector, dtype="<f8")
+    digests[_PARAMS_NAME] = _write(path / _PARAMS_NAME, values)
     with open(path / _CHECKSUM_NAME, "w", encoding="utf-8") as fh:
-        for name in files:
-            fh.write(f"{_sha256(path / name)}  {name}\n")
+        for name in sorted(digests):
+            fh.write(f"{digests[name]}  {name}\n")
 
 
-def _plain_name(name: str, where: str) -> str:
-    """A file name from a checkpoint's own listing must stay inside it."""
-    if "/" in name or "\\" in name or ".." in name:
-        raise DataError(f"{where}: file name {name!r} leaves the checkpoint "
-                        "directory")
-    return name
-
-
-def load_checkpoint(path) -> Network:
-    """Rebuild a network from a checkpoint directory, verifying checksums.
-    The loaded parameters are bit-identical to what was saved."""
-    path = Path(path)
+def _read_checksums(path: Path) -> dict[str, str]:
+    """File name -> sha256 from a checkpoint's checksums.txt."""
     checksum_file = path / _CHECKSUM_NAME
     if not checksum_file.is_file():
         raise DataError(f"missing {_CHECKSUM_NAME} in {path}")
+    digests: dict[str, str] = {}
     lines = checksum_file.read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -587,45 +603,88 @@ def load_checkpoint(path) -> Network:
         digest, sep, name = line.partition("  ")
         if not sep or not name:
             raise DataError(f"{where}: malformed checksum line {line!r}")
-        target = path / _plain_name(name, where)
-        if not target.is_file():
-            raise DataError(f"checkpoint file missing: {name}")
-        if _sha256(target) != digest:
-            raise DataError(f"checksum mismatch for {name}")
+        if name in digests:
+            raise DataError(f"{where}: {name} is listed twice")
+        digests[name] = digest
+    return digests
 
-    with open(path / _MANIFEST_NAME, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "survfuse-checkpoint":
+
+def _read(path: Path, name: str, digests: Mapping[str, str], into=None):
+    """Read listed file ``name`` once, into the buffer ``into`` when given,
+    and check the sha256 of the bytes read."""
+    if name not in digests:
+        raise DataError(f"{_CHECKSUM_NAME} does not list {name}")
+    try:
+        fh = open(path / name, "rb")
+    except FileNotFoundError:
+        raise DataError(f"checkpoint file missing: {name}") from None
+    with fh:
+        if into is None:
+            data = fh.read()
+        elif fh.readinto(into) != into.nbytes or fh.read(1):
+            raise DataError(f"{name}: size mismatch on disk "
+                            f"(expected {into.nbytes} bytes)")
+        else:
+            data = into
+    if hashlib.sha256(data).hexdigest() != digests[name]:
+        raise DataError(f"checksum mismatch for {name}")
+    return data
+
+
+def _read_mask(data: bytes, genes: tuple[str, ...]) -> AdjacencyMask:
+    """Decode mask.bin, which must hold strictly increasing row-major
+    coordinates inside [0, dim): AdjacencyMask would silently re-sort any
+    other order and misalign the mask with its weights."""
+    if len(data) % 8:
+        raise DataError(f"{_MASK_NAME}: size {len(data)} is not a whole "
+                        "number of (row, col) int32 pairs")
+    coords = np.frombuffer(data, dtype="<i4").astype(np.intp)
+    dim = len(genes)
+    if coords.size and (coords.min() < 0 or coords.max() >= dim):
+        raise DataError(f"{_MASK_NAME}: coordinates out of range [0, {dim})")
+    rows, cols = coords.reshape(2, -1)
+    if np.any(np.diff(rows * dim + cols) <= 0):
+        raise DataError(f"{_MASK_NAME}: coordinates are not strictly "
+                        "increasing in row-major order")
+    return AdjacencyMask(genes=genes, rows=rows, cols=cols)
+
+
+def load_checkpoint(path) -> Network:
+    """Rebuild a network from a version-2 checkpoint directory, bit for bit.
+
+    The manifest's checksum is checked before anything in it is used.
+    ``checksums.txt`` must list exactly the format's files, and the
+    manifest's parameter layout must equal the built network's.
+    ``params.bin`` is read straight into the new ``param_vector`` and
+    hashed there, so no file is read twice.
+    """
+    path = Path(path)
+    digests = _read_checksums(path)
+    manifest = json.loads(_read(path, _MANIFEST_NAME, digests))
+    if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
         raise DataError(f"{path}: not a checkpoint directory")
-    cfg_dict = dict(manifest["config"])
-    if cfg_dict.get("trunk_dims") is not None:
-        cfg_dict["trunk_dims"] = tuple(cfg_dict["trunk_dims"])
-    config = NetworkConfig(**cfg_dict)
+    if manifest.get("version") != _VERSION:
+        raise DataError(f"checkpoint version {manifest.get('version')} is "
+                        "not supported")
+    config = NetworkConfig(**manifest["config"])
+    files = {_MANIFEST_NAME, _PARAMS_NAME}
+    if "gene" in config.inputs:
+        files.add(_MASK_NAME)
+    extra = sorted(set(digests) - files)
+    if extra:
+        raise DataError(f"{_CHECKSUM_NAME} lists unexpected file {extra[0]!r}")
 
     mask = None
-    if "gene" in config.inputs:
-        genes = tuple(manifest["genes"])
-        mask = AdjacencyMask.load(path / _MASK_NAME, genes=genes)
+    if _MASK_NAME in files:
+        mask = _read_mask(_read(path, _MASK_NAME, digests),
+                          tuple(manifest["genes"]))
     net = _build_structure(config, mask)
     net.init_seed = manifest.get("seed")
-    expected = net.params()
-    loaded = set()
-    for entry in manifest["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        _plain_name(name, _MANIFEST_NAME)
-        if name not in expected:
-            raise DataError(f"unexpected parameter {name!r} in manifest")
-        view = expected[name]
-        if shape != view.shape:
-            raise DimensionError(f"shape mismatch for {name!r}: {shape}")
-        # Read straight into the parameter's slot of the network's vector.
-        with open(path / f"{name}.bin", "rb") as fh:
-            if fh.readinto(memoryview(view).cast("B")) != view.nbytes or fh.read(1):
-                raise DataError(f"parameter {name!r}: size mismatch on disk")
-        if sys.byteorder != "little":
-            view.byteswap(inplace=True)
-        loaded.add(name)
-    if loaded != set(expected):
-        missing = sorted(set(expected) - loaded)
-        raise DataError(f"checkpoint missing parameters: {missing[:5]}")
+    for got, want in zip_longest(manifest["params"], _manifest_params(net)):
+        if got != want:
+            raise DataError(f"{_MANIFEST_NAME}: parameter {got} does not "
+                            f"match the network's layout {want}")
+    _read(path, _PARAMS_NAME, digests, memoryview(net.param_vector).cast("B"))
+    if sys.byteorder != "little":
+        net.param_vector.byteswap(inplace=True)
     return net

@@ -174,7 +174,8 @@ def dense_backward(x: Array, w: Array, upstream_z: Array, dw: Array | None = Non
 
 # Elements per pass of the in-place update. The sixteen passes over one chunk
 # of parameter, gradient, moments and scratch then stay in a core's L2 cache
-# instead of streaming the whole model through memory sixteen times.
+# instead of streaming the whole model through memory sixteen times. The
+# masked layer's gradient bounds its gathers by the same count.
 _ADAM_CHUNK = 1 << 15
 
 

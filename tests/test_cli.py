@@ -366,6 +366,26 @@ def test_train_unknown_config_key_exits_2(data_dir, splits_file, tmp_path,
     assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("epochs", "3"), ("seed", 1.5), ("seed", "7"), ("lr", "1e-3"),
+    ("dropout", [0.1]), ("out", 5), ("splits", 7), ("epochs", True)])
+def test_mistyped_config_value_exits_2_before_reading_data(
+        data_dir, splits_file, tmp_path, capsys, key, value):
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", **{key: value})
+    assert main(["train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"run.json: {key} must be" in err and repr(value) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_number_fields_take_integers_and_null(data_dir, splits_file,
+                                                     tmp_path):
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", lr=1, weight_decay=None, epochs=1)
+    assert main(["train", str(config)]) == 0
+
+
 @pytest.mark.parametrize("key", ["tie_rule", "aggregation"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_unknown_scoring_choice_in_config_exits_2_before_reading_data(
@@ -473,21 +493,60 @@ def test_eval_without_model_or_risks_exits_2(tmp_path):
     assert main(["eval", "--out", str(tmp_path / "m.json")]) == 2
 
 
-def test_eval_bad_mask_token_names_file_and_line(trained, tmp_path, capsys):
+def _resealed_copy(trained, tmp_path, name, data):
+    """A copy of the trained final checkpoint whose file ``name`` holds
+    ``data``, listed in checksums.txt under its new digest."""
     ckpt = tmp_path / "ckpt"
     shutil.copytree(trained["out"] / "rep00" / "final", ckpt)
-    mask = ckpt / "mask.tsv"
-    lines = mask.read_text().splitlines()
-    lines[2] = lines[2].split("\t")[0] + "\tx"
-    mask.write_text("\n".join(lines) + "\n")
+    (ckpt / name).write_bytes(data)
     checksums = ckpt / "checksums.txt"
     checksums.write_text("".join(
-        f"{sha(mask)}  mask.tsv\n" if line.endswith("  mask.tsv")
+        f"{sha(ckpt / name)}  {name}\n" if line.endswith("  " + name)
         else line + "\n" for line in checksums.read_text().splitlines()))
+    return ckpt
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows, cols: (rows, np.where(cols == cols.max(), 12, cols)),
+     "mask.bin: coordinates out of range [0, 12)"),
+    (lambda rows, cols: (rows, np.concatenate((cols[1:2], cols[:1], cols[2:]))),
+     "mask.bin: coordinates are not strictly increasing in row-major order"),
+], ids=["out-of-range", "unsorted"])
+def test_eval_rejects_bad_mask_bin(trained, tmp_path, capsys, edit, message):
+    ckpt = trained["out"] / "rep00" / "final"
+    rows, cols = np.frombuffer((ckpt / "mask.bin").read_bytes(),
+                               "<i4").reshape(2, -1)
+    assert rows[0] == rows[1]
+    rows, cols = edit(rows, cols)
+    data = np.concatenate((rows, cols)).astype("<i4").tobytes()
+    ckpt = _resealed_copy(trained, tmp_path, "mask.bin", data)
     rc = main(["eval", "--config", str(trained["config"]),
                "--model", str(ckpt), "--out", str(tmp_path / "m.json")])
     assert rc == 1
-    assert "error: mask.tsv:3: unparseable integer 'x'" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_eval_rejects_version_1_checkpoint(trained, tmp_path, capsys):
+    manifest = json.loads(
+        (trained["out"] / "rep00" / "final" / "manifest.json").read_text())
+    manifest["version"] = 1
+    ckpt = _resealed_copy(trained, tmp_path, "manifest.json",
+                          json.dumps(manifest).encode())
+    rc = main(["eval", "--config", str(trained["config"]),
+               "--model", str(ckpt), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert ("error: checkpoint version 1 is not supported"
+            in capsys.readouterr().err)
+
+
+def test_eval_missing_out_directory_exits_2_before_loading(trained, tmp_path,
+                                                           capsys):
+    out = tmp_path / "nodir" / "m.json"
+    # The model does not exist either: the output check must come first.
+    rc = main(["eval", "--config", str(trained["config"]),
+               "--model", str(tmp_path / "no-model"), "--out", str(out)])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -582,6 +641,20 @@ def test_km_too_few_samples_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "km.csv")])
     assert rc == 1
     assert "tertiles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_km_missing_out_directory_exits_2_before_loading(tmp_path, capsys,
+                                                         flag):
+    outputs = {"--out": str(tmp_path / "km.csv"),
+               "--svg": str(tmp_path / "km.svg")}
+    outputs[flag] = str(tmp_path / "nodir" / "km")
+    # Neither input exists: the output check must come first.
+    rc = main(["km", "--risks", str(tmp_path / "r.csv"),
+               "--clinical", str(tmp_path / "c.csv"),
+               *(token for pair in outputs.items() for token in pair)])
+    assert rc == 2
+    assert outputs[flag] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "km"])

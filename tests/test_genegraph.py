@@ -167,42 +167,6 @@ def test_mask_rejects_duplicates():
                       cols=np.array([1, 1]))
 
 
-def test_mask_save_load_round_trip(tmp_path):
-    g = GeneGraph(genes=("a", "b", "c"), edges=frozenset({("a", "b"), ("b", "c")}))
-    mask = build_adjacency(g)
-    path = tmp_path / "mask.tsv"
-    mask.save(path)
-    loaded = AdjacencyMask.load(path, genes=mask.genes)
-    assert np.array_equal(loaded.rows, mask.rows)
-    assert np.array_equal(loaded.cols, mask.cols)
-    assert path.read_text().splitlines()[0] == "dim\t3"
-
-
-def test_mask_load_errors(tmp_path):
-    bad_header = write(tmp_path, "0\t0\n", "m1.tsv")
-    with pytest.raises(ParseError, match="dim"):
-        AdjacencyMask.load(bad_header, genes=("a",))
-    wrong_dim = write(tmp_path, "dim\t3\n0\t0\n", "m2.tsv")
-    with pytest.raises(DataError, match="dimension"):
-        AdjacencyMask.load(wrong_dim, genes=("a",))
-    out_of_range = write(tmp_path, "dim\t2\n0\t5\n", "m3.tsv")
-    with pytest.raises(DataError, match="out of range"):
-        AdjacencyMask.load(out_of_range, genes=("a", "b"))
-    bad_token = write(tmp_path, "dim\t2\n0\t0\n1\tx\n", "m4.tsv")
-    with pytest.raises(ParseError, match=r"^m4.tsv:3: unparseable integer 'x'$"):
-        AdjacencyMask.load(bad_token, genes=("a", "b"))
-    bad_dim = write(tmp_path, "dim\ttwo\n", "m5.tsv")
-    with pytest.raises(ParseError, match=r"^m5.tsv:1: unparseable integer 'two'$"):
-        AdjacencyMask.load(bad_dim, genes=("a", "b"))
-
-
-def test_mask_load_finds_header_after_blank_lines(tmp_path):
-    path = write(tmp_path, "\n\ndim\t2\n0\t0\n\n1\t1\n", "mask.tsv")
-    loaded = AdjacencyMask.load(path, genes=("a", "b"))
-    assert loaded.rows.tolist() == [0, 1]
-    assert loaded.cols.tolist() == [0, 1]
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 8), st.sets(
     st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from helpers import (
     set_params,
 )
 import survfuse
+from survfuse import netmodel
 from survfuse.errors import ConfigError, DataError, DimensionError, UsageError
 from survfuse.genegraph import GeneGraph, build_adjacency
 from survfuse.netmodel import (
@@ -481,6 +483,47 @@ def test_backward_matches_fd_on_joint_loss():
     assert worst < 1e-6
 
 
+@pytest.mark.parametrize("batch", [7, 32])
+def test_masked_gradient_in_slices_equals_one_full_gather(monkeypatch, batch):
+    mask = random_mask(400, 12, edges=6000)
+    config = NetworkConfig(variant="gene-only", heads="survival", gene_dim=400,
+                           trunk_dims=(5,), head_hidden_dim=2)
+    net = randomize_params(assemble(config, mask, RngStream(3, 31)), seed=6)
+    x = np.random.default_rng(batch).standard_normal((batch, 400))
+    stream = RngStream(9, 1)
+
+    def masked_gradient():
+        trace = net.forward(gene_x=x, mode="train", rng=stream, key=(batch,))
+        grads = net.backward(trace, d_survival=np.ones((batch, 1)))
+        return grads["gene.masked.values"].copy()
+
+    assert mask.nnz > 2 * (netmodel._ADAM_CHUNK // batch)
+    sliced = masked_gradient()
+    monkeypatch.setattr(netmodel, "_ADAM_CHUNK", mask.nnz * batch)
+    full = masked_gradient()
+    assert np.array_equal(sliced.view(np.int64), full.view(np.int64))
+
+
+def test_masked_backward_memory_stays_below_one_gather():
+    # The masked gradient once gathered x[:, rows] and d_pre[:, cols] in
+    # full: two batch x nnz arrays, 10 MB each here.
+    p, batch = 3000, 32
+    mask = random_mask(p, 11, edges=20_000)
+    config = NetworkConfig(variant="gene-only", heads="survival", gene_dim=p,
+                           trunk_dims=(4,), head_hidden_dim=2, dropout_p=0.0)
+    net = assemble(config, mask, RngStream(3, 31))
+    x = np.random.default_rng(4).standard_normal((batch, p))
+    trace = net.forward(gene_x=x)
+    gather = batch * mask.nnz * 8
+    tracemalloc.start()
+    try:
+        net.backward(trace, d_survival=np.ones((batch, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gather / 2
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -492,6 +535,10 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(net, tmp_path / "ckpt")
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.config == net.config
+    assert loaded.init_seed == net.init_seed
+    assert loaded.mask.genes == net.mask.genes
+    assert np.array_equal(loaded.mask.rows, net.mask.rows)
+    assert np.array_equal(loaded.mask.cols, net.mask.cols)
     for name, value in net.params().items():
         assert np.array_equal(value, loaded.params()[name]), name
     gene_x, image_x = _inputs_for("fused", 5, gen)
@@ -504,28 +551,66 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_round_trip_without_mask(tmp_path):
     net = randomize_params(micro_network("image-only", "grade", seed=3), seed=4)
     save_checkpoint(net, tmp_path / "ckpt")
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+        "checksums.txt", "manifest.json", "params.bin"]
     loaded = load_checkpoint(tmp_path / "ckpt")
     x = np.random.default_rng(5).standard_normal((4, 7))
     assert np.array_equal(net.predict(image_x=x)["grade"],
                           loaded.predict(image_x=x)["grade"])
 
 
+def test_checkpoint_version_2_layout(tmp_path):
+    net = randomize_params(micro_network("gene-only", "both", seed=2), seed=3)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, ckpt)
+    assert sorted(p.name for p in ckpt.iterdir()) == [
+        "checksums.txt", "manifest.json", "mask.bin", "params.bin"]
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    assert manifest["version"] == 2
+    assert manifest["genes"] == list(net.mask.genes)
+    offset = 0
+    for entry, (name, value) in zip(manifest["params"], net.params().items(),
+                                    strict=True):
+        assert entry == {"name": name, "shape": list(value.shape),
+                         "offset": offset}
+        offset += value.size
+    assert (ckpt / "params.bin").read_bytes() == \
+        net.param_vector.astype("<f8").tobytes()
+    assert (ckpt / "mask.bin").read_bytes() == np.concatenate(
+        (net.mask.rows, net.mask.cols)).astype("<i4").tobytes()
+    listed = {line.split("  ")[1]: line.split("  ")[0]
+              for line in (ckpt / "checksums.txt").read_text().splitlines()}
+    assert listed == {name: hashlib.sha256((ckpt / name).read_bytes()).hexdigest()
+                      for name in ("manifest.json", "mask.bin", "params.bin")}
+
+
 def test_checkpoint_detects_tampering(tmp_path):
     net = micro_network("gene-only", "survival", seed=1)
     save_checkpoint(net, tmp_path / "ckpt")
-    target = tmp_path / "ckpt" / "trunk.0.w.bin"
+    target = tmp_path / "ckpt" / "params.bin"
     raw = bytearray(target.read_bytes())
     raw[0] ^= 0xFF
     target.write_bytes(bytes(raw))
-    with pytest.raises(DataError, match="checksum"):
+    with pytest.raises(DataError, match="checksum mismatch for params.bin"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_checks_manifest_before_reading_it(tmp_path):
+    net = micro_network("gene-only", "survival", seed=1)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["version"] = 3
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="checksum mismatch for manifest.json"):
+        load_checkpoint(ckpt)
 
 
 def test_checkpoint_detects_missing_file(tmp_path):
     net = micro_network("gene-only", "survival", seed=1)
     save_checkpoint(net, tmp_path / "ckpt")
-    (tmp_path / "ckpt" / "trunk.1.w.bin").unlink()
-    with pytest.raises(DataError, match="missing"):
+    (tmp_path / "ckpt" / "params.bin").unlink()
+    with pytest.raises(DataError, match="missing: params.bin"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -544,6 +629,30 @@ def _reseal(ckpt, name):
         for line in lines])
 
 
+def _edit_manifest(ckpt, edit):
+    """Apply ``edit`` to the parsed manifest, write it back and reseal it."""
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    edit(manifest)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    _reseal(ckpt, "manifest.json")
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "params.bin", "mask.bin"])
+def test_checkpoint_rejects_unlisted_file(tmp_path, name):
+    # An unlisted file used to be read without being hashed at all.
+    net = micro_network("gene-only", "survival", seed=1)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, ckpt)
+    _rewrite_checksums(ckpt, lambda lines: [
+        line for line in lines if not line.endswith("  " + name)])
+    if name != "manifest.json":
+        raw = bytearray((ckpt / name).read_bytes())
+        raw[0] ^= 0x01
+        (ckpt / name).write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"checksums.txt does not list {name}"):
+        load_checkpoint(ckpt)
+
+
 @pytest.mark.parametrize("name", ["../outside.bin", "sub/trunk.0.w.bin",
                                   "sub\\trunk.0.w.bin"])
 def test_checkpoint_rejects_checksum_names_leaving_directory(tmp_path, name):
@@ -552,19 +661,41 @@ def test_checkpoint_rejects_checksum_names_leaving_directory(tmp_path, name):
     (tmp_path / "outside.bin").write_bytes(b"")
     _rewrite_checksums(tmp_path / "ckpt", lambda lines: lines + [
         f"{hashlib.sha256(b'').hexdigest()}  {name}"])
-    with pytest.raises(DataError, match="leaves the checkpoint directory"):
+    with pytest.raises(DataError, match="checksums.txt lists unexpected file"):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_checkpoint_rejects_manifest_names_leaving_directory(tmp_path):
+def test_checkpoint_rejects_version_1(tmp_path):
     net = micro_network("gene-only", "survival", seed=1)
     ckpt = tmp_path / "ckpt"
     save_checkpoint(net, ckpt)
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["params"][0]["name"] = "../" + manifest["params"][0]["name"]
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
-    _reseal(ckpt, "manifest.json")
-    with pytest.raises(DataError, match="manifest.json.*leaves"):
+    _edit_manifest(ckpt, lambda m: m.update(version=1))
+    with pytest.raises(DataError, match="^checkpoint version 1 is not supported$"):
+        load_checkpoint(ckpt)
+
+
+def test_checkpoint_rejects_unknown_parameter_name(tmp_path):
+    net = micro_network("gene-only", "survival", seed=1)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, ckpt)
+    _edit_manifest(ckpt, lambda m: m["params"][1].update(name="gene.bogus"))
+    with pytest.raises(DataError, match="manifest.json: parameter .*gene.bogus"):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda params: params[2].update(shape=[9, 5]),
+    lambda params: params[2].update(offset=params[2]["offset"] + 1),
+    lambda params: params.pop(),
+    lambda params: params.append(dict(params[-1])),
+    lambda params: params.reverse(),
+], ids=["shape", "offset", "missing", "extra", "order"])
+def test_checkpoint_rejects_layout_mismatch(tmp_path, edit):
+    net = micro_network("gene-only", "survival", seed=1)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, ckpt)
+    _edit_manifest(ckpt, lambda m: edit(m["params"]))
+    with pytest.raises(DataError, match="does not match the network's layout"):
         load_checkpoint(ckpt)
 
 
@@ -573,11 +704,30 @@ def test_checkpoint_rejects_parameter_file_of_wrong_size(tmp_path, cut):
     net = micro_network("gene-only", "survival", seed=1)
     ckpt = tmp_path / "ckpt"
     save_checkpoint(net, ckpt)
-    target = ckpt / "trunk.1.b.bin"
+    target = ckpt / "params.bin"
     raw = target.read_bytes()
     target.write_bytes(raw[:cut] if cut < 0 else raw + raw[:cut])
     _reseal(ckpt, target.name)
-    with pytest.raises(DataError, match="trunk.1.b.*size mismatch"):
+    with pytest.raises(DataError, match="params.bin: size mismatch"):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows, cols: (rows.tobytes() + cols.tobytes())[:-4],
+     "mask.bin: size .* not a whole number"),
+    # Still sorted and in range, but one weight short of gene.masked.values.
+    (lambda rows, cols: rows[:-1].tobytes() + cols[:-1].tobytes(),
+     "gene.masked.values.*does not match the network's layout"),
+], ids=["half-pair", "one-pair-short"])
+def test_checkpoint_rejects_mask_file_of_wrong_size(tmp_path, edit, message):
+    net = micro_network("gene-only", "survival", seed=1)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, ckpt)
+    rows, cols = np.frombuffer((ckpt / "mask.bin").read_bytes(),
+                               "<i4").reshape(2, -1)
+    (ckpt / "mask.bin").write_bytes(edit(rows, cols))
+    _reseal(ckpt, "mask.bin")
+    with pytest.raises(DataError, match=message):
         load_checkpoint(ckpt)
 
 
