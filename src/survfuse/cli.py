@@ -17,7 +17,6 @@ flags override file values. A typical sweep:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import typing
@@ -28,10 +27,10 @@ import numpy as np
 
 from .datakit import (
     SplitSet,
-    _float_tokens,
     gen_splits,
     load_cohort,
     read_clinical,
+    read_risks,
     save_cohort,
     standardize_expression,
     synth_gen,
@@ -108,9 +107,8 @@ class RunConfig:
                                        t.__name__ for t in allowed)
                 raise ConfigError(f"{path}: {key} must be {expected}, "
                                   f"got {value!r}")
-        for key, choices in (("tie_rule", TIE_RULES),
-                             ("aggregation", AGGREGATIONS)):
-            if key in raw and raw[key] not in choices:
+        for key, choices in _CHOICES.items():
+            if raw.get(key) is not None and raw[key] not in choices:
                 raise ConfigError(f"{path}: unknown {key} {raw[key]!r} "
                                   f"(choose from {', '.join(choices)})")
         return cls(**raw)
@@ -150,6 +148,11 @@ class RunConfig:
 _CONFIG_TYPES = {name: typing.get_args(hint) or (hint,)
                  for name, hint in typing.get_type_hints(RunConfig).items()}
 
+# The values each choice-valued run.json key, and its flag, accepts.
+_CHOICES = {"variant": VARIANTS, "schedule": SCHEDULES, "heads": HEAD_CHOICES,
+            "preset": preset_names(), "tie_rule": TIE_RULES,
+            "aggregation": AGGREGATIONS}
+
 
 def _require_out_dirs(*paths) -> None:
     """Fail before any loading when an output file's directory is missing."""
@@ -168,43 +171,9 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _read_risks(path) -> tuple[dict[str, int], np.ndarray]:
-    """Parse a sample_id,risk file: returns sample id -> row, and the risks
-    converted in one call."""
-    path = Path(path)
-    name = path.name
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{name}: empty file") from None
-        if tuple(header) != ("sample_id", "risk"):
-            raise DataError(f"{name}: expected header sample_id,risk")
-        row_of: dict[str, int] = {}
-        tokens: list[str] = []
-        linenos: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                problem = f"{name}:{lineno}: expected 2 columns, got {len(row)}"
-            elif row[0] in row_of:
-                problem = f"{name}:{lineno}: duplicate sample {row[0]!r}"
-            else:
-                row_of[row[0]] = len(tokens)
-                tokens.append(row[1])
-                linenos.append(lineno)
-                continue
-            # A bad number on an earlier line is reported first.
-            _float_tokens(tokens, lambda i: f"{name}:{linenos[i]}")
-            raise DataError(problem)
-    return row_of, _float_tokens(tokens, lambda i: f"{name}:{linenos[i]}")
-
-
 def _scored_samples(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Risks, times and events of every clinical row, in clinical order."""
-    row_of, risks = _read_risks(_require_file(args.risks, "risks"))
+    row_of, risks = read_risks(_require_file(args.risks, "risks"))
     table = read_clinical(_require_file(args.clinical, "clinical"))
     rows = [row_of.get(sid) for sid in table.sample_ids]
     if None in rows:
@@ -224,7 +193,8 @@ def _warn(message: str) -> None:
 def _load_run_cohort(cfg: RunConfig, keep_genes: tuple[str, ...] | None = None):
     """Load the cohort for cfg.variant and wire the gene panel.
 
-    Samples missing a modality the variant needs are dropped with a warning.
+    This is the one place that drops samples: those missing a modality the
+    variant needs go, with a warning.
     Returns (cohort, mask). When ``keep_genes`` is given (evaluating an
     existing checkpoint) the panel is restricted to it instead of
     re-intersecting with the edge list.
@@ -403,8 +373,6 @@ def cmd_train(args) -> int:
     if cfg.out is None:
         raise ConfigError("no output directory set (config 'out' or --out)")
     # Fail fast on bad settings before touching any data.
-    if cfg.variant not in VARIANT_INPUTS:
-        raise ConfigError(f"unknown variant {cfg.variant!r}")
     check_heads(cfg.resolved_profile().schedule, cfg.resolved_heads())
 
     cohort, mask = _load_run_cohort(cfg)
@@ -541,10 +509,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--all-reps", action="store_true",
                    help="train every repetition and write an aggregate")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--schedule", choices=SCHEDULES)
-    p.add_argument("--heads", choices=HEAD_CHOICES)
-    p.add_argument("--preset", choices=preset_names())
+    p.add_argument("--variant", choices=_CHOICES["variant"])
+    p.add_argument("--schedule", choices=_CHOICES["schedule"])
+    p.add_argument("--heads", choices=_CHOICES["heads"])
+    p.add_argument("--preset", choices=_CHOICES["preset"])
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--weight-decay", type=float, dest="weight_decay")
@@ -565,9 +533,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bypass: score a sample_id,risk CSV instead of a model")
     p.add_argument("--clinical", help="clinical CSV (with --risks)")
     p.add_argument("--splits")
-    p.add_argument("--tie-rule", choices=TIE_RULES, dest="tie_rule")
-    p.add_argument("--aggregation", choices=AGGREGATIONS)
-    p.add_argument("--require", choices=HEAD_CHOICES,
+    p.add_argument("--tie-rule", choices=_CHOICES["tie_rule"], dest="tie_rule")
+    p.add_argument("--aggregation", choices=_CHOICES["aggregation"])
+    p.add_argument("--require", choices=_CHOICES["heads"],
                    help="fail unless the model carries these heads")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_eval)

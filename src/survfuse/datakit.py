@@ -4,6 +4,7 @@ File formats (all CSV, UTF-8):
   clinical    columns sample_id, patient_id, time_days, event, grade
   expression  first column sample_id, remaining headers are gene symbols
   embedding   first column sample_id, remaining headers are dimension indices
+  risks       columns sample_id, risk
 
 A ``Cohort`` is stored by column: sample ids with their patient ids, a
 float64 time array, int64 event and grade arrays, and one float64 matrix
@@ -28,7 +29,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -62,12 +62,6 @@ class Sample:
 # Cohort fields that hold one entry per sample, in row order.
 _ROW_FIELDS = ("sample_ids", "sample_patients", "time", "event", "grade",
                "expression", "has_expression", "embedding", "has_embedding")
-
-
-def _take_rows(columns: dict, rows: np.ndarray) -> dict:
-    return {name: ([value[i] for i in rows] if isinstance(value, (list, tuple))
-                   else value[rows])
-            for name, value in columns.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +126,6 @@ class Cohort:
         width = self.expression.shape[1]
         # Report the first bad sample, and its first problem in this order.
         checks = (
-            (~(self.has_expression | self.has_embedding),
-             lambda i: f"sample {ids[i]!r} has no modality data"),
             (self.has_expression & (width != p),
              lambda i: f"sample {ids[i]!r}: expression width {width} != "
                        f"gene count {p}"),
@@ -210,8 +202,10 @@ class Cohort:
     def take(self, rows) -> "Cohort":
         """The samples at positions ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        return replace(self, **_take_rows(
-            {name: getattr(self, name) for name in _ROW_FIELDS}, rows))
+        columns = {name: getattr(self, name) for name in _ROW_FIELDS}
+        return replace(self, **{
+            name: [value[i] for i in rows] if isinstance(value, tuple)
+            else value[rows] for name, value in columns.items()})
 
     def gene_subset(self, keep) -> "Cohort":
         """Restrict expression columns to ``keep`` (in the given order)."""
@@ -229,6 +223,7 @@ class Cohort:
 # ---------------------------------------------------------------------------
 
 _CLINICAL_COLUMNS = ("sample_id", "patient_id", "time_days", "event", "grade")
+_RISK_COLUMNS = ("sample_id", "risk")
 _INT64 = np.iinfo(np.int64)
 
 
@@ -268,6 +263,42 @@ def _float_tokens(tokens, where) -> np.ndarray:
     return np.array([_parse_float(tok, where(i)) for i, tok in enumerate(tokens)])
 
 
+def _sample_rows(path, columns=None):
+    """Read a sample-keyed CSV: yield its header, then ``(lineno, row)`` for
+    every non-blank body row.
+
+    The header must be exactly ``columns`` when they are given, and hold at
+    least 2 columns otherwise. Each body row must be as wide as the header
+    and start with a sample id not seen before; any other row raises
+    naming the file and line.
+    """
+    name = Path(path).name
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{name}: empty file")
+        if columns is not None and tuple(header) != columns:
+            raise DataError(f"{name}: expected columns {','.join(columns)}, "
+                            f"got {','.join(header)}")
+        if len(header) < 2:
+            raise DataError(f"{name}: header needs sample_id + features")
+        yield header
+        width = len(header)
+        seen: set[str] = set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DataError(
+                    f"{name}:{lineno}: expected {width} columns, got {len(row)}")
+            if row[0] in seen:
+                raise DataError(
+                    f"{name}:{lineno}: duplicate sample id {row[0]!r}")
+            seen.add(row[0])
+            yield lineno, row
+
+
 def _read_feature_csv(path, row_of: dict[str, int]):
     """Shared reader for expression/embedding files: header names the
     feature columns, each body row is sample_id followed by the values.
@@ -276,38 +307,20 @@ def _read_feature_csv(path, row_of: dict[str, int]):
     ``row_of`` (sample id -> row) and the mask of rows the file filled; the
     other rows hold zeros. Each body row is converted as it is read.
     """
-    path = Path(path)
-    name = path.name
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{name}: empty file") from None
-        if len(header) < 2:
-            raise DataError(f"{name}: header needs sample_id + features")
-        width = len(header)
-        matrix = np.zeros((len(row_of), width - 1))
-        present = np.zeros(len(row_of), dtype=bool)
-        seen: set[str] = set()
-        unknown = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataError(
-                    f"{name}:{lineno}: expected {width} columns, got {len(row)}")
-            sid = row[0]
-            if sid in seen:
-                raise DataError(f"{name}:{lineno}: duplicate sample {sid!r}")
-            seen.add(sid)
-            values = _float_tokens(row[1:], lambda _: f"{name}:{lineno}")
-            i = row_of.get(sid)
-            if i is not None:
-                matrix[i] = values
-                present[i] = True
-            elif unknown is None:
-                unknown = sid
+    name = Path(path).name
+    reader = _sample_rows(path)
+    header = next(reader)
+    matrix = np.zeros((len(row_of), len(header) - 1))
+    present = np.zeros(len(row_of), dtype=bool)
+    unknown = None
+    for lineno, row in reader:
+        values = _float_tokens(row[1:], lambda _: f"{name}:{lineno}")
+        i = row_of.get(row[0])
+        if i is not None:
+            matrix[i] = values
+            present[i] = True
+        elif unknown is None:
+            unknown = row[0]
     if unknown is not None:
         raise DataError(f"{name}: sample {unknown!r} not in clinical table")
     return tuple(header[1:]), matrix, present
@@ -346,37 +359,19 @@ def _clinical_numbers(name: str, linenos, times, events, grades):
 
 def read_clinical(path) -> ClinicalTable:
     """Parse a clinical table into columns, in file order."""
-    path = Path(path)
-    name = path.name
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{name}: empty file") from None
-        if tuple(header) != _CLINICAL_COLUMNS:
-            raise DataError(
-                f"{name}: expected columns "
-                f"{','.join(_CLINICAL_COLUMNS)}, got {','.join(header)}")
-        rows: list[list[str]] = []
-        linenos: list[int] = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_CLINICAL_COLUMNS):
-                problem = (f"{name}:{lineno}: expected "
-                           f"{len(_CLINICAL_COLUMNS)} columns, got {len(row)}")
-            elif row[0] in seen:
-                problem = f"{name}:{lineno}: duplicate sample id {row[0]!r}"
-            else:
-                seen.add(row[0])
-                rows.append(row)
-                linenos.append(lineno)
-                continue
-            # A bad number on an earlier line is reported first.
-            _clinical_numbers(name, linenos, *_columns(rows)[2:])
-            raise DataError(problem)
+    name = Path(path).name
+    reader = _sample_rows(path, _CLINICAL_COLUMNS)
+    next(reader)
+    rows: list[list[str]] = []
+    linenos: list[int] = []
+    try:
+        for lineno, row in reader:
+            rows.append(row)
+            linenos.append(lineno)
+    except DataError:
+        # A bad number on an earlier line is reported first.
+        _clinical_numbers(name, linenos, *_columns(rows)[2:])
+        raise
     sample_ids, patient_ids, times, events, grades = _columns(rows)
     return ClinicalTable(sample_ids, patient_ids,
                          *_clinical_numbers(name, linenos, times, events, grades))
@@ -386,12 +381,35 @@ def _columns(rows: list[list[str]]) -> list[list[str]]:
     return [list(column) for column in zip(*rows)] or [[] for _ in _CLINICAL_COLUMNS]
 
 
+def read_risks(path) -> tuple[dict[str, int], np.ndarray]:
+    """Parse a ``sample_id,risk`` file: sample id -> row, and the risks as
+    one float64 array."""
+    name = Path(path).name
+    reader = _sample_rows(path, _RISK_COLUMNS)
+    next(reader)
+    row_of: dict[str, int] = {}
+    tokens: list[str] = []
+    linenos: list[int] = []
+    try:
+        for lineno, (sid, risk) in reader:
+            row_of[sid] = len(tokens)
+            tokens.append(risk)
+            linenos.append(lineno)
+    except DataError:
+        # A bad number on an earlier line is reported first.
+        _float_tokens(tokens, lambda i: f"{name}:{linenos[i]}")
+        raise
+    return row_of, _float_tokens(tokens, lambda i: f"{name}:{linenos[i]}")
+
+
 def load_cohort(clinical_path, expression_path=None, embedding_path=None,
                 grade_names: tuple[str, ...] = DEFAULT_GRADE_NAMES) -> Cohort:
     """Join the clinical table with whichever modality files are given.
 
-    Modality rows must reference known sample ids; clinical rows with no
-    modality data at all are dropped (reported via a warning).
+    Modality rows must reference known sample ids. Every clinical row is
+    kept, also one that no modality file fills: the accessors refuse a
+    modality its row lacks, and a run drops the samples its variant cannot
+    use (``cli._load_run_cohort``).
     """
     table = read_clinical(clinical_path)
     row_of = {sid: i for i, sid in enumerate(table.sample_ids)}
@@ -405,20 +423,12 @@ def load_cohort(clinical_path, expression_path=None, embedding_path=None,
     if embedding_path is not None:
         _, embedding, has_embedding = _read_feature_csv(embedding_path, row_of)
 
-    columns = dict(sample_ids=table.sample_ids,
-                   sample_patients=table.patient_ids, time=table.time,
-                   event=table.event, grade=table.grade,
-                   expression=expression, has_expression=has_expression,
-                   embedding=embedding, has_embedding=has_embedding)
-    dropped = ~(has_expression | has_embedding)
-    if dropped.any():
-        warnings.warn(
-            f"dropped {int(dropped.sum())} clinical rows with no modality data "
-            f"(first: {table.sample_ids[np.argmax(dropped)]!r})", stacklevel=2)
-        if dropped.all():
-            raise DataError("no samples with modality data")
-        columns = _take_rows(columns, np.flatnonzero(~dropped))
-    return Cohort(gene_order=genes, grade_names=tuple(grade_names), **columns)
+    return Cohort(sample_ids=table.sample_ids,
+                  sample_patients=table.patient_ids, time=table.time,
+                  event=table.event, grade=table.grade, gene_order=genes,
+                  expression=expression, has_expression=has_expression,
+                  embedding=embedding, has_embedding=has_embedding,
+                  grade_names=tuple(grade_names))
 
 
 def save_cohort(cohort: Cohort, clinical_path, expression_path=None,

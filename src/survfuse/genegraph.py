@@ -131,9 +131,11 @@ def intersect_features(graph: GeneGraph, panel: list[str] | tuple[str, ...]) -> 
 class AdjacencyMask:
     """Binary p x p mask with self-loops, aligned to a fixed gene order.
 
-    ``rows``/``cols`` list the coordinates of the nonzeros; the constructor
-    sorts them row-major and rejects duplicates, so downstream sparse
-    kernels can treat the coordinate list as CSR structure directly.
+    ``rows``/``cols`` list the coordinates of the nonzeros. The constructor
+    takes them only inside [0, dim) and strictly increasing in row-major
+    order, which also rules out duplicates, so downstream sparse kernels
+    can treat the coordinate list as CSR structure directly and each
+    weight stays aligned with its coordinate.
     """
 
     genes: tuple[str, ...]
@@ -145,13 +147,13 @@ class AdjacencyMask:
         c = np.asarray(self.cols, dtype=np.intp)
         if r.shape != c.shape or r.ndim != 1:
             raise DataError("mask rows/cols must be equal-length vectors")
-        # build_adjacency and checkpoints pass sorted coordinates; skip the
-        # sort for them.
-        if np.any((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] < c[:-1]))):
-            order = np.lexsort((c, r))
-            r, c = r[order], c[order]
-        if len(r) > 1 and np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
-            raise DataError("duplicate mask coordinates")
+        dim = len(self.genes)
+        if r.size and (min(r.min(), c.min()) < 0
+                       or max(r.max(), c.max()) >= dim):
+            raise DataError(f"coordinates out of range [0, {dim})")
+        if np.any(np.diff(r * dim + c) <= 0):
+            raise DataError("coordinates are not strictly increasing in "
+                            "row-major order")
         self.rows, self.cols = r, c
 
     @property

@@ -632,21 +632,16 @@ def _read(path: Path, name: str, digests: Mapping[str, str], into=None):
 
 
 def _read_mask(data: bytes, genes: tuple[str, ...]) -> AdjacencyMask:
-    """Decode mask.bin, which must hold strictly increasing row-major
-    coordinates inside [0, dim): AdjacencyMask would silently re-sort any
-    other order and misalign the mask with its weights."""
+    """Decode mask.bin; AdjacencyMask checks the coordinates' range and
+    order, and its error is reported against the file."""
     if len(data) % 8:
         raise DataError(f"{_MASK_NAME}: size {len(data)} is not a whole "
                         "number of (row, col) int32 pairs")
-    coords = np.frombuffer(data, dtype="<i4").astype(np.intp)
-    dim = len(genes)
-    if coords.size and (coords.min() < 0 or coords.max() >= dim):
-        raise DataError(f"{_MASK_NAME}: coordinates out of range [0, {dim})")
-    rows, cols = coords.reshape(2, -1)
-    if np.any(np.diff(rows * dim + cols) <= 0):
-        raise DataError(f"{_MASK_NAME}: coordinates are not strictly "
-                        "increasing in row-major order")
-    return AdjacencyMask(genes=genes, rows=rows, cols=cols)
+    rows, cols = np.frombuffer(data, dtype="<i4").astype(np.intp).reshape(2, -1)
+    try:
+        return AdjacencyMask(genes=genes, rows=rows, cols=cols)
+    except DataError as exc:
+        raise DataError(f"{_MASK_NAME}: {exc}") from None
 
 
 def load_checkpoint(path) -> Network:
@@ -666,21 +661,30 @@ def load_checkpoint(path) -> Network:
     if manifest.get("version") != _VERSION:
         raise DataError(f"checkpoint version {manifest.get('version')} is "
                         "not supported")
-    config = NetworkConfig(**manifest["config"])
+    try:
+        config = NetworkConfig(**manifest["config"])
+        genes = tuple(manifest["genes"]) if "gene" in config.inputs else None
+        layout = list(manifest["params"])
+    except KeyError as exc:
+        raise DataError(f"{_MANIFEST_NAME}: missing {exc.args[0]!r}") from None
+    except (TypeError, ConfigError) as exc:
+        raise DataError(f"{_MANIFEST_NAME}: {exc}") from None
+    if genes is not None and len(genes) != config.gene_dim:
+        raise DataError(f"{_MANIFEST_NAME}: {len(genes)} genes for gene_dim "
+                        f"{config.gene_dim}")
     files = {_MANIFEST_NAME, _PARAMS_NAME}
-    if "gene" in config.inputs:
+    if genes is not None:
         files.add(_MASK_NAME)
     extra = sorted(set(digests) - files)
     if extra:
         raise DataError(f"{_CHECKSUM_NAME} lists unexpected file {extra[0]!r}")
 
     mask = None
-    if _MASK_NAME in files:
-        mask = _read_mask(_read(path, _MASK_NAME, digests),
-                          tuple(manifest["genes"]))
+    if genes is not None:
+        mask = _read_mask(_read(path, _MASK_NAME, digests), genes)
     net = _build_structure(config, mask)
     net.init_seed = manifest.get("seed")
-    for got, want in zip_longest(manifest["params"], _manifest_params(net)):
+    for got, want in zip_longest(layout, _manifest_params(net)):
         if got != want:
             raise DataError(f"{_MANIFEST_NAME}: parameter {got} does not "
                             f"match the network's layout {want}")

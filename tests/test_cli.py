@@ -227,22 +227,27 @@ def test_train_rerun_is_bit_identical(trained, data_dir, splits_file,
         assert sha(first / "final" / name) == sha(second / "final" / name), name
 
 
-def test_train_drops_samples_missing_a_needed_modality(data_dir, splits_file,
-                                                      tmp_path, capsys):
-    """A fused run on a cohort with one embedding row removed drops that
-    sample from the cohort and the splits, warns on stderr, and trains; eval
-    of the checkpoint applies the same rule."""
-    rows = (data_dir / "embeddings.csv").read_text().splitlines(keepends=True)
+@pytest.mark.parametrize("variant,modality", [
+    ("fused", "embeddings"), ("gene-only", "expression"),
+    ("image-only", "embeddings")])
+def test_train_drops_samples_missing_a_needed_modality(
+        data_dir, splits_file, tmp_path, capsys, variant, modality):
+    """A run on a cohort with one row of a modality its variant needs removed
+    drops that sample from the cohort and the splits, warns once on stderr,
+    and trains; eval of the checkpoint applies the same rule."""
+    rows = (data_dir / f"{modality}.csv").read_text().splitlines(keepends=True)
     dropped = rows[1].split(",", 1)[0]
-    (tmp_path / "embeddings.csv").write_text("".join(rows[:1] + rows[2:]))
+    (tmp_path / f"{modality}.csv").write_text("".join(rows[:1] + rows[2:]))
     config = write_config(tmp_path / "run.json", data_dir, splits_file,
-                          tmp_path / "out",
-                          embeddings=str(tmp_path / "embeddings.csv"))
+                          tmp_path / "out", variant=variant,
+                          **{modality: str(tmp_path / f"{modality}.csv")})
     capsys.readouterr()
     assert main(["train", str(config), "--rep", "0"]) == 0
     err = capsys.readouterr().err
-    assert "dropped 1 samples missing a modality the fused variant needs" in err
-    assert "dropped 1 split sample ids not in the loaded cohort" in err
+    assert err.splitlines() == [
+        f"warning: dropped 1 samples missing a modality the {variant} "
+        "variant needs",
+        "warning: dropped 1 split sample ids not in the loaded cohort"]
     summary = json.loads((tmp_path / "out" / "rep00" / "summary.json")
                          .read_text())
     train_ids, test_ids = SplitSet.load(splits_file).repetitions[0]
@@ -334,6 +339,25 @@ def test_train_unknown_choice_in_config_exits_2_before_reading_data(
     err = capsys.readouterr().err
     assert repr(value) in err
     assert "dropped" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["variant", "schedule", "heads", "preset"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_unknown_model_choice_in_config_exits_2_before_reading_data(
+        data_dir, splits_file, tmp_path, capsys, command, key):
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", **{key: "weird"})
+    if command == "train":
+        argv = ["train", str(config)]
+    else:
+        # The model does not exist: the config check must come first.
+        argv = ["eval", "--config", str(config),
+                "--model", str(tmp_path / "no-model"),
+                "--out", str(tmp_path / "metrics.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"run.json: unknown {key} 'weird' (choose from " in err
     assert not (tmp_path / "out").exists()
 
 
@@ -526,6 +550,32 @@ def test_eval_rejects_bad_mask_bin(trained, tmp_path, capsys, edit, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("genes"), "manifest.json: missing 'genes'"),
+    (lambda m: m.pop("config"), "manifest.json: missing 'config'"),
+    (lambda m: m.pop("params"), "manifest.json: missing 'params'"),
+    (lambda m: m["config"].update(colour="blue"),
+     "manifest.json: NetworkConfig.__init__() got an unexpected keyword "
+     "argument 'colour'"),
+    (lambda m: m["config"].update(variant="weird"),
+     "manifest.json: unknown variant 'weird'"),
+    (lambda m: m["genes"].append("EXTRA"), "manifest.json: 13 genes for "
+                                           "gene_dim 12"),
+], ids=["no-genes", "no-config", "no-params", "unknown-config-key",
+        "unknown-variant", "extra-gene"])
+def test_eval_rejects_malformed_manifest(trained, tmp_path, capsys, edit,
+                                         message):
+    manifest = json.loads(
+        (trained["out"] / "rep00" / "final" / "manifest.json").read_text())
+    edit(manifest)
+    ckpt = _resealed_copy(trained, tmp_path, "manifest.json",
+                          json.dumps(manifest).encode())
+    rc = main(["eval", "--config", str(trained["config"]),
+               "--model", str(ckpt), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_eval_rejects_version_1_checkpoint(trained, tmp_path, capsys):
     manifest = json.loads(
         (trained["out"] / "rep00" / "final" / "manifest.json").read_text())
@@ -668,3 +718,26 @@ def test_non_finite_risk_names_file_and_line(tmp_path, capsys, command, risk):
     assert rc == 1
     assert (f"error: risks.csv:6: non-finite number {repr(risk)!r}"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["eval", "km"])
+@pytest.mark.parametrize("body, message", [
+    ("", "risks.csv: empty file"),
+    ("sample,risk\nS0,0.5\n",
+     "risks.csv: expected columns sample_id,risk, got sample,risk"),
+    ("sample_id,risk\nS0,0.5\n\nS1,0.5,7\n",
+     "risks.csv:4: expected 2 columns, got 3"),
+    ("sample_id,risk\nS0,0.5\nS1,0.7\nS0,0.9\n",
+     "risks.csv:4: duplicate sample id 'S0'"),
+    ("sample_id,risk\nS0,0.5\nS1,high\nS1,0.9\n",
+     "risks.csv:3: unparseable number 'high'"),
+], ids=["empty", "header", "columns", "duplicate", "number-before-duplicate"])
+def test_bad_risks_file_names_file_and_line(tmp_path, capsys, command, body,
+                                            message):
+    rows = [(f"S{i}", float(i), float(10 - i), 1) for i in range(9)]
+    clinical, risks = km_inputs(tmp_path, rows)
+    risks.write_text(body)
+    rc = main([command, "--risks", str(risks), "--clinical", str(clinical),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err

@@ -82,9 +82,14 @@ def test_cohort_validation():
     base = small_cohort()
     with pytest.raises(DataError, match="duplicate sample"):
         small_cohort(sample_ids=("S1", "S1", "S3"))
-    with pytest.raises(DataError, match="'S2' has no modality"):
-        small_cohort(has_expression=[True, False, True],
-                     has_embedding=[True, False, True])
+    # A row with no modality is kept; the accessors refuse it.
+    bare = small_cohort(has_expression=[True, False, True],
+                        has_embedding=[True, False, True])
+    assert bare.sample_ids == ("S1", "S2", "S3")
+    with pytest.raises(DataError, match="'S2' has no expression"):
+        bare.expression_matrix(["S1", "S2"])
+    with pytest.raises(DataError, match="'S2' has no image embedding"):
+        bare.embedding_matrix(["S2"])
     with pytest.raises(DataError, match="expression width"):
         small_cohort(expression=np.ones((3, 1)))
     # One matrix holds every embedding, so widths cannot differ by sample;
@@ -171,16 +176,25 @@ def test_multi_sample_patient_fixture(tmp_path):
     assert len(set(loaded.patient_ids)) == 469
 
 
-def test_load_cohort_drops_modality_free_rows(tmp_path):
+def test_load_cohort_keeps_modality_free_rows(tmp_path, recwarn):
     clinical, expr, _ = paths(tmp_path)
     clinical.write_text(
         "sample_id,patient_id,time_days,event,grade\n"
         "S1,P1,10.0,1,0\n"
         "S2,P2,5.0,0,1\n")
     expr.write_text("sample_id,GA\nS1,0.5\n")
-    with pytest.warns(UserWarning, match="'S2'"):
-        cohort = load_cohort(clinical, expr)
-    assert cohort.sample_ids == ("S1",)
+    cohort = load_cohort(clinical, expr)
+    assert not recwarn.list
+    assert cohort.sample_ids == ("S1", "S2")
+    assert cohort.has_expression.tolist() == [True, False]
+    assert cohort.times(["S2"]).tolist() == [5.0]
+    with pytest.raises(DataError, match="'S2' has no expression"):
+        cohort.expression_matrix(["S2"])
+    # With no modality file, every row is kept and none has a modality.
+    bare = load_cohort(clinical)
+    assert bare.sample_ids == ("S1", "S2")
+    with pytest.raises(DataError, match="'S1' has no image embedding"):
+        bare.embedding_matrix(["S1"])
 
 
 def test_load_cohort_error_reports(tmp_path):

@@ -154,11 +154,20 @@ def test_build_adjacency_respects_order():
 
 
 def test_mask_coordinates_sorted_row_major():
-    mask = AdjacencyMask(genes=("a", "b"),
-                         rows=np.array([1, 0, 0, 1]),
-                         cols=np.array([1, 1, 0, 0]))
+    mask = AdjacencyMask(genes=("a", "b"), rows=np.array([0, 0, 1, 1]),
+                         cols=np.array([0, 1, 0, 1]))
     assert mask.rows.tolist() == [0, 0, 1, 1]
     assert mask.cols.tolist() == [0, 1, 0, 1]
+    # Coordinates are taken as given, never re-sorted.
+    for rows, cols in (([1, 0, 0, 1], [1, 1, 0, 0]), ([0, 0], [1, 0])):
+        with pytest.raises(DataError, match="not strictly increasing in "
+                                            "row-major order"):
+            AdjacencyMask(genes=("a", "b"), rows=np.array(rows),
+                          cols=np.array(cols))
+    for rows, cols in (([0, 2], [0, 0]), ([0, 1], [-1, 0]), ([0], [2])):
+        with pytest.raises(DataError, match=r"out of range \[0, 2\)"):
+            AdjacencyMask(genes=("a", "b"), rows=np.array(rows),
+                          cols=np.array(cols))
 
 
 def test_mask_rejects_duplicates():
