@@ -44,11 +44,10 @@ from .netmodel import (
     load_checkpoint,
     save_checkpoint,
 )
-from .numcore import AdamState, LrSchedule, RngStream, adam_step, lr_at
+from .numcore import AdamState, RngStream, adam_step
 from .surveval import (
     ConfusionMatrix,
     KMCurve,
-    RiskGroups,
     accuracy_and_micro_f1,
     build_metrics,
     c_index,

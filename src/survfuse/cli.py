@@ -418,6 +418,8 @@ def cmd_eval(args) -> int:
     if args.risks is not None:
         if args.model is not None:
             raise ConfigError("--risks bypass and --model are mutually exclusive")
+        if args.clinical is None:
+            raise ConfigError("eval --risks needs --clinical")
         _require_out_dirs(args.out)
         risks, times, events = _scored_samples(args)
         report = build_metrics(risks=risks, times=times, events=events,
@@ -459,8 +461,7 @@ def cmd_eval(args) -> int:
 def cmd_km(args) -> int:
     _require_out_dirs(args.out, args.svg)
     risks, times, events = _scored_samples(args)
-    groups = risk_tertiles(risks)
-    labels = np.asarray(groups.labels)
+    labels = np.asarray(risk_tertiles(risks))
     curves, sizes = {}, {}
     for name in GROUP_NAMES:
         member = labels == name

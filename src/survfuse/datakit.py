@@ -59,6 +59,18 @@ class Sample:
     image_embedding: np.ndarray | None = None
 
 
+def _raise_first_failure(checks, n: int) -> None:
+    """Raise a DataError for the first of ``n`` rows that any ``(rows,
+    message)`` check flags, with the message of the first check flagging it;
+    ``rows`` is a boolean mask and ``message(i)`` describes row ``i``."""
+    bad = np.zeros(n, dtype=bool)
+    for rows, _ in checks:
+        bad |= rows
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(next(message(i) for rows, message in checks if rows[i]))
+
+
 # Cohort fields that hold one entry per sample, in row order.
 _ROW_FIELDS = ("sample_ids", "sample_patients", "time", "event", "grade",
                "expression", "has_expression", "embedding", "has_embedding")
@@ -125,7 +137,7 @@ class Cohort:
         p, k = len(self.gene_order), len(self.grade_names)
         width = self.expression.shape[1]
         # Report the first bad sample, and its first problem in this order.
-        checks = (
+        _raise_first_failure((
             (self.has_expression & (width != p),
              lambda i: f"sample {ids[i]!r}: expression width {width} != "
                        f"gene count {p}"),
@@ -135,22 +147,10 @@ class Cohort:
             (self.time < 0, lambda i: f"sample {ids[i]!r}: negative time"),
             ((self.event != 0) & (self.event != 1),
              lambda i: f"sample {ids[i]!r}: event must be 0/1"),
-        )
-        bad = np.zeros(n, dtype=bool)
-        for rows, _ in checks:
-            bad |= rows
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DataError(next(message(i) for rows, message in checks
-                                 if rows[i]))
+        ), n)
 
     def __len__(self) -> int:
         return len(self.sample_ids)
-
-    @property
-    def patient_ids(self) -> tuple[str, ...]:
-        """Distinct patients in first-appearance order."""
-        return tuple(dict.fromkeys(self.sample_patients))
 
     @property
     def samples(self) -> tuple[Sample, ...]:
@@ -337,24 +337,45 @@ class ClinicalTable(NamedTuple):
 
 
 def _clinical_numbers(name: str, linenos, times, events, grades):
-    """Convert the three numeric clinical columns, one call each. If any
-    token fails, walk the rows in file order, as a row-by-row parse would,
-    so the error names the first bad token."""
+    """Convert the three numeric clinical columns, one call each, and check
+    time_days >= 0, event 0 or 1 and grade in [0, len(DEFAULT_GRADE_NAMES)).
+
+    If a token fails to convert, the rows are walked in file order up to
+    it, so the error names the first bad line: a value out of range before
+    the bad token, else the token itself.
+    """
+    error = None
     try:
         time = np.array(times, dtype=np.float64)
-        if np.isfinite(time).all():
-            return (time, np.array(events, dtype=np.int64),
-                    np.array(grades, dtype=np.int64))
+        event = np.array(events, dtype=np.int64)
+        grade = np.array(grades, dtype=np.int64)
+        converted = bool(np.isfinite(time).all())
     except (ValueError, OverflowError):
-        pass
-    time, event, grade = [], [], []
-    for lineno, t, e, g in zip(linenos, times, events, grades):
-        where = f"{name}:{lineno}"
-        time.append(_parse_float(t, where))
-        event.append(_parse_int(e, where))
-        grade.append(_parse_int(g, where))
-    return (np.array(time, dtype=np.float64), np.array(event, dtype=np.int64),
-            np.array(grade, dtype=np.int64))
+        converted = False
+    if not converted:
+        parsed = []
+        try:
+            for lineno, t, e, g in zip(linenos, times, events, grades):
+                where = f"{name}:{lineno}"
+                parsed.append((_parse_float(t, where), _parse_int(e, where),
+                               _parse_int(g, where)))
+        except DataError as exc:
+            error = exc
+        time, event, grade = (np.array(column, dtype=dtype) for column, dtype in
+                              zip(_columns(parsed, 3),
+                                  (np.float64, np.int64, np.int64)))
+    k = len(DEFAULT_GRADE_NAMES)
+    _raise_first_failure((
+        (time < 0, lambda i: f"{name}:{linenos[i]}: negative time_days "
+                             f"{float(time[i])!r}"),
+        ((event != 0) & (event != 1),
+         lambda i: f"{name}:{linenos[i]}: event {event[i]} is not 0 or 1"),
+        ((grade < 0) | (grade >= k),
+         lambda i: f"{name}:{linenos[i]}: grade {grade[i]} outside [0, {k})"),
+    ), len(time))
+    if error is not None:
+        raise error
+    return time, event, grade
 
 
 def read_clinical(path) -> ClinicalTable:
@@ -369,16 +390,17 @@ def read_clinical(path) -> ClinicalTable:
             rows.append(row)
             linenos.append(lineno)
     except DataError:
-        # A bad number on an earlier line is reported first.
-        _clinical_numbers(name, linenos, *_columns(rows)[2:])
+        # A bad or out-of-range number on an earlier line is reported first.
+        _clinical_numbers(name, linenos, *_columns(rows, 5)[2:])
         raise
-    sample_ids, patient_ids, times, events, grades = _columns(rows)
+    sample_ids, patient_ids, times, events, grades = _columns(rows, 5)
     return ClinicalTable(sample_ids, patient_ids,
                          *_clinical_numbers(name, linenos, times, events, grades))
 
 
-def _columns(rows: list[list[str]]) -> list[list[str]]:
-    return [list(column) for column in zip(*rows)] or [[] for _ in _CLINICAL_COLUMNS]
+def _columns(rows, width: int) -> list[list]:
+    """``rows`` transposed into ``width`` columns (empty ones for no rows)."""
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
 def read_risks(path) -> tuple[dict[str, int], np.ndarray]:
@@ -402,8 +424,7 @@ def read_risks(path) -> tuple[dict[str, int], np.ndarray]:
     return row_of, _float_tokens(tokens, lambda i: f"{name}:{linenos[i]}")
 
 
-def load_cohort(clinical_path, expression_path=None, embedding_path=None,
-                grade_names: tuple[str, ...] = DEFAULT_GRADE_NAMES) -> Cohort:
+def load_cohort(clinical_path, expression_path=None, embedding_path=None) -> Cohort:
     """Join the clinical table with whichever modality files are given.
 
     Modality rows must reference known sample ids. Every clinical row is
@@ -427,8 +448,7 @@ def load_cohort(clinical_path, expression_path=None, embedding_path=None,
                   sample_patients=table.patient_ids, time=table.time,
                   event=table.event, grade=table.grade, gene_order=genes,
                   expression=expression, has_expression=has_expression,
-                  embedding=embedding, has_embedding=has_embedding,
-                  grade_names=tuple(grade_names))
+                  embedding=embedding, has_embedding=has_embedding)
 
 
 def save_cohort(cohort: Cohort, clinical_path, expression_path=None,
@@ -527,18 +547,18 @@ class SplitSet:
             return cls(repetitions=reps, seed=int(payload["seed"]),
                        train_frac=float(payload["train_frac"]),
                        grouping=str(payload["grouping"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed split file {path}: {exc}") from None
 
 
-def gen_splits(cohort, reps: int, train_frac: float = 0.8,
+def gen_splits(pairs, reps: int, train_frac: float = 0.8,
                grouping: str = "patient", seed: int = 0) -> SplitSet:
-    """Random train/test partitions, one per repetition.
+    """Random train/test partitions of ``(sample_id, patient_id)`` pairs,
+    one per repetition.
 
     Units are patients by default so no patient straddles a split; pass
     grouping='sample' to shuffle raw samples instead. The cut point is
-    round(train_frac * units), half away from zero. ``cohort`` may also be
-    a plain iterable of (sample_id, patient_id) pairs.
+    round(train_frac * units), half away from zero.
     """
     if not 0.0 < train_frac < 1.0:
         raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
@@ -546,10 +566,7 @@ def gen_splits(cohort, reps: int, train_frac: float = 0.8,
         raise ConfigError(f"reps must be >= 1, got {reps}")
     if grouping not in ("patient", "sample"):
         raise ConfigError(f"grouping must be 'patient' or 'sample', got {grouping!r}")
-    if isinstance(cohort, Cohort):
-        pairs = list(zip(cohort.sample_ids, cohort.sample_patients))
-    else:
-        pairs = [(str(sid), str(pid)) for sid, pid in cohort]
+    pairs = [(str(sid), str(pid)) for sid, pid in pairs]
     if grouping == "patient":
         seen: dict[str, None] = {}
         for _, pid in pairs:
@@ -587,6 +604,11 @@ def gen_splits(cohort, reps: int, train_frac: float = 0.8,
 # Distance between adjacent subtype activity means, in within-subtype
 # standard deviations.
 _SUBTYPE_SEPARATION = 4.0
+_CAUSAL_COEXPRESSION = 0.8        # causal gene vs module activity correlation
+_RISK_SCALE = 10.0                # norm of the planted hazard weights
+_BACKGROUND_EDGES_PER_GENE = 3.0  # random edges drawn per gene
+_MODULE_PROJECTION_GAIN = 5.0     # module rows' gain in the image projection
+_EMBEDDING_NOISE = 0.3            # sd of the noise on each embedding value
 
 
 @dataclass(frozen=True)
@@ -620,26 +642,23 @@ def _solve_censor_rate(hazards: np.ndarray, target: float) -> float:
 
 def synth_gen(patients: int, genes: int, causal_genes: int,
               censor_rate: float, label_noise: float, seed: int,
-              embedding_dim: int = 1000, embedding_noise: float = 0.3,
-              risk_scale: float = 10.0,
-              background_edges_per_gene: float = 3.0,
-              causal_coexpression: float = 0.8,
-              module_projection_gain: float = 5.0,
-              ) -> tuple[Cohort, GeneGraph, SynthTruth]:
+              embedding_dim: int = 1000) -> tuple[Cohort, GeneGraph, SynthTruth]:
     """Cohort with a planted linear hazard signal on a known gene subgraph.
 
     The causal genes behave like a co-expressed pathway module: each one
-    loads on a shared per-patient activity factor with correlation
-    ``causal_coexpression`` (0 makes expression fully iid), the rest of the
-    expression matrix is iid standard normal, and the module forms a random
-    tree in the interaction graph buried among random background edges.
-    True risk is a positively weighted linear score over the module,
-    survival times are exponential with rate exp(risk), censoring times are
-    exponential with a rate solved to hit the target censored fraction in
-    expectation, grade is the within-cohort risk tertile with optional
-    label corruption, and the image embedding is a noisy random linear
-    projection of expression in which the module rows carry
-    ``module_projection_gain`` times the background weight (morphology
+    loads on a shared per-patient activity factor (three subtypes
+    ``_SUBTYPE_SEPARATION`` apart) with correlation ``_CAUSAL_COEXPRESSION``,
+    the rest of the expression matrix is iid standard normal, and the module
+    forms a random tree in the interaction graph buried among
+    ``_BACKGROUND_EDGES_PER_GENE`` random background edges per gene. True
+    risk is a positively weighted linear score over the module, with weights
+    of norm ``_RISK_SCALE``; survival times are exponential with rate
+    exp(risk), censoring times are exponential with a rate solved to hit the
+    target censored fraction in expectation, grade is the within-cohort risk
+    tertile with optional label corruption, and the image embedding is a
+    random linear projection of expression plus noise of standard deviation
+    ``_EMBEDDING_NOISE``, in which the module rows carry
+    ``_MODULE_PROJECTION_GAIN`` times the background weight (morphology
     reads the disease program more directly than any single transcript).
     Deterministic per seed.
     """
@@ -654,9 +673,6 @@ def synth_gen(patients: int, genes: int, causal_genes: int,
         raise ConfigError(f"label_noise must be in [0, 1), got {label_noise}")
     if embedding_dim < 1:
         raise ConfigError(f"embedding_dim must be >= 1, got {embedding_dim}")
-    if not 0.0 <= causal_coexpression < 1.0:
-        raise ConfigError(
-            f"causal_coexpression must be in [0, 1), got {causal_coexpression}")
 
     stream = RngStream(seed, _STREAM_SYNTH)
     gen_graph = stream.generator(0)
@@ -681,27 +697,26 @@ def synth_gen(patients: int, genes: int, causal_genes: int,
     # Spanning tree keeps the causal genes in one connected component.
     for k in range(1, causal_genes):
         add_edge(int(causal[k]), int(causal[int(gen_graph.integers(0, k))]))
-    n_background = int(round(background_edges_per_gene * genes))
+    n_background = int(round(_BACKGROUND_EDGES_PER_GENE * genes))
     pairs = gen_graph.integers(0, genes, size=(n_background, 2))
     for i, j in pairs:
         add_edge(int(i), int(j))
     graph = GeneGraph(genes=names, edges=frozenset(edges))
 
     x = gen_x.standard_normal((patients, genes))
-    if causal_coexpression > 0.0:
-        # Module activity is trimodal (three expression subtypes, the way
-        # tumor grades behave) and standardized so per-gene variance
-        # stays 1 after mixing.
-        subtype = gen_x.integers(0, 3, size=patients)
-        raw = (_SUBTYPE_SEPARATION * (subtype - 1.0)
-               + gen_x.standard_normal(patients))
-        activity = raw / math.sqrt(1.0 + _SUBTYPE_SEPARATION ** 2 * 2.0 / 3.0)
-        rho = causal_coexpression
-        x[:, causal] = (rho * activity[:, None]
-                        + math.sqrt(1.0 - rho * rho) * x[:, causal])
+    # Module activity is trimodal (three expression subtypes, the way tumor
+    # grades behave) and standardized so per-gene variance stays 1 after
+    # mixing.
+    subtype = gen_x.integers(0, 3, size=patients)
+    raw = (_SUBTYPE_SEPARATION * (subtype - 1.0)
+           + gen_x.standard_normal(patients))
+    activity = raw / math.sqrt(1.0 + _SUBTYPE_SEPARATION ** 2 * 2.0 / 3.0)
+    rho = _CAUSAL_COEXPRESSION
+    x[:, causal] = (rho * activity[:, None]
+                    + math.sqrt(1.0 - rho * rho) * x[:, causal])
     # One-directional module: higher activity means higher hazard.
     beta_vals = np.abs(gen_beta.standard_normal(causal_genes))
-    beta_vals *= risk_scale / np.linalg.norm(beta_vals)
+    beta_vals *= _RISK_SCALE / np.linalg.norm(beta_vals)
     beta = np.zeros(genes)
     beta[causal] = beta_vals
     risk = x @ beta
@@ -724,17 +739,15 @@ def synth_gen(patients: int, genes: int, causal_genes: int,
         grade = np.where(corrupt, (grade + offset) % 3, grade)
 
     projection = gen_embed.standard_normal((genes, embedding_dim)) / math.sqrt(genes)
-    projection[causal] *= module_projection_gain
-    embedding = x @ projection
-    if embedding_noise > 0.0:
-        embedding = embedding + embedding_noise * gen_embed.standard_normal(
-            embedding.shape)
+    projection[causal] *= _MODULE_PROJECTION_GAIN
+    embedding = x @ projection + _EMBEDDING_NOISE * gen_embed.standard_normal(
+        (patients, embedding_dim))
 
     patient_ids = [f"P{i + 1:04d}" for i in range(patients)]
     cohort = Cohort(sample_ids=[f"{pid}-S01" for pid in patient_ids],
                     sample_patients=patient_ids, time=observed, event=event,
                     grade=grade, gene_order=names, expression=x,
-                    embedding=embedding, grade_names=DEFAULT_GRADE_NAMES)
+                    embedding=embedding)
     truth = SynthTruth(risk=risk, beta=beta, causal_index=causal,
                        event_time=event_time, censor_time=censor_time)
     return cohort, graph, truth

@@ -273,7 +273,7 @@ def _backward_layers(caches: list[LayerCache], upstream: Array,
             d_out = ((d_pre @ layer.sparse_weight().T)[:, start:]
                      if start < layer.dim_in else None)
         else:
-            d_out, _, _ = dense_backward(
+            d_out = dense_backward(
                 cache.x, layer.weights, d_pre, grads[f"{layer.name}.w"],
                 grads[f"{layer.name}.b"], start)
     return d_out

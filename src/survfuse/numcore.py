@@ -1,8 +1,8 @@
 """Float64 matrix primitives: activations, layer gradients, Adam, RNG streams.
 
 Activations, dropout and the dense-layer forward are pure functions of their
-arguments (plus an explicit RNG stream where randomness is involved).
-``dense_backward`` may write its weight and bias gradients into caller-owned
+arguments (plus an explicit random generator where randomness is involved).
+``dense_backward`` writes its weight and bias gradients into caller-owned
 arrays, and ``adam_step`` updates parameters and moments in place, so one
 ``AdamState`` must not be shared between concurrent updates. All arrays are
 C-contiguous float64; mixed inputs are coerced on entry.
@@ -114,26 +114,24 @@ def activation_backward(kind: str, upstream: Array, pre: Array, out: Array) -> A
 # Dropout
 # ---------------------------------------------------------------------------
 
-def dropout_mask(shape, p: float, rng) -> Array:
+def dropout_mask(shape, p: float, gen: np.random.Generator) -> Array:
     """Inverted-dropout mask: 0 with probability p, else 1/(1-p).
 
-    ``rng`` is an RngStream or a numpy Generator. Training-mode only;
-    evaluation skips the mask entirely.
+    Training-mode only; evaluation skips the mask entirely.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     keep = gen.random(size=shape) >= p
     return keep / (1.0 - p)
 
 
-def alpha_dropout(x: Array, p: float, rng) -> tuple[Array, Array]:
+def alpha_dropout(x: Array, p: float,
+                  gen: np.random.Generator) -> tuple[Array, Array]:
     """SELU-matched dropout: dropped units are set to -lambda*alpha, then an
     affine correction restores zero mean / unit variance. Returns the output
     and the element scale factor needed by the backward pass."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     keep = gen.random(size=x.shape) >= p
     q = 1.0 - p
     a = (q * (1.0 + p * ALPHA_DROP_VALUE ** 2)) ** -0.5
@@ -146,26 +144,22 @@ def alpha_dropout(x: Array, p: float, rng) -> tuple[Array, Array]:
 # Dense-layer primitives
 # ---------------------------------------------------------------------------
 
-def dense_forward(x: Array, w: Array, b: Array | None) -> Array:
-    """Pre-activation z = x @ w (+ b)."""
-    z = x @ w
-    if b is not None:
-        z = z + b
-    return z
+def dense_forward(x: Array, w: Array, b: Array) -> Array:
+    """Pre-activation z = x @ w + b."""
+    return x @ w + b
 
 
-def dense_backward(x: Array, w: Array, upstream_z: Array, dw: Array | None = None,
-                   db: Array | None = None, dx_start: int = 0):
-    """Gradients of z = x @ w + b given dL/dz: returns (dx, dw, db).
+def dense_backward(x: Array, w: Array, upstream_z: Array, dw: Array, db: Array,
+                   dx_start: int = 0) -> Array | None:
+    """Gradients of z = x @ w + b given dL/dz.
 
-    ``dw`` and ``db``, when given, receive their gradients in place. ``dx``
-    covers input columns ``dx_start:`` only, and is None when that range is
-    empty: columns whose gradient nobody reads are never computed.
+    ``dw`` and ``db`` receive their gradients in place; the return value is
+    dx. It covers input columns ``dx_start:`` only, and is None when that
+    range is empty: columns whose gradient nobody reads are never computed.
     """
-    dw = np.matmul(x.T, upstream_z, out=dw)
-    db = np.sum(upstream_z, axis=0, out=db)
-    dx = upstream_z @ w[dx_start:].T if dx_start < w.shape[0] else None
-    return dx, dw, db
+    np.matmul(x.T, upstream_z, out=dw)
+    np.sum(upstream_z, axis=0, out=db)
+    return upstream_z @ w[dx_start:].T if dx_start < w.shape[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +171,10 @@ def dense_backward(x: Array, w: Array, upstream_z: Array, dw: Array | None = Non
 # instead of streaming the whole model through memory sixteen times. The
 # masked layer's gradient bounds its gathers by the same count.
 _ADAM_CHUNK = 1 << 15
+# Adam's moment decay rates and denominator guard (Kingma and Ba's values).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass
@@ -210,9 +208,6 @@ def adam_step(
     state: AdamState,
     rate: float,
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[Mapping[str, Array], AdamState]:
     """One Adam update over all parameters; weight decay is decoupled
     (applied to the parameter directly, never mixed into the moments).
@@ -223,7 +218,8 @@ def adam_step(
     are checked before anything is written, so a rejected step leaves the
     parameters and the state as they were. Each element goes through the
     same floating-point operations in the same order as the out-of-place
-    update m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    update, with (b1, b2, eps) = (_BETA1, _BETA2, _EPS):
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
     p = p - (rate*(m/bc1) / (sqrt(v/bc2)+eps) + (rate*wd)*p), so the
     result is bit-identical to it.
     """
@@ -248,24 +244,24 @@ def adam_step(
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
 
     t = state.step_count + 1
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     decay = rate * weight_decay
     for _, p_all, g_all, m_all, v_all in flat:
         for lo in range(0, p_all.size, _ADAM_CHUNK):
             span = slice(lo, lo + _ADAM_CHUNK)
             p, g, m, v = p_all[span], g_all[span], m_all[span], v_all[span]
             a, b = state.work[0, :p.size], state.work[1, :p.size]
-            np.multiply(m, beta1, out=m)
-            np.multiply(g, 1.0 - beta1, out=a)
+            np.multiply(m, _BETA1, out=m)
+            np.multiply(g, 1.0 - _BETA1, out=a)
             np.add(m, a, out=m)
-            np.multiply(v, beta2, out=v)
-            np.multiply(g, 1.0 - beta2, out=a)
+            np.multiply(v, _BETA2, out=v)
+            np.multiply(g, 1.0 - _BETA2, out=a)
             np.multiply(a, g, out=a)
             np.add(v, a, out=v)
             np.divide(v, bc2, out=a)
             np.sqrt(a, out=a)
-            np.add(a, eps, out=a)
+            np.add(a, _EPS, out=a)
             np.divide(m, bc1, out=b)
             np.multiply(b, rate, out=b)
             np.divide(b, a, out=b)
@@ -276,24 +272,3 @@ def adam_step(
     state.step_count = t
     return params, state
 
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Linear decay from base_rate at epoch 0 to base_rate/total at the last
-    epoch (rate(e) = base * (1 - e/total))."""
-
-    base_rate: float
-    total_epochs: int
-
-    def __post_init__(self):
-        if self.base_rate <= 0:
-            raise ValueError(f"base rate must be positive, got {self.base_rate}")
-        if self.total_epochs < 1:
-            raise ValueError(f"total epochs must be >= 1, got {self.total_epochs}")
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    if not 0 <= epoch < schedule.total_epochs:
-        raise ValueError(
-            f"epoch {epoch} outside [0, {schedule.total_epochs})")
-    return schedule.base_rate * (1.0 - epoch / schedule.total_epochs)

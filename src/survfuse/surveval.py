@@ -18,8 +18,10 @@ from .errors import DataError, UndefinedResultError
 GROUP_NAMES = ("Low", "Mid", "High")
 # How c_index scores a pair of tied risks: 0.5 ("half") or 0 ("strict").
 TIE_RULES = ("half", "strict")
-# Step-plot strokes for up to three risk groups.
+# Step-plot strokes for up to three risk groups, and the plot size in pixels.
 _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#d62728")
+_SVG_WIDTH = 640
+_SVG_HEIGHT = 420
 
 
 def _vec(values, name: str) -> np.ndarray:
@@ -141,14 +143,7 @@ def km_curve(times, events) -> KMCurve:
 # Risk stratification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RiskGroups:
-    labels: tuple[str, ...]
-    cut_low: float
-    cut_high: float
-
-
-def risk_tertiles(risks) -> RiskGroups:
+def risk_tertiles(risks) -> tuple[str, ...]:
     """33/66-percentile stratification: Low <= p33 < Mid <= p66 < High.
     Percentiles use linear interpolation; boundary samples fall to the
     lower group, so all-equal risks put everyone in Low."""
@@ -157,9 +152,8 @@ def risk_tertiles(risks) -> RiskGroups:
         raise ValueError(f"need >= 3 samples to form tertiles, got {len(y)}")
     p33 = float(np.percentile(y, 33))
     p66 = float(np.percentile(y, 66))
-    labels = tuple(
+    return tuple(
         "Low" if v <= p33 else ("Mid" if v <= p66 else "High") for v in y)
-    return RiskGroups(labels=labels, cut_low=p33, cut_high=p66)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +353,11 @@ def km_export_csv(curves: dict[str, KMCurve], path) -> None:
                          f"{int(curve.events[i])}\n")
 
 
-def km_export_svg(curves: dict[str, KMCurve], path,
-                  width: int = 640, height: int = 420) -> None:
+def km_export_svg(curves: dict[str, KMCurve], path) -> None:
     """Minimal self-contained step plot of up to three curves."""
     if len(curves) > 3:
         raise ValueError("SVG export supports at most three groups")
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     pad = 50.0
     t_max = max((float(c.event_times[-1]) for c in curves.values() if len(c)),
                 default=1.0)

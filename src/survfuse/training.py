@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, UndefinedResultError
 from .netmodel import HEAD_TASKS, Network, save_checkpoint
-from .numcore import AdamState, LrSchedule, RngStream, adam_step, lr_at
+from .numcore import AdamState, RngStream, adam_step
 from .surveval import accuracy_and_micro_f1, c_index, confusion, predicted_classes
 
 # Which tasks each schedule trains (alternate takes them in turn).
@@ -289,14 +289,13 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     best_vector = np.empty_like(network.param_vector)
     shuffle_stream = RngStream(profile.seed, _STREAM_SHUFFLE)
     dropout_stream = RngStream(profile.seed, _STREAM_DROPOUT)
-    schedule = (LrSchedule(profile.base_lr, profile.epochs)
-                if profile.epochs > 0 else None)
 
     n = len(train_ids)
     c = 0
     best_score = -math.inf
     for epoch in range(profile.epochs):
-        rate = lr_at(schedule, epoch)
+        # Linear decay from base_lr at epoch 0 to base_lr / epochs at the last.
+        rate = profile.base_lr * (1.0 - epoch / profile.epochs)
         perm = shuffle_stream.generator(epoch).permutation(n)
         for start in range(0, n, profile.batch_size):
             idx = perm[start:start + profile.batch_size]

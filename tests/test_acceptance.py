@@ -287,7 +287,8 @@ def synth_experiment():
                                  censor_rate=0.3, label_noise=0.1,
                                  seed=20240822)
     mask = build_adjacency(graph)
-    splits = gen_splits(cohort, reps=5, train_frac=0.8, seed=1)
+    splits = gen_splits(zip(cohort.sample_ids, cohort.sample_patients),
+                        reps=5, train_frac=0.8, seed=1)
 
     def run(variant, heads, preset, schedule, rep):
         start = time.perf_counter()

@@ -517,6 +517,14 @@ def test_eval_without_model_or_risks_exits_2(tmp_path):
     assert main(["eval", "--out", str(tmp_path / "m.json")]) == 2
 
 
+def test_eval_risks_without_clinical_names_the_flag(tmp_path, capsys):
+    rc = main(["eval", "--risks", str(tmp_path / "r.csv"),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--clinical" in err and "run config" not in err
+
+
 def _resealed_copy(trained, tmp_path, name, data):
     """A copy of the trained final checkpoint whose file ``name`` holds
     ``data``, listed in checksums.txt under its new digest."""
@@ -600,19 +608,25 @@ def test_eval_missing_out_directory_exits_2_before_loading(trained, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
-def test_invalid_splits_json_names_the_file(trained, data_dir, tmp_path,
-                                            capsys, command):
+def test_invalid_splits_json_names_the_file(trained, data_dir, splits_file,
+                                            tmp_path, capsys, command):
     bad = tmp_path / "splits.json"
-    bad.write_text("")
     config = write_config(tmp_path / "run.json", data_dir, bad,
                           tmp_path / "out")
     args = ["train", str(config)] if command == "train" else [
         "eval", "--config", str(config), "--model",
         str(trained["out"] / "rep00" / "final"), "--out",
         str(tmp_path / "m.json")]
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert f"invalid JSON in split file {bad}" in err
+    payload = json.loads(splits_file.read_text())
+    for body, message in (
+            ("", f"invalid JSON in split file {bad}"),
+            (json.dumps({**payload, "seed": "x"}),
+             f"error: malformed split file {bad}"),
+            (json.dumps({**payload, "train_frac": "y"}),
+             f"error: malformed split file {bad}")):
+        bad.write_text(body)
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +732,34 @@ def test_non_finite_risk_names_file_and_line(tmp_path, capsys, command, risk):
     assert rc == 1
     assert (f"error: risks.csv:6: non-finite number {repr(risk)!r}"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "km"])
+@pytest.mark.parametrize("field, value, message", [
+    ("time_days", "-5.0", "negative time_days -5.0"),
+    ("event", "2", "event 2 is not 0 or 1"),
+    ("grade", "7", "grade 7 outside [0, 3)"),
+], ids=["time", "event", "grade"])
+def test_bad_clinical_value_names_file_and_line(data_dir, splits_file,
+                                                tmp_path, capsys, command,
+                                                field, value, message):
+    rows = read_rows(data_dir / "clinical.csv")
+    rows[4][rows[0].index(field)] = value  # line 5 of the file
+    clinical = tmp_path / "clinical.csv"
+    with open(clinical, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    risks = tmp_path / "risks.csv"
+    risks.write_text("sample_id,risk\n" + "".join(
+        f"{row[0]},{i}\n" for i, row in enumerate(rows[1:])))
+    if command == "train":
+        config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                              tmp_path / "out", clinical=str(clinical))
+        args = ["train", str(config)]
+    else:
+        args = [command, "--risks", str(risks), "--clinical", str(clinical),
+                "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert f"error: clinical.csv:5: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "km"])

@@ -47,7 +47,7 @@ def test_cohort_basic_accessors():
     cohort = small_cohort()
     assert len(cohort) == 3
     assert cohort.sample_ids == ("S1", "S2", "S3")
-    assert cohort.patient_ids == ("P1", "P2")
+    assert cohort.sample_patients == ("P1", "P1", "P2")
     assert cohort.expression_matrix(["S3", "S1"]).shape == (2, 2)
     assert cohort.embedding_matrix(["S1"]).tolist() == [[1.0, 2.0, 3.0]]
     assert cohort.times(["S2", "S3"]).tolist() == [5.0, 8.5]
@@ -173,7 +173,7 @@ def test_multi_sample_patient_fixture(tmp_path):
     save_cohort(cohort, clinical, expr)
     loaded = load_cohort(clinical, expr)
     assert len(loaded) == 953
-    assert len(set(loaded.patient_ids)) == 469
+    assert len(set(loaded.sample_patients)) == 469
 
 
 def test_load_cohort_keeps_modality_free_rows(tmp_path, recwarn):
@@ -252,6 +252,34 @@ def test_read_clinical_validation(tmp_path):
     with pytest.raises(DataError, match="clinical.csv:3: integer "
                                         "'99999999999999999999' out of range"):
         read_clinical(path)
+
+
+def test_read_clinical_range_rule(tmp_path):
+    """time_days >= 0, event 0/1 and grade in [0, 3) are checked on read,
+    naming the first bad line; an out-of-range value ranks like a bad
+    number."""
+    path = tmp_path / "clinical.csv"
+    head = "sample_id,patient_id,time_days,event,grade\nS1,P1,10.0,1,0\n"
+    for row, message in (("S2,P2,-5.0,1,0", "negative time_days -5.0"),
+                         ("S2,P2,5.0,2,0", "event 2 is not 0 or 1"),
+                         ("S2,P2,5.0,1,7", r"grade 7 outside \[0, 3\)"),
+                         ("S2,P2,5.0,1,-1", r"grade -1 outside \[0, 3\)"),
+                         ("S2,P2,-1.0,2,9", "negative time_days")):
+        path.write_text(head + row + "\n")
+        with pytest.raises(DataError, match=f"clinical.csv:3: {message}"):
+            read_clinical(path)
+    # The earlier line wins over a later bad number, column count or
+    # duplicate id ...
+    for later in ("S3,P3,ten,1,0", "S3,P3,1.0,1", "S1,P3,1.0,1,0"):
+        path.write_text(head + "S2,P2,5.0,1,3\n" + later + "\n")
+        with pytest.raises(DataError, match="clinical.csv:3: grade 3"):
+            read_clinical(path)
+    # ... and a bad number on an earlier line wins over a later range fault.
+    path.write_text(head + "S2,P2,5.0,x,0\nS3,P3,-2.0,1,0\n")
+    with pytest.raises(DataError, match="clinical.csv:3: unparseable integer"):
+        read_clinical(path)
+    path.write_text(head + "S2,P2,-0.0,0,2\n")
+    assert read_clinical(path).grade.tolist() == [0, 2]
 
 
 def test_read_clinical_preserves_order(tmp_path):
@@ -507,9 +535,10 @@ def test_splits_deterministic_per_seed():
     assert a != c
 
 
-def test_splits_accepts_cohort():
+def test_splits_cover_cohort_pairs():
     cohort = small_cohort()
-    splits = gen_splits(cohort, reps=2, train_frac=0.5)
+    splits = gen_splits(zip(cohort.sample_ids, cohort.sample_patients),
+                        reps=2, train_frac=0.5)
     for train, test in splits.repetitions:
         assert set(train) | set(test) == set(cohort.sample_ids)
 
@@ -543,6 +572,13 @@ def test_splitset_load_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"seed": 0}))
     with pytest.raises(DataError, match="malformed"):
         SplitSet.load(path)
+    gen_splits(ten_patient_pairs(), reps=1).save(path)
+    payload = json.loads(path.read_text())
+    for key, value in (("seed", "x"), ("train_frac", "y")):
+        path.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(DataError,
+                           match="malformed split file .*splits.json"):
+            SplitSet.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +605,7 @@ def test_synth_ids_and_shapes():
                                      censor_rate=0.2, label_noise=0.0,
                                      seed=1, embedding_dim=6)
     assert cohort.sample_ids == tuple(f"P{i:04d}-S01" for i in range(1, 6))
-    assert cohort.patient_ids == tuple(f"P{i:04d}" for i in range(1, 6))
+    assert cohort.sample_patients == tuple(f"P{i:04d}" for i in range(1, 6))
     assert cohort.gene_order == graph.genes
     assert len(graph.genes) == 7
     assert cohort.expression_matrix(cohort.sample_ids).shape == (5, 7)

@@ -12,7 +12,6 @@ from survfuse.numcore import (
     SELU_ALPHA,
     SELU_LAMBDA,
     AdamState,
-    LrSchedule,
     RngStream,
     activation,
     activation_backward,
@@ -21,7 +20,6 @@ from survfuse.numcore import (
     dense_backward,
     dense_forward,
     dropout_mask,
-    lr_at,
 )
 
 # ---------------------------------------------------------------------------
@@ -31,12 +29,12 @@ from survfuse.numcore import (
 
 def test_matmul_identity():
     m = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(dense_forward(np.eye(2), m, None), m)
+    assert np.array_equal(dense_forward(np.eye(2), m, np.zeros(3)), m)
 
 
 def test_matmul_hand_example():
     out = dense_forward(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                        np.array([[1.0], [1.0]]), None)
+                        np.array([[1.0], [1.0]]), np.zeros(1))
     assert np.array_equal(out, [[3.0], [7.0]])
 
 
@@ -45,7 +43,7 @@ def test_matmul_matches_triple_loop():
     a = gen.standard_normal((5, 7))
     b = gen.standard_normal((7, 3))
     c = gen.standard_normal(3)
-    assert np.max(np.abs(dense_forward(a, b, None)
+    assert np.max(np.abs(dense_forward(a, b, np.zeros(3))
                          - oracles.matmul_loops(a, b))) < 1e-12
     assert np.max(np.abs(dense_forward(a, b, c)
                          - (oracles.matmul_loops(a, b) + c))) < 1e-12
@@ -158,20 +156,19 @@ def test_selu_backward_uses_cached_output():
 
 
 def test_dropout_mask_p_zero_is_identity():
-    mask = dropout_mask((3, 4), 0.0, RngStream(1, 2))
+    mask = dropout_mask((3, 4), 0.0, RngStream(1, 2).generator())
     assert np.array_equal(mask, np.ones((3, 4)))
 
 
 def test_dropout_mask_values_and_determinism():
-    stream = RngStream(9, 22)
-    mask = dropout_mask((50, 50), 0.25, stream)
+    mask = dropout_mask((50, 50), 0.25, RngStream(9, 22).generator())
     assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
-    again = dropout_mask((50, 50), 0.25, RngStream(9, 22))
+    again = dropout_mask((50, 50), 0.25, RngStream(9, 22).generator())
     assert np.array_equal(mask, again)
 
 
 def test_dropout_mask_mean_is_one():
-    mask = dropout_mask((1000, 1000), 0.25, RngStream(4, 22))
+    mask = dropout_mask((1000, 1000), 0.25, RngStream(4, 22).generator())
     # var of one entry is p/(1-p); three sigma over 1e6 draws
     sigma = math.sqrt(0.25 / 0.75) / 1000.0
     assert abs(float(mask.mean()) - 1.0) < 3.0 * sigma
@@ -180,14 +177,14 @@ def test_dropout_mask_mean_is_one():
 def test_dropout_mask_rejects_bad_p():
     for p in (1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
-            dropout_mask((2, 2), p, RngStream(0, 0))
+            dropout_mask((2, 2), p, RngStream(0, 0).generator())
 
 
 def test_alpha_dropout_affine_form():
     gen = np.random.default_rng(8)
     x = gen.standard_normal((40, 30))
     p = 0.25
-    out, scale = alpha_dropout(x, p, RngStream(8, 22))
+    out, scale = alpha_dropout(x, p, RngStream(8, 22).generator())
     q = 1.0 - p
     a = (q * (1.0 + p * ALPHA_DROP_VALUE ** 2)) ** -0.5
     b = -a * p * ALPHA_DROP_VALUE
@@ -201,15 +198,15 @@ def test_alpha_dropout_affine_form():
 def test_alpha_dropout_preserves_first_two_moments():
     gen = np.random.default_rng(12)
     x = gen.standard_normal((2000, 500))
-    out, _ = alpha_dropout(x, 0.25, RngStream(12, 22))
+    out, _ = alpha_dropout(x, 0.25, RngStream(12, 22).generator())
     assert abs(float(out.mean())) < 0.01
     assert abs(float(out.var()) - 1.0) < 0.01
 
 
 def test_alpha_dropout_deterministic():
     x = np.random.default_rng(5).standard_normal((10, 10))
-    a1 = alpha_dropout(x, 0.3, RngStream(5, 22))
-    a2 = alpha_dropout(x, 0.3, RngStream(5, 22))
+    a1 = alpha_dropout(x, 0.3, RngStream(5, 22).generator())
+    a2 = alpha_dropout(x, 0.3, RngStream(5, 22).generator())
     assert np.array_equal(a1[0], a2[0])
     assert np.array_equal(a1[1], a2[1])
 
@@ -225,7 +222,6 @@ def test_dense_forward_matches_definition():
     w = gen.standard_normal((4, 2))
     b = gen.standard_normal(2)
     assert np.allclose(dense_forward(x, w, b), x @ w + b, atol=1e-15)
-    assert np.allclose(dense_forward(x, w, None), x @ w, atol=1e-15)
 
 
 def test_dense_backward_matches_fd():
@@ -234,7 +230,8 @@ def test_dense_backward_matches_fd():
     w = gen.standard_normal((5, 3))
     b = gen.standard_normal(3)
     upstream = gen.standard_normal((4, 3))
-    dx, dw, db = dense_backward(x, w, upstream)
+    dw, db = np.empty_like(w), np.empty_like(b)
+    dx = dense_backward(x, w, upstream, dw, db)
 
     fd_w = oracles.fd_array_gradient(
         lambda v: float(np.sum(dense_forward(x, v, b) * upstream)), w)
@@ -250,7 +247,8 @@ def test_dense_backward_matches_fd():
 def test_dense_backward_zero_upstream():
     x = np.ones((2, 3))
     w = np.ones((3, 2))
-    dx, dw, db = dense_backward(x, w, np.zeros((2, 2)))
+    dw, db = np.ones((3, 2)), np.ones(2)
+    dx = dense_backward(x, w, np.zeros((2, 2)), dw, db)
     assert not dx.any() and not dw.any() and not db.any()
 
 
@@ -404,40 +402,6 @@ def test_adam_rejects_bad_rate():
     with pytest.raises(ValueError):
         adam_step(params, {"w": np.zeros(1)}, AdamState.for_params(params),
                   rate=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Learning-rate schedule
-# ---------------------------------------------------------------------------
-
-
-def test_lr_schedule_values():
-    s = LrSchedule(1e-4, 30)
-    assert lr_at(s, 0) == 1e-4
-    assert lr_at(s, 15) == pytest.approx(5e-5, rel=1e-15)
-    assert lr_at(LrSchedule(2e-3, 50), 49) == pytest.approx(4e-5, rel=1e-12)
-
-
-def test_lr_schedule_never_increases():
-    s = LrSchedule(0.3, 17)
-    rates = [lr_at(s, e) for e in range(17)]
-    assert all(b <= a for a, b in zip(rates, rates[1:]))
-    assert all(r >= 0.0 for r in rates)
-
-
-def test_lr_schedule_range_errors():
-    s = LrSchedule(1e-3, 10)
-    with pytest.raises(ValueError):
-        lr_at(s, 10)
-    with pytest.raises(ValueError):
-        lr_at(s, -1)
-
-
-def test_lr_schedule_validates_fields():
-    with pytest.raises(ValueError):
-        LrSchedule(0.0, 10)
-    with pytest.raises(ValueError):
-        LrSchedule(1e-3, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@
 # directory under WORK_DIR (default: a new temporary directory):
 #
 #   - synth and splits with the README walkthrough settings;
+#   - eval --risks and km --svg on a risks file written from the synthetic
+#     clinical table by a fixed rule (risk = grade - time_days / 1000);
 #   - the fused walkthrough train (mmmt-default, 30 epochs) for seeds 1 and
 #     7, each followed by eval of best, final, and final per patient;
 #   - 3-epoch smst-gene (gene-only) and smst-image (image-only) runs on the
@@ -79,6 +81,13 @@ run_tree() {
         --noise 0.1 --seed 7 --embedding-dim 1000 --out data/
     step splits splits --clinical data/clinical.csv --reps 5 \
         --train-frac 0.8 --group patient --seed 1 --out data/splits.json
+    LC_ALL=C awk -F, 'NR == 1 { print "sample_id,risk"; next }
+             { printf "%s,%.17g\n", $1, $5 - $3 / 1000 }' \
+        data/clinical.csv >risks.csv
+    step eval-risks eval --risks risks.csv --clinical data/clinical.csv \
+        --out eval-risks.json
+    step km km --risks risks.csv --clinical data/clinical.csv --out km.csv \
+        --svg km.svg
     for seed in 1 7; do
         config "fused-$seed.json" fused alternate mmmt-default "$seed" \
             "out-fused-$seed/"
