@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
-from survfuse.errors import DimensionError, NumericError
+from survfuse.datakit import synth_gen
+from survfuse.errors import ConfigError, DimensionError, NumericError
 from survfuse.numcore import (
     ALPHA_DROP_VALUE,
     SELU_ALPHA,
@@ -21,6 +23,7 @@ from survfuse.numcore import (
     dense_forward,
     dropout_mask,
 )
+from survfuse.training import TrainingProfile, train
 
 # ---------------------------------------------------------------------------
 # The matrix product inside dense_forward
@@ -402,6 +405,63 @@ def test_adam_rejects_bad_rate():
     with pytest.raises(ValueError):
         adam_step(params, {"w": np.zeros(1)}, AdamState.for_params(params),
                   rate=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Learning-rate schedule: training.train steps Adam with
+# base_lr * (1 - e / epochs) in epoch e and records the rate in history.csv
+# ---------------------------------------------------------------------------
+
+
+def micro_profile(**overrides):
+    base = dict(epochs=3, base_lr=1e-3, weight_decay=0.0, batch_size=8,
+                dropout_p=0.1, schedule="alternate", seed=12)
+    base.update(overrides)
+    return TrainingProfile(**base)
+
+
+def history_rates(out_dir, base_lr, epochs):
+    """Train a micro fused network and return the (epoch, rate) pairs that
+    its history.csv records, one per row."""
+    cohort, _, _ = synth_gen(patients=16, genes=12, causal_genes=4,
+                             censor_rate=0.3, label_noise=0.1, seed=12,
+                             embedding_dim=7)
+    net = helpers.micro_network("fused", "both", seed=12, dropout_p=0.1)
+    train(net, cohort, list(cohort.sample_ids),
+          micro_profile(base_lr=base_lr, epochs=epochs), out_dir=out_dir)
+    rows = [line.split(",") for line in
+            (out_dir / "history.csv").read_text().splitlines()[1:]]
+    return [(int(row[1]), float(row[4])) for row in rows]
+
+
+def test_lr_schedule_values(tmp_path):
+    """Bit for bit base_lr * (1 - e/E) in every row: base_lr at the first
+    epoch, half of it midway, base_lr / E at the last."""
+    for base_lr, epochs in ((1e-4, 30), (2e-3, 50), (0.03, 7)):
+        pairs = history_rates(tmp_path / f"lr-{epochs}", base_lr, epochs)
+        assert sorted({e for e, _ in pairs}) == list(range(epochs))
+        assert all(rate == base_lr * (1.0 - e / epochs) for e, rate in pairs)
+        rate_at = dict(pairs)
+        assert rate_at[0] == base_lr
+        assert rate_at[epochs - 1] == pytest.approx(base_lr / epochs,
+                                                    rel=1e-12)
+    assert dict(history_rates(tmp_path / "half", 1e-4, 30))[15] == \
+        pytest.approx(5e-5, rel=1e-15)
+
+
+def test_lr_schedule_never_increases(tmp_path):
+    rates = [rate for _, rate in history_rates(tmp_path / "run", 0.3, 17)]
+    assert all(b <= a for a, b in zip(rates, rates[1:]))
+    assert all(r > 0.0 for r in rates)
+
+
+def test_lr_schedule_validates_fields():
+    with pytest.raises(ConfigError):
+        micro_profile(base_lr=0.0)
+    with pytest.raises(ConfigError):
+        micro_profile(base_lr=-1e-3)
+    with pytest.raises(ConfigError):
+        micro_profile(epochs=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -415,26 +415,6 @@ def test_train_writes_checkpoints_and_history(tmp_path):
         assert np.array_equal(value, final.params()[name]), name
 
 
-def test_history_lr_is_linear_decay_bit_for_bit(tmp_path):
-    """Every history.csv row carries base_lr * (1 - e/E) for its epoch e, bit
-    for bit: base_lr at the first epoch, base_lr / E at the last, and never
-    increasing."""
-    cohort, mask = micro_cohort(12, patients=16)
-    for base_lr, epochs in ((1e-4, 30), (2e-3, 7), (0.03, 17)):
-        out = tmp_path / f"lr-{epochs}"
-        train(micro_net(mask, 12), cohort, list(cohort.sample_ids),
-              micro_profile(12, base_lr=base_lr, epochs=epochs), out_dir=out)
-        rows = [line.split(",") for line in
-                (out / "history.csv").read_text().splitlines()[1:]]
-        epoch_of = [int(row[1]) for row in rows]
-        rates = [float(row[4]) for row in rows]
-        assert sorted(set(epoch_of)) == list(range(epochs))
-        assert rates == [base_lr * (1.0 - e / epochs) for e in epoch_of]
-        assert rates[0] == base_lr
-        assert rates[-1] == pytest.approx(base_lr / epochs, rel=1e-12)
-        assert all(b <= a for a, b in zip(rates, rates[1:]))
-
-
 def test_train_best_tracks_validation_score(tmp_path):
     cohort, mask = micro_cohort(9)
     ids = list(cohort.sample_ids)
