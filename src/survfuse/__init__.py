@@ -5,67 +5,16 @@ image embeddings in a shared fusion trunk, trains survival and grade heads
 by alternating task optimization, and ships the full evaluation stack
 (concordance, Kaplan-Meier, risk tertiles, micro-averaged classification
 metrics) plus a deterministic synthetic-cohort generator and CLI.
+
+Importing the package loads nothing else. It pins OpenBLAS to one thread
+unless ``OPENBLAS_NUM_THREADS`` is already set: a threaded BLAS sums in a
+different order, so a run's bytes would depend on the machine's core count.
+The pin only takes effect when the package is imported before numpy, as the
+``survfuse`` command and ``python -m survfuse`` do.
 """
 
-from .datakit import (
-    Cohort,
-    Sample,
-    SplitSet,
-    gen_splits,
-    load_cohort,
-    save_cohort,
-    standardize_expression,
-    synth_gen,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionError,
-    NumericError,
-    ParseError,
-    SurvfuseError,
-    UndefinedResultError,
-    UsageError,
-)
-from .genegraph import (
-    AdjacencyMask,
-    GeneGraph,
-    build_adjacency,
-    intersect_features,
-    parse_edge_list,
-)
-from .netmodel import (
-    DenseLayer,
-    ForwardTrace,
-    MaskedSparseLayer,
-    Network,
-    NetworkConfig,
-    assemble,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .numcore import AdamState, RngStream, adam_step
-from .surveval import (
-    ConfusionMatrix,
-    KMCurve,
-    accuracy_and_micro_f1,
-    build_metrics,
-    c_index,
-    confusion,
-    km_curve,
-    micro_auc_ap,
-    per_class_f1,
-    risk_tertiles,
-)
-from .training import (
-    SurvivalBatchLabels,
-    TrainingHistory,
-    TrainingProfile,
-    cox_loss,
-    nll_loss,
-    profile_preset,
-    select_task,
-    train,
-)
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

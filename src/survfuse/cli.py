@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .datakit import (
+    DEFAULT_GRADE_NAMES,
     SplitSet,
     gen_splits,
     load_cohort,
@@ -228,10 +229,19 @@ def _load_run_cohort(cfg: RunConfig, keep_genes: tuple[str, ...] | None = None):
     return cohort, mask
 
 
-def _load_splits(cfg: RunConfig, cohort) -> SplitSet:
-    """The split file, less any sample id the cohort does not hold (warned
-    with the count)."""
+def _load_splits(cfg: RunConfig, rep: int | None) -> SplitSet:
+    """The split file, read before any data so a bad one fails fast; ``rep``
+    must name one of its repetitions (None asks for every one)."""
     split_set = SplitSet.load(_require_file(cfg.splits, "splits"))
+    n_reps = len(split_set.repetitions)
+    if rep is not None and not 0 <= rep < n_reps:
+        raise ConfigError(f"--rep {rep} outside [0, {n_reps}) repetitions")
+    return split_set
+
+
+def _present_splits(split_set: SplitSet, cohort) -> SplitSet:
+    """``split_set`` less any sample id the cohort does not hold (warned
+    with the count)."""
     present = set(cohort.sample_ids)
     listed = {sid for reps in split_set.repetitions for side in reps
               for sid in side}
@@ -243,12 +253,6 @@ def _load_splits(cfg: RunConfig, cohort) -> SplitSet:
                        for side in sides)
                  for sides in split_set.repetitions)
     return replace(split_set, repetitions=reps)
-
-
-def _embedding_width(cohort) -> int:
-    if not cohort.has_embedding.any():
-        raise DataError("cohort has no image embeddings")
-    return cohort.embedding.shape[1]
 
 
 def _evaluate_to_report(network, cohort, ids, tie_rule: str,
@@ -267,7 +271,7 @@ def _evaluate_to_report(network, cohort, ids, tie_rule: str,
     if "grade" in outputs:
         kwargs.update(log_probs=outputs["grade"],
                       true_grades=cohort.grades(ids),
-                      k=len(cohort.grade_names))
+                      k=len(DEFAULT_GRADE_NAMES))
     return build_metrics(tie_rule=tie_rule, **kwargs)
 
 
@@ -325,13 +329,13 @@ def _train_one_rep(cfg: RunConfig, cohort, mask, split_set: SplitSet,
     inputs = VARIANT_INPUTS[cfg.variant]
     run_cohort = cohort
     if "gene" in inputs:
-        run_cohort, _ = standardize_expression(cohort, train_ids)
+        run_cohort = standardize_expression(cohort, train_ids)
     net_config = NetworkConfig(
         variant=cfg.variant,
         heads=cfg.resolved_heads(),
         gene_dim=len(run_cohort.gene_order) if mask is not None else 0,
-        image_dim=_embedding_width(run_cohort) if "image" in inputs else 1000,
-        grade_classes=len(run_cohort.grade_names),
+        image_dim=run_cohort.embedding.shape[1] if "image" in inputs else 1000,
+        grade_classes=len(DEFAULT_GRADE_NAMES),
         dropout_p=profile.dropout_p)
     network = assemble(net_config, mask, RngStream(profile.seed, _STREAM_INIT))
 
@@ -375,16 +379,11 @@ def cmd_train(args) -> int:
     # Fail fast on bad settings before touching any data.
     check_heads(cfg.resolved_profile().schedule, cfg.resolved_heads())
 
-    cohort, mask = _load_run_cohort(cfg)
-    split_set = _load_splits(cfg, cohort)
+    split_set = _load_splits(cfg, None if args.all_reps else args.rep)
     n_reps = len(split_set.repetitions)
-    if args.all_reps:
-        reps = range(n_reps)
-    else:
-        if not 0 <= args.rep < n_reps:
-            raise ConfigError(
-                f"--rep {args.rep} outside [0, {n_reps}) repetitions")
-        reps = [args.rep]
+    reps = range(n_reps) if args.all_reps else [args.rep]
+    cohort, mask = _load_run_cohort(cfg)
+    split_set = _present_splits(split_set, cohort)
 
     out_root = Path(cfg.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -415,6 +414,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.clinical is not None and args.risks is None:
+        raise ConfigError("eval --clinical is only read with --risks; a "
+                          "model is scored on the run config's clinical file")
     if args.risks is not None:
         if args.model is not None:
             raise ConfigError("--risks bypass and --model are mutually exclusive")
@@ -440,17 +442,14 @@ def cmd_eval(args) -> int:
                               f"without a {task} head")
     keep = network.mask.genes if network.mask is not None else None
     run_cfg = replace(cfg, variant=network.config.variant)
+    split_set = _load_splits(cfg, args.rep)
     cohort, _ = _load_run_cohort(run_cfg, keep_genes=keep)
-    split_set = _load_splits(cfg, cohort)
-    if not 0 <= args.rep < len(split_set.repetitions):
-        raise ConfigError(
-            f"--rep {args.rep} outside [0, {len(split_set.repetitions)}) "
-            "repetitions")
+    split_set = _present_splits(split_set, cohort)
     train_ids, test_ids = split_set.repetitions[args.rep]
     if not test_ids:
         raise DataError(f"repetition {args.rep} has an empty test side")
     if "gene" in network.config.inputs:
-        cohort, _ = standardize_expression(cohort, train_ids)
+        cohort = standardize_expression(cohort, train_ids)
     report = _evaluate_to_report(network, cohort, test_ids, cfg.tie_rule,
                                  cfg.aggregation)
     save_metrics(report, args.out)
@@ -538,7 +537,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregation", choices=_CHOICES["aggregation"])
     p.add_argument("--require", choices=_CHOICES["heads"],
                    help="fail unless the model carries these heads")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("km", help="Kaplan-Meier curves for risk tertiles")

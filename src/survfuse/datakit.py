@@ -96,7 +96,6 @@ class Cohort:
     has_expression: np.ndarray | None = None
     embedding: np.ndarray | None = None
     has_embedding: np.ndarray | None = None
-    grade_names: tuple[str, ...] = DEFAULT_GRADE_NAMES
 
     def __post_init__(self):
         def put(name, value):
@@ -107,7 +106,6 @@ class Cohort:
         put("sample_ids", ids)
         put("sample_patients", tuple(self.sample_patients))
         put("gene_order", tuple(self.gene_order))
-        put("grade_names", tuple(self.grade_names))
         put("time", np.asarray(self.time, dtype=np.float64))
         put("event", np.asarray(self.event, dtype=np.int64))
         put("grade", np.asarray(self.grade, dtype=np.int64))
@@ -134,7 +132,7 @@ class Cohort:
         if len(index) != n:
             raise DataError("duplicate sample ids in cohort")
         put("_index", index)
-        p, k = len(self.gene_order), len(self.grade_names)
+        p, k = len(self.gene_order), len(DEFAULT_GRADE_NAMES)
         width = self.expression.shape[1]
         # Report the first bad sample, and its first problem in this order.
         _raise_first_failure((
@@ -434,13 +432,11 @@ def load_cohort(clinical_path, expression_path=None, embedding_path=None) -> Coh
     """
     table = read_clinical(clinical_path)
     row_of = {sid: i for i, sid in enumerate(table.sample_ids)}
-    n = len(row_of)
     genes: tuple[str, ...] = ()
-    expression, has_expression = np.zeros((n, 0)), np.zeros(n, dtype=bool)
+    expression = has_expression = embedding = has_embedding = None
     if expression_path is not None:
         genes, expression, has_expression = _read_feature_csv(
             expression_path, row_of)
-    embedding, has_embedding = np.zeros((n, 0)), np.zeros(n, dtype=bool)
     if embedding_path is not None:
         _, embedding, has_embedding = _read_feature_csv(embedding_path, row_of)
 
@@ -479,14 +475,7 @@ def save_cohort(cohort: Cohort, clinical_path, expression_path=None,
 # Standardization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpressionStats:
-    gene_order: tuple[str, ...]
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def standardize_expression(cohort: Cohort, train_ids) -> tuple[Cohort, ExpressionStats]:
+def standardize_expression(cohort: Cohort, train_ids) -> Cohort:
     """Per-gene z-score fitted on the training samples only and applied to
     every sample; zero-variance genes map to 0 everywhere."""
     train_ids = list(train_ids)
@@ -503,8 +492,7 @@ def standardize_expression(cohort: Cohort, train_ids) -> tuple[Cohort, Expressio
     z /= np.where(live, std, 1.0)
     z[:, ~live] = 0.0
     z[~cohort.has_expression] = 0.0
-    stats = ExpressionStats(gene_order=cohort.gene_order, mean=mean, std=std)
-    return replace(cohort, expression=z), stats
+    return replace(cohort, expression=z)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +528,21 @@ class SplitSet:
                 payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON in split file {path}: {exc}") from None
+
+        def ids(rep, side):
+            value = rep[side]
+            if not isinstance(value, list):
+                raise ValueError(f"{side} side {value!r} is not a list of "
+                                 "sample ids")
+            for sid in value:
+                if not isinstance(sid, str):
+                    raise ValueError(f"{side} side holds {sid!r}, not a "
+                                     "sample id string")
+            return tuple(value)
+
         try:
-            reps = tuple(
-                (tuple(rep["train"]), tuple(rep["test"]))
-                for rep in payload["repetitions"])
+            reps = tuple((ids(rep, "train"), ids(rep, "test"))
+                         for rep in payload["repetitions"])
             return cls(repetitions=reps, seed=int(payload["seed"]),
                        train_frac=float(payload["train_frac"]),
                        grouping=str(payload["grouping"]))

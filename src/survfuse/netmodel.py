@@ -211,16 +211,12 @@ class LayerCache:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches from one forward pass; feeds exactly one backward."""
+    """Per-layer caches from one forward pass, by segment (gene, trunk,
+    survival, grade); feeds exactly one backward."""
 
-    caches: list[LayerCache] = field(default_factory=list)
-    segments: dict[str, tuple[int, int]] = field(default_factory=dict)
+    caches: dict[str, list[LayerCache]] = field(default_factory=dict)
     outputs: dict[str, Array] = field(default_factory=dict)
     consumed: bool = False
-
-    def segment_caches(self, name: str) -> list[LayerCache]:
-        lo, hi = self.segments[name]
-        return self.caches[lo:hi]
 
 
 def _run_layers(x: Array, layers, mode: str, gen) -> tuple[Array, list[LayerCache]]:
@@ -292,6 +288,10 @@ class Network:
     into it; ``grad_vector`` mirrors that layout for gradients. Parameters
     are only ever written through those views, never rebound, so a whole
     model is snapshotted or restored with one ``np.copyto``.
+
+    The layer arrays passed in fix only the shapes: their values are not
+    copied, and every parameter starts at zero until ``assemble`` or
+    ``load_checkpoint`` fills ``param_vector``.
     """
 
     config: NetworkConfig
@@ -321,7 +321,6 @@ class Network:
             value = getattr(layer, attr)
             hi = lo + value.size
             view = self.param_vector[lo:hi].reshape(value.shape)
-            np.copyto(view, value)
             setattr(layer, attr, view)
             params[name] = view
             grads[name] = self.grad_vector[lo:hi].reshape(value.shape)
@@ -366,10 +365,7 @@ class Network:
                     f"{name}_x width {xs[name].shape[1]} != {name}_dim {dim}")
 
         def add_segment(name, x, layers):
-            lo = len(trace.caches)
-            out, caches = _run_layers(x, layers, mode, gen)
-            trace.caches.extend(caches)
-            trace.segments[name] = (lo, len(trace.caches))
+            out, trace.caches[name] = _run_layers(x, layers, mode, gen)
             return out
 
         if "gene" in xs:
@@ -418,20 +414,18 @@ class Network:
                     for name, _ in layer.param_items():
                         grads[name].fill(0.0)
                 continue
-            if head not in trace.segments:
+            if head not in trace.caches:
                 raise UsageError(f"network has no {head} head")
-            d_rep += _backward_layers(trace.segment_caches(head), upstream, grads)
+            d_rep += _backward_layers(trace.caches[head], upstream, grads)
 
         # Only the gene branch's columns of the trunk input need a gradient;
         # nothing reads the gradient w.r.t. the raw inputs. Those columns
         # follow the image columns.
         cfg = self.config
         gene_from = cfg.image_dim if "image" in cfg.inputs else 0
-        d_gene = _backward_layers(trace.segment_caches("trunk"), d_rep, grads,
-                                  gene_from)
+        d_gene = _backward_layers(trace.caches["trunk"], d_rep, grads, gene_from)
         if "gene" in cfg.inputs:
-            _backward_layers(trace.segment_caches("gene"), d_gene, grads,
-                             cfg.gene_dim)
+            _backward_layers(trace.caches["gene"], d_gene, grads, cfg.gene_dim)
         return grads
 
     def predict(self, gene_x: Array | None = None,

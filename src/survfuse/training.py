@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datakit import DEFAULT_GRADE_NAMES
 from .errors import ConfigError, DataError, NumericError, UndefinedResultError
 from .netmodel import HEAD_TASKS, Network, save_checkpoint
 from .numcore import AdamState, RngStream, adam_step
@@ -247,7 +248,7 @@ def evaluate_network(network: Network, cohort, ids,
             ci = None
     if "grade" in tasks and "grade" in outputs:
         pred = predicted_classes(outputs["grade"])
-        cm = confusion(pred, cohort.grades(ids), len(cohort.grade_names))
+        cm = confusion(pred, cohort.grades(ids), len(DEFAULT_GRADE_NAMES))
         accuracy, micro_f1 = accuracy_and_micro_f1(cm)
     parts = [v for v in (ci, micro_f1) if v is not None]
     score = float(np.mean(parts)) if parts else None

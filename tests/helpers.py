@@ -7,6 +7,8 @@ analytic rule. ``randomize_params`` moves every parameter (biases included)
 to a generic interior point first.
 """
 
+import dataclasses
+
 import numpy as np
 
 from survfuse.errors import DimensionError
@@ -99,6 +101,20 @@ def set_params(net, params):
             raise DimensionError(f"shape mismatch for {name!r}")
     for name, view in net.params().items():
         np.copyto(view, params[name])
+
+
+def with_layers(net, **segments):
+    """``net`` rebuilt with some layer lists replaced (``gene_layers=[...]``),
+    every layer keeping its parameter values: a ``Network`` takes only the
+    shapes of the arrays it is built from, so the values are copied back."""
+    layers = [layer for seg in ("gene", "trunk", "survival", "grade")
+              for layer in segments.get(f"{seg}_layers",
+                                        getattr(net, f"{seg}_layers"))]
+    values = {name: getattr(layer, attr).copy() for layer in layers
+              for name, attr in layer.param_items()}
+    rebuilt = dataclasses.replace(net, **segments)
+    set_params(rebuilt, values)
+    return rebuilt
 
 
 def masked_from_dense(name, mask, dense_weights, **kwargs):

@@ -5,7 +5,6 @@ capture manager, so the lines stay visible under default capture) and
 fails the suite when its bound is missed.
 """
 
-import dataclasses
 import json
 import time
 from collections import Counter
@@ -197,7 +196,7 @@ def test_criterion_5_mask_invariance(report):
         twin_layer = helpers.masked_from_dense(
             layer.name, mask, poisoned,
             activation=layer.activation, dropout_p=layer.dropout_p)
-        twin = dataclasses.replace(
+        twin = helpers.with_layers(
             net, gene_layers=[twin_layer if l is layer else l
                               for l in net.gene_layers])
         data_gen = np.random.default_rng(seed + 3000)
@@ -293,7 +292,7 @@ def synth_experiment():
     def run(variant, heads, preset, schedule, rep):
         start = time.perf_counter()
         train_ids, test_ids = splits.repetitions[rep]
-        std, _ = standardize_expression(cohort, train_ids)
+        std = standardize_expression(cohort, train_ids)
         profile = profile_preset(preset, schedule=schedule, seed=100 + rep)
         config = NetworkConfig(
             variant=variant, heads=heads,

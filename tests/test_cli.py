@@ -1,12 +1,17 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+import survfuse
 from survfuse.cli import main
 from survfuse.datakit import SplitSet
 from survfuse.surveval import build_metrics
@@ -525,6 +530,19 @@ def test_eval_risks_without_clinical_names_the_flag(tmp_path, capsys):
     assert "--clinical" in err and "run config" not in err
 
 
+def test_eval_clinical_needs_risks(trained, tmp_path, capsys):
+    """A model is scored on the run config's clinical file, so a --clinical
+    that would be ignored is refused."""
+    rc = main(["eval", "--config", str(trained["config"]),
+               "--model", str(trained["out"] / "rep00" / "final"),
+               "--clinical", str(tmp_path / "absent.csv"),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--clinical" in err and "--risks" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def _resealed_copy(trained, tmp_path, name, data):
     """A copy of the trained final checkpoint whose file ``name`` holds
     ``data``, listed in checksums.txt under its new digest."""
@@ -618,15 +636,47 @@ def test_invalid_splits_json_names_the_file(trained, data_dir, splits_file,
         str(trained["out"] / "rep00" / "final"), "--out",
         str(tmp_path / "m.json")]
     payload = json.loads(splits_file.read_text())
+    rep0 = payload["repetitions"][0]
     for body, message in (
             ("", f"invalid JSON in split file {bad}"),
             (json.dumps({**payload, "seed": "x"}),
              f"error: malformed split file {bad}"),
             (json.dumps({**payload, "train_frac": "y"}),
-             f"error: malformed split file {bad}")):
+             f"error: malformed split file {bad}"),
+            (json.dumps({**payload, "repetitions": [
+                {**rep0, "train": "P0001-S01"}]}),
+             f"error: malformed split file {bad}: train side 'P0001-S01' "
+             "is not a list of sample ids"),
+            (json.dumps({**payload, "repetitions": [{**rep0, "train": [1]}]}),
+             f"error: malformed split file {bad}: train side holds 1, not "
+             "a sample id string")):
         bad.write_text(body)
         assert main(args) == 1
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_split_file_is_checked_before_any_data_is_read(
+        trained, data_dir, splits_file, tmp_path, capsys, command):
+    """A bad split file, or a --rep it does not hold, is reported ahead of
+    a data file that is missing."""
+    config = tmp_path / "run.json"
+    args = ["train", str(config)] if command == "train" else [
+        "eval", "--config", str(config), "--model",
+        str(trained["out"] / "rep00" / "final"), "--out",
+        str(tmp_path / "m.json")]
+    bad = tmp_path / "splits.json"
+    bad.write_text(json.dumps({"seed": 0}))
+    write_config(config, data_dir, bad, tmp_path / "out",
+                 clinical=str(tmp_path / "absent.csv"))
+    assert main(args) == 1
+    assert f"error: malformed split file {bad}" in capsys.readouterr().err
+
+    write_config(config, data_dir, splits_file, tmp_path / "out",
+                 expression=str(tmp_path / "absent.csv"))
+    assert main(args + ["--rep", "9"]) == 2
+    assert "error: --rep 9 outside [0, 2) repetitions" in \
+        capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -783,3 +833,55 @@ def test_bad_risks_file_names_file_and_line(tmp_path, capsys, command, body,
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Package entry: one BLAS thread
+# ---------------------------------------------------------------------------
+
+_SRC = str(Path(survfuse.__file__).resolve().parents[1])
+# Every variable OpenBLAS reads its thread count from, in its order.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _env(**threads):
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    return {**env, "PYTHONPATH": _SRC, **threads}
+
+
+def test_import_loads_nothing_and_keeps_an_explicit_thread_count():
+    code = ("import json, os, sys\n"
+            "import survfuse\n"
+            "print(json.dumps(['numpy' in sys.modules,\n"
+            "                  os.environ.get('OPENBLAS_NUM_THREADS')]))\n")
+    for threads, expect in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+        done = subprocess.run([sys.executable, "-c", code], env=_env(**threads),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [False, expect]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="on one core OpenBLAS runs one thread whether or "
+                           "not survfuse pins it, so this cannot fail")
+def test_train_bytes_do_not_depend_on_the_blas_thread_default(tmp_path):
+    """A fused run wide enough for OpenBLAS to thread writes the same
+    history and parameters with the thread count unset as with it at 1."""
+    data = tmp_path / "data"
+    assert main(["synth", "--patients", "80", "--genes", "30", "--seed", "3",
+                 "--embedding-dim", "1000", "--out", str(data)]) == 0
+    splits = tmp_path / "splits.json"
+    assert main(["splits", "--clinical", str(data / "clinical.csv"),
+                 "--reps", "1", "--out", str(splits)]) == 0
+    outputs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(outputs)}"
+        config = write_config(tmp_path / "run.json", data, splits, out,
+                              epochs=1, dropout=None, lr=None, batch=None)
+        done = subprocess.run(
+            [sys.executable, "-m", "survfuse", "train", str(config)],
+            env=_env(**threads), capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / "rep00" / name).read_bytes() for name in
+                        ("history.csv", "final/params.bin")])
+    assert outputs[0] == outputs[1]

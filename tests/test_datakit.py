@@ -79,7 +79,7 @@ def test_cohort_missing_modality_rows():
 
 
 def test_cohort_validation():
-    base = small_cohort()
+    assert len(small_cohort()) == 3
     with pytest.raises(DataError, match="duplicate sample"):
         small_cohort(sample_ids=("S1", "S1", "S3"))
     # A row with no modality is kept; the accessors refuse it.
@@ -107,7 +107,6 @@ def test_cohort_validation():
         small_cohort(time=[10.0, -1.0, 8.5], grade=[0, 1, 3])
     with pytest.raises(DataError, match="sample_patients"):
         small_cohort(sample_patients=("P1", "P2"))
-    assert base.grade_names == ("II", "III", "IV")
 
 
 def test_gene_subset_reorders_columns():
@@ -408,11 +407,11 @@ def test_standardize_train_moments():
                              censor_rate=0.2, label_noise=0.0, seed=5,
                              embedding_dim=3)
     train_ids = list(cohort.sample_ids)[:12]
-    out, stats = standardize_expression(cohort, train_ids)
+    out = standardize_expression(cohort, train_ids)
     x = out.expression_matrix(train_ids)
     assert np.allclose(x.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(x.std(axis=0), 1.0, atol=1e-12)
-    assert stats.mean.shape == (6,)
+    assert out.expression.shape == cohort.expression.shape
     assert out.gene_order == cohort.gene_order
 
 
@@ -423,9 +422,8 @@ def test_standardize_constant_gene_maps_to_zero():
         time=[10.0] * 4, event=[1] * 4, grade=[0] * 4,
         expression=[[5.0, float(i)] for i in range(4)],
         embedding=np.tile([1.0, 2.0, 3.0], (4, 1)))
-    out, stats = standardize_expression(cohort, ["S0", "S1", "S2", "S3"])
+    out = standardize_expression(cohort, ["S0", "S1", "S2", "S3"])
     assert not out.expression_matrix(list(cohort.sample_ids))[:, 0].any()
-    assert stats.std[0] == 0.0
 
 
 def test_standardize_matches_two_pass_oracle():
@@ -434,7 +432,7 @@ def test_standardize_matches_two_pass_oracle():
                              embedding_dim=3)
     ids = list(cohort.sample_ids)
     train_ids, test_ids = ids[:9], ids[9:]
-    out, _ = standardize_expression(cohort, train_ids)
+    out = standardize_expression(cohort, train_ids)
     expect = oracles.standardize_two_pass(
         cohort.expression_matrix(train_ids).tolist(),
         cohort.expression_matrix(test_ids).tolist())
@@ -452,13 +450,11 @@ def test_standardize_equals_per_sample_oracle_bit_for_bit():
         "gene_order", "embedding")}, expression=x)
     ids = list(cohort.sample_ids)
     train_ids = ids[::3] + ids[1::3]
-    out, stats = standardize_expression(cohort, train_ids)
+    out = standardize_expression(cohort, train_ids)
     rows = {s.sample_id: s.expression for s in cohort.samples}
-    expect, mean, std = oracles.standardize_per_sample(
+    expect, _, _ = oracles.standardize_per_sample(
         [rows[sid] for sid in train_ids], [rows[sid] for sid in ids])
     assert np.array_equal(out.expression_matrix(ids), np.stack(expect))
-    assert np.array_equal(stats.mean, mean)
-    assert np.array_equal(stats.std, std)
     assert not out.expression[:, 4].any()
 
 
@@ -579,6 +575,18 @@ def test_splitset_load_rejects_malformed(tmp_path):
         with pytest.raises(DataError,
                            match="malformed split file .*splits.json"):
             SplitSet.load(path)
+    # Each side must be a list of sample id strings.
+    rep0 = payload["repetitions"][0]
+    for side, message in (
+            ("S0", "test side 'S0' is not a list of sample ids"),
+            ({"S0": 1}, "test side {'S0': 1} is not a list of sample ids"),
+            (["S0", 7], "test side holds 7, not a sample id string"),
+            ([None], "test side holds None, not a sample id string")):
+        path.write_text(json.dumps(
+            {**payload, "repetitions": [{**rep0, "test": side}]}))
+        with pytest.raises(DataError) as info:
+            SplitSet.load(path)
+        assert str(info.value) == f"malformed split file {path}: {message}"
 
 
 # ---------------------------------------------------------------------------

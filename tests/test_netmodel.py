@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -19,6 +18,7 @@ from helpers import (
     random_mask,
     randomize_params,
     set_params,
+    with_layers,
 )
 import survfuse
 from survfuse import netmodel
@@ -58,7 +58,7 @@ def fused_around(masked, compress, image_dim=3, seed=0):
                         image_dim=image_dim, gene_branch_dim=compress.dim_out,
                         trunk_dims=(6, 4), head_hidden_dim=3, dropout_p=0.0)
     net = assemble(cfg, masked.mask, RngStream(seed, 31))
-    return dataclasses.replace(net, gene_layers=[masked, compress])
+    return with_layers(net, gene_layers=[masked, compress])
 
 
 def gene_branch_output(net, gene_x, image_x=None):
@@ -66,7 +66,7 @@ def gene_branch_output(net, gene_x, image_x=None):
     if image_x is None:
         image_x = np.zeros((len(gene_x), net.config.image_dim))
     trace = net.forward(gene_x=gene_x, image_x=image_x)
-    return trace.segment_caches("gene")[-1].out, trace
+    return trace.caches["gene"][-1].out, trace
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_sgcn_matches_dense_hadamard_oracle():
         x, oracles.mask_dense(mask) * scatter_dense(mask, values)))
     expect = selu(oracles.matmul_loops(hidden, w2) + b2)
     assert np.max(np.abs(out - expect)) < 1e-12
-    assert trace.segments["gene"] == (0, 2)
+    assert [c.layer.name for c in trace.caches["gene"]] == ["m", "c"]
 
 
 def test_from_dense_discards_off_mask_junk():
@@ -152,7 +152,7 @@ def test_fusion_concatenates_image_first():
     net = randomize_params(micro_network("fused", "both"), seed=7)
     gene_x, image_x = gen.standard_normal((4, 12)), gen.standard_normal((4, 7))
     z_gene, trace = gene_branch_output(net, gene_x, image_x)
-    first = trace.segment_caches("trunk")[0]
+    first = trace.caches["trunk"][0]
     assert np.array_equal(first.x, np.concatenate([image_x, z_gene], axis=1))
     assert first.x.shape[1] == 7 + 5
     assert np.array_equal(first.x[:, :7], image_x)
@@ -198,7 +198,7 @@ def test_survival_head_outputs_in_unit_interval():
     out = trace.outputs["survival"]
     assert out.shape == (50, 1)
     assert np.all((out > 0.0) & (out < 1.0))
-    pre = trace.segment_caches("survival")[-1].pre
+    pre = trace.caches["survival"][-1].pre
     expect = np.vectorize(oracles.sigmoid_scalar)(pre)
     assert np.max(np.abs(out - expect)) < 1e-15
 
