@@ -1,10 +1,12 @@
 """Layer types, the three model variants, and bit-exact checkpointing.
 
-A network is a plain container of layers grouped into a gene branch, an
-image branch, a shared trunk, and up to two output heads. The gene branch
-starts with a sparse layer whose weights exist only at the nonzeros of a
-gene-interaction adjacency mask, so interactions absent from the graph can
-never influence the forward product.
+``Network(config, mask)`` is the one builder. It lays out a gene branch,
+image embeddings passed straight through, a shared trunk and up to two
+output heads from ``VARIANT_LAYOUT``, the config and the mask; allocates
+every parameter in one vector; and makes each layer on views into it. The
+gene branch starts with a sparse layer whose weights exist only at the
+nonzeros of a gene-interaction adjacency mask, so interactions absent from
+the graph can never influence the forward product.
 
 Variants (``VARIANT_LAYOUT`` holds these rules):
   fused       masked(p->p) + dense(p->1000) gene branch, 1000-wide image
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
@@ -79,14 +82,6 @@ class DenseLayer:
     activation: str = "relu"
     dropout_p: float = 0.0
 
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise DimensionError(f"{self.name}: weights must be 2-D")
-        if self.bias.shape != (self.weights.shape[1],):
-            raise DimensionError(
-                f"{self.name}: bias length {self.bias.shape} != out width "
-                f"{self.weights.shape[1]}")
-
     @property
     def dim_in(self) -> int:
         return self.weights.shape[0]
@@ -94,9 +89,6 @@ class DenseLayer:
     @property
     def dim_out(self) -> int:
         return self.weights.shape[1]
-
-    def param_items(self):
-        return [(f"{self.name}.w", "weights"), (f"{self.name}.b", "bias")]
 
 
 @dataclass
@@ -116,10 +108,6 @@ class MaskedSparseLayer:
     _indptr: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.weights.shape != (self.mask.nnz,):
-            raise DimensionError(
-                f"{self.name}: {len(self.weights)} weights for "
-                f"{self.mask.nnz} mask positions")
         # Mask coordinates are row-major sorted (AdjacencyMask invariant),
         # so they double as a CSR structure with indices = cols.
         counts = np.bincount(self.mask.rows, minlength=self.mask.dim)
@@ -138,9 +126,6 @@ class MaskedSparseLayer:
     @property
     def dim_out(self) -> int:
         return self.mask.dim
-
-    def param_items(self):
-        return [(f"{self.name}.values", "weights")]
 
     def sparse_weight(self) -> csr_array:
         from scipy.sparse import csr_array
@@ -183,6 +168,8 @@ class NetworkConfig:
             raise ConfigError("head_hidden_dim must be >= 1")
         if self.trunk_dims is not None:
             object.__setattr__(self, "trunk_dims", tuple(self.trunk_dims))
+            if not self.trunk_dims:
+                raise ConfigError("trunk_dims must name at least one layer")
             if any(d < 1 for d in self.trunk_dims):
                 raise ConfigError("trunk dims must be positive")
 
@@ -212,11 +199,11 @@ class LayerCache:
 @dataclass
 class ForwardTrace:
     """Per-layer caches from one forward pass, by segment (gene, trunk,
-    survival, grade); feeds exactly one backward."""
+    survival, grade). ``backward`` only reads it, so one trace can feed
+    any number of backward passes."""
 
     caches: dict[str, list[LayerCache]] = field(default_factory=dict)
     outputs: dict[str, Array] = field(default_factory=dict)
-    consumed: bool = False
 
 
 def _run_layers(x: Array, layers, mode: str, gen) -> tuple[Array, list[LayerCache]]:
@@ -224,10 +211,6 @@ def _run_layers(x: Array, layers, mode: str, gen) -> tuple[Array, list[LayerCach
     out = x
     for layer in layers:
         x_in = out
-        if x_in.shape[1] != layer.dim_in:
-            raise DimensionError(
-                f"{layer.name}: input width {x_in.shape[1]} != expected "
-                f"{layer.dim_in}")
         if isinstance(layer, MaskedSparseLayer):
             pre = x_in @ layer.sparse_weight()
         else:
@@ -279,58 +262,96 @@ def _backward_layers(caches: list[LayerCache], upstream: Array,
 # Network assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Network:
-    """Layers plus the storage behind their parameters.
+    """The layers of one variant and the storage behind their parameters.
 
-    Every parameter lives in ``param_vector``, one contiguous float64 vector
-    in layer order, and each layer's ``weights``/``bias`` is a reshaped view
-    into it; ``grad_vector`` mirrors that layout for gradients. Parameters
-    are only ever written through those views, never rebound, so a whole
-    model is snapshotted or restored with one ``np.copyto``.
-
-    The layer arrays passed in fix only the shapes: their values are not
-    copied, and every parameter starts at zero until ``assemble`` or
+    The constructor owns the parameter layout. It derives each layer's name,
+    widths, activation and dropout from ``VARIANT_LAYOUT``, the config and
+    the mask; allocates ``param_vector`` (every parameter, one contiguous
+    float64 vector in layer order) and ``grad_vector`` (the same layout for
+    gradients) once; and makes each layer with its ``weights``/``bias`` as
+    reshaped views into ``param_vector``. Nothing rebinds them, and a
+    network is not a dataclass, so no layer can end up pointing into another
+    network's vector. A whole model is snapshotted or restored with one
+    ``np.copyto``. Parameters start at zero until ``assemble`` or
     ``load_checkpoint`` fills ``param_vector``.
     """
 
-    config: NetworkConfig
-    gene_layers: list = field(default_factory=list)
-    trunk_layers: list = field(default_factory=list)
-    survival_layers: list = field(default_factory=list)
-    grade_layers: list = field(default_factory=list)
-    init_seed: int | None = None
-    param_vector: Array = field(init=False, repr=False)
-    grad_vector: Array = field(init=False, repr=False)
-    _params: Mapping[str, Array] = field(init=False, repr=False)
-    _grads: Mapping[str, Array] = field(init=False, repr=False)
+    def __init__(self, config: NetworkConfig, mask: AdjacencyMask | None):
+        if "gene" in config.inputs:
+            if mask is None:
+                raise ConfigError("gene branch requires an adjacency mask")
+            if mask.dim != config.gene_dim:
+                raise ConfigError(
+                    f"mask dim {mask.dim} != config gene_dim {config.gene_dim}")
+        elif mask is not None:
+            raise ConfigError("image-only variant takes no adjacency mask")
+        self.config = config
+        self.mask = mask
+        self.init_seed: int | None = None
 
-    def __post_init__(self):
-        slots = [(name, layer, attr) for layer in self.all_layers()
-                 for name, attr in layer.param_items()]
-        names = [name for name, _, _ in slots]
-        if len(set(names)) != len(names):
-            raise UsageError(f"duplicate parameter names in {names}")
-        total = sum(getattr(layer, attr).size for _, layer, attr in slots)
-        self.param_vector = np.zeros(total)
-        self.grad_vector = np.zeros(total)
-        params: dict[str, Array] = {}
-        grads: dict[str, Array] = {}
-        lo = 0
-        for name, layer, attr in slots:
-            value = getattr(layer, attr)
-            hi = lo + value.size
-            view = self.param_vector[lo:hi].reshape(value.shape)
-            setattr(layer, attr, view)
-            params[name] = view
-            grads[name] = self.grad_vector[lo:hi].reshape(value.shape)
-            lo = hi
-        self._params = MappingProxyType(params)
-        self._grads = MappingProxyType(grads)
+        # Layer specs in parameter order: (segment, name, in width, out
+        # width, activation, dropout). The trunk input is the image columns,
+        # then the gene branch output.
+        inputs, compress, trunk_dims, trunk_act = VARIANT_LAYOUT[config.variant]
+        trunk_act = config.trunk_activation or trunk_act
+        p_drop = config.dropout_p
+        specs = []
+        width = config.image_dim if "image" in inputs else 0
+        if "gene" in inputs:
+            specs.append(("gene", "gene.masked", mask.dim, mask.dim, "selu",
+                          p_drop))
+            if compress:
+                specs.append(("gene", "gene.compress", mask.dim,
+                              config.gene_branch_dim, "selu", p_drop))
+            width += specs[-1][3]
+        for i, d_out in enumerate(config.trunk_dims or trunk_dims):
+            specs.append(("trunk", f"trunk.{i}", width, d_out, trunk_act, p_drop))
+            width = d_out
+        hidden = config.head_hidden_dim
+        for head, d_out, act in (("survival", 1, "sigmoid"),
+                                 ("grade", config.grade_classes,
+                                  "log_softmax_rows")):
+            if head in HEAD_TASKS[config.heads]:
+                specs += [(head, f"{head}.0", width, hidden, "relu", 0.0),
+                          (head, f"{head}.1", hidden, d_out, act, 0.0)]
+
+        # Each parameter's name, shape and offset, recorded once, and each
+        # segment's slice of the vectors.
+        layout, spans, offset = [], {}, 0
+        for seg, name, d_in, d_out, _, _ in specs:
+            start = spans[seg].start if seg in spans else offset
+            for part, shape in ((("values", (mask.nnz,)),)
+                                if name == "gene.masked" else
+                                (("w", (d_in, d_out)), ("b", (d_out,)))):
+                layout.append((f"{name}.{part}", shape, offset))
+                offset += math.prod(shape)
+            spans[seg] = slice(start, offset)
+        self._layout = tuple(layout)
+        self._spans = spans
+        self.param_vector = np.zeros(offset)
+        self.grad_vector = np.zeros(offset)
+
+        def views(vector):
+            return MappingProxyType({
+                name: vector[lo:lo + math.prod(shape)].reshape(shape)
+                for name, shape, lo in layout})
+
+        self._params = params = views(self.param_vector)
+        self._grads = views(self.grad_vector)
+        # Layers by segment, in parameter order.
+        self._layers: dict[str, list] = {}
+        for seg, name, _, _, act, p in specs:
+            if name == "gene.masked":
+                layer = MaskedSparseLayer(name, mask, params[f"{name}.values"],
+                                          act, p)
+            else:
+                layer = DenseLayer(name, params[f"{name}.w"],
+                                   params[f"{name}.b"], act, p)
+            self._layers.setdefault(seg, []).append(layer)
 
     def all_layers(self):
-        return (self.gene_layers + self.trunk_layers + self.survival_layers
-                + self.grade_layers)
+        return [layer for layers in self._layers.values() for layer in layers]
 
     def params(self) -> Mapping[str, Array]:
         """Read-only registry of every parameter under a stable name, in
@@ -364,12 +385,13 @@ class Network:
                 raise DimensionError(
                     f"{name}_x width {xs[name].shape[1]} != {name}_dim {dim}")
 
-        def add_segment(name, x, layers):
-            out, trace.caches[name] = _run_layers(x, layers, mode, gen)
+        def add_segment(name, x):
+            out, trace.caches[name] = _run_layers(x, self._layers[name], mode,
+                                                  gen)
             return out
 
         if "gene" in xs:
-            xs["gene"] = add_segment("gene", xs["gene"], self.gene_layers)
+            xs["gene"] = add_segment("gene", xs["gene"])
         # The trunk reads the image embeddings (passed straight through)
         # first, then the gene branch output.
         parts = [xs[name] for name in ("image", "gene") if name in xs]
@@ -378,13 +400,12 @@ class Network:
                                  f"vs gene {parts[1].shape[0]}")
         trunk_in = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
 
-        rep = add_segment("trunk", trunk_in, self.trunk_layers)
+        rep = add_segment("trunk", trunk_in)
         trace.outputs["representation"] = rep
         if cfg.with_survival:
-            trace.outputs["survival"] = add_segment(
-                "survival", rep, self.survival_layers)
+            trace.outputs["survival"] = add_segment("survival", rep)
         if cfg.with_grade:
-            trace.outputs["grade"] = add_segment("grade", rep, self.grade_layers)
+            trace.outputs["grade"] = add_segment("grade", rep)
         return trace
 
     def backward(self, trace: ForwardTrace, d_survival: Array | None = None,
@@ -397,22 +418,16 @@ class Network:
         read-only mapping holds views into it, which the next backward pass
         overwrites.
         """
-        if trace.consumed:
-            raise UsageError("ForwardTrace already consumed by a backward pass")
-        trace.consumed = True
         if d_survival is None and d_grade is None:
             raise UsageError("backward needs at least one head gradient")
 
         grads = self._grads
         rep = trace.outputs["representation"]
         d_rep = np.zeros_like(rep)
-        for head, layers, upstream in (
-                ("survival", self.survival_layers, d_survival),
-                ("grade", self.grade_layers, d_grade)):
+        for head, upstream in (("survival", d_survival), ("grade", d_grade)):
             if upstream is None:
-                for layer in layers:
-                    for name, _ in layer.param_items():
-                        grads[name].fill(0.0)
+                if head in self._spans:
+                    self.grad_vector[self._spans[head]] = 0.0
                 continue
             if head not in trace.caches:
                 raise UsageError(f"network has no {head} head")
@@ -434,67 +449,6 @@ class Network:
         trace = self.forward(gene_x=gene_x, image_x=image_x, mode="eval")
         return {k: v for k, v in trace.outputs.items() if k != "representation"}
 
-    @property
-    def mask(self) -> AdjacencyMask | None:
-        """The adjacency mask of gene.masked, the first gene layer."""
-        return self.gene_layers[0].mask if self.gene_layers else None
-
-
-def _build_structure(config: NetworkConfig, mask: AdjacencyMask | None) -> Network:
-    """Allocate all layers with zero weights; init or checkpoint fills them."""
-    if "gene" in config.inputs:
-        if mask is None:
-            raise ConfigError("gene branch requires an adjacency mask")
-        if mask.dim != config.gene_dim:
-            raise ConfigError(
-                f"mask dim {mask.dim} != config gene_dim {config.gene_dim}")
-    elif mask is not None:
-        raise ConfigError("image-only variant takes no adjacency mask")
-
-    def dense(name, d_in, d_out, act, p):
-        return DenseLayer(name=name, weights=np.zeros((d_in, d_out)),
-                          bias=np.zeros(d_out), activation=act, dropout_p=p)
-
-    inputs, compress, trunk_dims, trunk_act = VARIANT_LAYOUT[config.variant]
-    p_drop = config.dropout_p
-    gene_layers: list = []
-    if "gene" in inputs:
-        gene_layers.append(MaskedSparseLayer(
-            name="gene.masked", mask=mask, weights=np.zeros(mask.nnz),
-            activation="selu", dropout_p=p_drop))
-        if compress:
-            gene_layers.append(dense("gene.compress", config.gene_dim,
-                                     config.gene_branch_dim, "selu", p_drop))
-
-    trunk_act = config.trunk_activation or trunk_act
-    if config.trunk_dims is not None:
-        trunk_dims = config.trunk_dims
-    trunk_layers = []
-    # The trunk input is the image columns, then the gene branch output;
-    # after the loop, width is that of the representation the heads read.
-    width = ((config.image_dim if "image" in inputs else 0)
-             + (gene_layers[-1].dim_out if gene_layers else 0))
-    for i, d_out in enumerate(trunk_dims):
-        trunk_layers.append(dense(f"trunk.{i}", width, d_out, trunk_act, p_drop))
-        width = d_out
-
-    survival_layers = []
-    if config.with_survival:
-        survival_layers = [
-            dense("survival.0", width, config.head_hidden_dim, "relu", 0.0),
-            dense("survival.1", config.head_hidden_dim, 1, "sigmoid", 0.0),
-        ]
-    grade_layers = []
-    if config.with_grade:
-        grade_layers = [
-            dense("grade.0", width, config.head_hidden_dim, "relu", 0.0),
-            dense("grade.1", config.head_hidden_dim, config.grade_classes,
-                  "log_softmax_rows", 0.0),
-        ]
-    return Network(config=config, gene_layers=gene_layers,
-                   trunk_layers=trunk_layers, survival_layers=survival_layers,
-                   grade_layers=grade_layers)
-
 
 def assemble(config: NetworkConfig, mask: AdjacencyMask | None,
              rng: RngStream) -> Network:
@@ -505,7 +459,7 @@ def assemble(config: NetworkConfig, mask: AdjacencyMask | None,
     fan-in is the nonzero count of column c and the fan-out the nonzero
     count of row r. Same seed, same parameters, bit for bit.
     """
-    net = _build_structure(config, mask)
+    net = Network(config, mask)
     gen = rng.generator()
     for layer in net.all_layers():
         if isinstance(layer, MaskedSparseLayer):
@@ -544,12 +498,8 @@ def _write(path: Path, data) -> str:
 
 def _manifest_params(network: Network) -> list[dict]:
     """Name, shape and offset in ``param_vector`` of each parameter."""
-    entries, offset = [], 0
-    for name, value in network.params().items():
-        entries.append({"name": name, "shape": list(value.shape),
-                        "offset": offset})
-        offset += value.size
-    return entries
+    return [{"name": name, "shape": list(shape), "offset": offset}
+            for name, shape, offset in network._layout]
 
 
 def save_checkpoint(network: Network, path) -> None:
@@ -676,7 +626,7 @@ def load_checkpoint(path) -> Network:
     mask = None
     if genes is not None:
         mask = _read_mask(_read(path, _MASK_NAME, digests), genes)
-    net = _build_structure(config, mask)
+    net = Network(config, mask)
     net.init_seed = manifest.get("seed")
     for got, want in zip_longest(layout, _manifest_params(net)):
         if got != want:

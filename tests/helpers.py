@@ -7,13 +7,11 @@ analytic rule. ``randomize_params`` moves every parameter (biases included)
 to a generic interior point first.
 """
 
-import dataclasses
-
 import numpy as np
 
 from survfuse.errors import DimensionError
 from survfuse.genegraph import GeneGraph, build_adjacency
-from survfuse.netmodel import MaskedSparseLayer, NetworkConfig, assemble
+from survfuse.netmodel import NetworkConfig, assemble
 from survfuse.numcore import RngStream
 
 VARIANT_HEAD_COMBOS = [
@@ -103,26 +101,11 @@ def set_params(net, params):
         np.copyto(view, params[name])
 
 
-def with_layers(net, **segments):
-    """``net`` rebuilt with some layer lists replaced (``gene_layers=[...]``),
-    every layer keeping its parameter values: a ``Network`` takes only the
-    shapes of the arrays it is built from, so the values are copied back."""
-    layers = [layer for seg in ("gene", "trunk", "survival", "grade")
-              for layer in segments.get(f"{seg}_layers",
-                                        getattr(net, f"{seg}_layers"))]
-    values = {name: getattr(layer, attr).copy() for layer in layers
-              for name, attr in layer.param_items()}
-    rebuilt = dataclasses.replace(net, **segments)
-    set_params(rebuilt, values)
-    return rebuilt
-
-
-def masked_from_dense(name, mask, dense_weights, **kwargs):
-    """A masked layer holding a dense p x p matrix gathered down to the mask
-    pattern; values off the mask are discarded."""
+def masked_from_dense(mask, dense_weights):
+    """The values of a dense p x p matrix at the mask's coordinates, in the
+    order of ``gene.masked.values``; values off the mask are discarded."""
     dense_weights = np.asarray(dense_weights, dtype=np.float64)
     if dense_weights.shape != (mask.dim, mask.dim):
         raise DimensionError(
             f"dense weights {dense_weights.shape} != mask dim {mask.dim}")
-    values = np.ascontiguousarray(dense_weights[mask.rows, mask.cols])
-    return MaskedSparseLayer(name=name, mask=mask, weights=values, **kwargs)
+    return dense_weights[mask.rows, mask.cols]

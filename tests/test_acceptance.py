@@ -17,7 +17,7 @@ import oracles
 from survfuse.cli import main as cli_main
 from survfuse.datakit import gen_splits, standardize_expression, synth_gen
 from survfuse.genegraph import build_adjacency
-from survfuse.netmodel import MaskedSparseLayer, NetworkConfig, assemble
+from survfuse.netmodel import NetworkConfig, assemble
 from survfuse.numcore import RngStream
 from survfuse.surveval import (
     ConfusionMatrix,
@@ -183,28 +183,25 @@ def test_criterion_5_mask_invariance(report):
         net = helpers.micro_network("fused", "both", seed=seed,
                                     mask_seed=seed)
         helpers.randomize_params(net, seed=seed + 1000)
-        layer = next(l for l in net.gene_layers
-                     if isinstance(l, MaskedSparseLayer))
-        mask = layer.mask
+        mask, values = net.mask, net.params()["gene.masked.values"]
         dense = np.zeros((mask.dim, mask.dim))
-        dense[mask.rows, mask.cols] = layer.weights
+        dense[mask.rows, mask.cols] = values
         hold = np.zeros_like(dense)
         hold[mask.rows, mask.cols] = 1.0
         junk_gen = np.random.default_rng(seed + 2000)
         poisoned = dense + (1.0 - hold) * (
             1e6 + junk_gen.standard_normal(dense.shape))
-        twin_layer = helpers.masked_from_dense(
-            layer.name, mask, poisoned,
-            activation=layer.activation, dropout_p=layer.dropout_p)
-        twin = helpers.with_layers(
-            net, gene_layers=[twin_layer if l is layer else l
-                              for l in net.gene_layers])
+        twin = helpers.micro_network("fused", "both", seed=seed,
+                                     mask_seed=seed)
+        helpers.randomize_params(twin, seed=seed + 1000)
+        twin_values = twin.params()["gene.masked.values"]
+        twin_values[...] = helpers.masked_from_dense(twin.mask, poisoned)
         data_gen = np.random.default_rng(seed + 3000)
         gene_x = data_gen.standard_normal((5, 12))
         image_x = data_gen.standard_normal((5, 7))
         a = net.predict(gene_x=gene_x, image_x=image_x)
         b = twin.predict(gene_x=gene_x, image_x=image_x)
-        same = (np.array_equal(twin_layer.weights, layer.weights)
+        same = (np.array_equal(twin_values, values)
                 and np.array_equal(a["survival"], b["survival"])
                 and np.array_equal(a["grade"], b["grade"]))
         all_identical = all_identical and same

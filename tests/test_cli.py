@@ -14,6 +14,7 @@ import helpers
 import survfuse
 from survfuse.cli import main
 from survfuse.datakit import SplitSet
+from survfuse.netmodel import load_checkpoint
 from survfuse.surveval import build_metrics
 
 
@@ -587,8 +588,10 @@ def test_eval_rejects_bad_mask_bin(trained, tmp_path, capsys, edit, message):
      "manifest.json: unknown variant 'weird'"),
     (lambda m: m["genes"].append("EXTRA"), "manifest.json: 13 genes for "
                                            "gene_dim 12"),
+    (lambda m: m["config"].update(trunk_dims=[]),
+     "manifest.json: trunk_dims must name at least one layer"),
 ], ids=["no-genes", "no-config", "no-params", "unknown-config-key",
-        "unknown-variant", "extra-gene"])
+        "unknown-variant", "extra-gene", "empty-trunk"])
 def test_eval_rejects_malformed_manifest(trained, tmp_path, capsys, edit,
                                          message):
     manifest = json.loads(
@@ -885,3 +888,34 @@ def test_train_bytes_do_not_depend_on_the_blas_thread_default(tmp_path):
         outputs.append([(out / "rep00" / name).read_bytes() for name in
                         ("history.csv", "final/params.bin")])
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# What the benchmark shim relies on
+# ---------------------------------------------------------------------------
+
+_SHIM = Path(_SRC).parent / "perfbench" / "shim.py"
+
+
+def test_benchmark_shim_contracts_hold(data_dir, splits_file, tmp_path):
+    """A traced one-epoch train through perfbench/shim.py. The shim names a
+    dense kernel call's layer by the identity of the ``layer.weights`` it
+    receives, and counts Adam's parameters from the mapping ``adam_step``
+    receives; both must still hold."""
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", epochs=1)
+    report = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, str(_SHIM), str(report), "1", "train", str(config),
+         "--rep", "0"],
+        env=_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr
+    recorded = json.loads(report.read_text())
+    net = load_checkpoint(tmp_path / "out" / "rep00" / "final")
+    assert recorded["counts"]["numcore.adam_params"] == net.param_vector.size
+    kernel_layers = [span[4] for span in recorded["spans"] if span[0] in (
+        "numcore.dense_forward", "numcore.dense_backward")]
+    assert kernel_layers and None not in kernel_layers
+    assert set(kernel_layers) == {
+        layer.name for layer in net.all_layers()} - {"gene.masked"}

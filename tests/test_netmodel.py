@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,15 +19,12 @@ from helpers import (
     random_mask,
     randomize_params,
     set_params,
-    with_layers,
 )
 import survfuse
 from survfuse import netmodel
 from survfuse.errors import ConfigError, DataError, DimensionError, UsageError
 from survfuse.genegraph import GeneGraph, build_adjacency
 from survfuse.netmodel import (
-    DenseLayer,
-    MaskedSparseLayer,
     NetworkConfig,
     assemble,
     load_checkpoint,
@@ -34,11 +32,6 @@ from survfuse.netmodel import (
 )
 from survfuse.numcore import RngStream
 from survfuse.training import SurvivalBatchLabels, cox_loss, nll_loss
-
-
-def identity_dense(name, dim, activation="linear"):
-    return DenseLayer(name=name, weights=np.eye(dim), bias=np.zeros(dim),
-                      activation=activation)
 
 
 def scatter_dense(mask, values, junk=None):
@@ -51,14 +44,24 @@ def scatter_dense(mask, values, junk=None):
     return dense
 
 
-def fused_around(masked, compress, image_dim=3, seed=0):
-    """An assembled fused dual-head network whose gene branch is the layers
-    ``masked`` then ``compress``; the rest is initialized from ``seed``."""
-    cfg = NetworkConfig(variant="fused", heads="both", gene_dim=masked.dim_in,
-                        image_dim=image_dim, gene_branch_dim=compress.dim_out,
+def fused_around(mask, values, compress_w, compress_b=None,
+                 activations=("selu", "selu"), image_dim=3, seed=0):
+    """An assembled fused dual-head network whose gene branch holds
+    ``values`` in gene.masked and ``compress_w``/``compress_b`` (default
+    zero) in gene.compress, with ``activations`` on those two layers; the
+    rest is initialized from ``seed``."""
+    cfg = NetworkConfig(variant="fused", heads="both", gene_dim=mask.dim,
+                        image_dim=image_dim, gene_branch_dim=compress_w.shape[1],
                         trunk_dims=(6, 4), head_hidden_dim=3, dropout_p=0.0)
-    net = assemble(cfg, masked.mask, RngStream(seed, 31))
-    return with_layers(net, gene_layers=[masked, compress])
+    net = assemble(cfg, mask, RngStream(seed, 31))
+    if compress_b is None:
+        compress_b = np.zeros(compress_w.shape[1])
+    set_params(net, {**net.params(), "gene.masked.values": values,
+                     "gene.compress.w": compress_w,
+                     "gene.compress.b": compress_b})
+    for layer, act in zip(net.all_layers(), activations):
+        layer.activation = act
+    return net
 
 
 def gene_branch_output(net, gene_x, image_x=None):
@@ -77,20 +80,24 @@ def gene_branch_output(net, gene_x, image_x=None):
 def test_identity_mask_linear_layer_is_identity():
     genes = ("a", "b", "c", "d")
     mask = build_adjacency(GeneGraph(genes=genes, edges=frozenset()))
-    layer1 = masked_from_dense("m", mask, np.eye(4), activation="linear")
+    linear = ("linear", "linear")
+    net = fused_around(mask, masked_from_dense(mask, np.eye(4)), np.eye(4),
+                       activations=linear)
     x = np.random.default_rng(0).standard_normal((3, 4))
-    out, _ = gene_branch_output(fused_around(layer1, identity_dense("c", 4)), x)
+    out, _ = gene_branch_output(net, x)
     assert np.array_equal(out, x)
     # A o W with W all ones is the adjacency itself, and with W all zeros
     # the layer is zero.
     mask = random_mask(6, seed=3)
     x = np.random.default_rng(1).standard_normal((3, 6))
-    ones = masked_from_dense("m", mask, np.ones((6, 6)), activation="linear")
-    out, _ = gene_branch_output(fused_around(ones, identity_dense("c", 6)), x)
+    ones = fused_around(mask, masked_from_dense(mask, np.ones((6, 6))),
+                        np.eye(6), activations=linear)
+    out, _ = gene_branch_output(ones, x)
     dense_mask = oracles.mask_dense(mask)
     assert np.max(np.abs(out - oracles.matmul_loops(x, dense_mask))) < 1e-12
-    zeros = masked_from_dense("m", mask, np.zeros((6, 6)), activation="linear")
-    out, _ = gene_branch_output(fused_around(zeros, identity_dense("c", 6)), x)
+    zeros = fused_around(mask, masked_from_dense(mask, np.zeros((6, 6))),
+                         np.eye(6), activations=linear)
+    out, _ = gene_branch_output(zeros, x)
     assert not out.any()
 
 
@@ -100,46 +107,38 @@ def test_sgcn_matches_dense_hadamard_oracle():
     gen = np.random.default_rng(14)
     mask = random_mask(6, seed=3)
     values = gen.standard_normal(mask.nnz)
-    layer1 = MaskedSparseLayer("m", mask, values)
     w2 = gen.standard_normal((6, 4))
     b2 = gen.standard_normal(4)
-    layer2 = DenseLayer("c", w2, b2, activation="selu")
     x = gen.standard_normal((3, 6))
-    out, trace = gene_branch_output(fused_around(layer1, layer2), x)
+    out, trace = gene_branch_output(fused_around(mask, values, w2, b2), x)
 
     selu = np.vectorize(oracles.selu_scalar)
     hidden = selu(oracles.matmul_loops(
         x, oracles.mask_dense(mask) * scatter_dense(mask, values)))
     expect = selu(oracles.matmul_loops(hidden, w2) + b2)
     assert np.max(np.abs(out - expect)) < 1e-12
-    assert [c.layer.name for c in trace.caches["gene"]] == ["m", "c"]
+    assert [c.layer.name for c in trace.caches["gene"]] == [
+        "gene.masked", "gene.compress"]
 
 
 def test_from_dense_discards_off_mask_junk():
     gen = np.random.default_rng(4)
     mask = random_mask(8, seed=9)
     values = gen.standard_normal(mask.nnz)
-    clean = MaskedSparseLayer("m", mask, values.copy())
-    junked = masked_from_dense(
-        "m", mask, scatter_dense(mask, values, junk=1e6))
-    assert np.array_equal(clean.weights, junked.weights)
+    junked = masked_from_dense(mask, scatter_dense(mask, values, junk=1e6))
+    assert np.array_equal(values, junked)
     x = gen.standard_normal((5, 8))
     image_x = gen.standard_normal((5, 3))
+    activations = ("selu", "linear")
     out_a, trace_a = gene_branch_output(
-        fused_around(clean, identity_dense("c", 8)), x, image_x)
+        fused_around(mask, values, np.eye(8), activations=activations),
+        x, image_x)
     out_b, trace_b = gene_branch_output(
-        fused_around(junked, identity_dense("c", 8)), x, image_x)
+        fused_around(mask, junked, np.eye(8), activations=activations),
+        x, image_x)
     assert np.array_equal(out_a, out_b)
     for head in ("survival", "grade"):
         assert np.array_equal(trace_a.outputs[head], trace_b.outputs[head])
-
-
-def test_masked_layer_validates_weight_count():
-    mask = random_mask(5, seed=1)
-    with pytest.raises(DimensionError):
-        MaskedSparseLayer("m", mask, np.zeros(mask.nnz + 1))
-    with pytest.raises(DimensionError):
-        masked_from_dense("m", mask, np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +271,10 @@ def test_config_validation():
         NetworkConfig(variant="image-only", dropout_p=1.0)
     with pytest.raises(ConfigError):
         NetworkConfig(variant="image-only", trunk_dims=(8, 0))
+    # With no trunk layer the gene branch would get the whole trunk-input
+    # gradient, image columns included.
+    with pytest.raises(ConfigError, match="trunk_dims"):
+        NetworkConfig(variant="fused", gene_dim=5, trunk_dims=())
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +421,56 @@ def test_predict_returns_heads_only():
 # ---------------------------------------------------------------------------
 
 
-def test_backward_trace_consumed_once():
+def _cache_arrays(trace):
+    return [(seg, i, part, getattr(cache, part))
+            for seg, caches in trace.caches.items()
+            for i, cache in enumerate(caches)
+            for part in ("x", "pre", "act", "drop_scale", "out")]
+
+
+@pytest.mark.parametrize("variant,heads", VARIANT_HEAD_COMBOS)
+def test_backward_only_reads_the_trace(variant, heads):
+    """A second backward over one train-mode trace, dropout on, gives the
+    same gradients bit for bit and leaves every cache as it was."""
     gen = np.random.default_rng(3)
-    net = micro_network("gene-only", "survival")
-    trace = net.forward(gene_x=gen.standard_normal((3, 12)))
-    net.backward(trace, d_survival=np.ones((3, 1)))
-    with pytest.raises(UsageError):
-        net.backward(trace, d_survival=np.ones((3, 1)))
+    net = randomize_params(micro_network(variant, heads, dropout_p=0.25),
+                           seed=4)
+    gene_x, image_x = _inputs_for(variant, 5, gen)
+    trace = net.forward(gene_x=gene_x, image_x=image_x, mode="train",
+                        rng=RngStream(5, 22), key=(2,))
+    upstream = {f"d_{head}": gen.standard_normal(trace.outputs[head].shape)
+                for head in ("survival", "grade") if head in trace.outputs}
+    before = [(seg, i, part, None if a is None else a.copy())
+              for seg, i, part, a in _cache_arrays(trace)]
+    assert any(part == "drop_scale" and a is not None
+               for _, _, part, a in before)
+    net.backward(trace, **upstream)
+    first = net.grad_vector.copy()
+    assert first.any()
+    net.backward(trace, **upstream)
+    assert np.array_equal(net.grad_vector.view(np.int64), first.view(np.int64))
+    after = _cache_arrays(trace)
+    assert [key[:3] for key in after] == [key[:3] for key in before]
+    for (*key, old), (_, _, _, new) in zip(before, after):
+        if old is None:
+            assert new is None, key
+        else:
+            assert np.array_equal(new.view(np.int64), old.view(np.int64)), key
+
+
+@pytest.mark.parametrize("variant,heads", VARIANT_HEAD_COMBOS)
+def test_layers_are_views_of_their_own_network(variant, heads):
+    net = micro_network(variant, heads)
+    other = micro_network(variant, heads)
+    with pytest.raises(TypeError):
+        dataclasses.replace(net, config=net.config)
+    arrays = [getattr(layer, attr) for layer in net.all_layers()
+              for attr in ("weights", "bias") if hasattr(layer, attr)]
+    assert sum(a.size for a in arrays) == net.param_vector.size
+    for a in arrays:
+        assert a.base is net.param_vector
+        assert not np.shares_memory(a, other.param_vector)
+        assert not np.shares_memory(a, other.grad_vector)
 
 
 def test_backward_requires_a_head_gradient():
