@@ -13,6 +13,14 @@ without the modality are never handed out (the loaders leave zeros there).
 Gathering a design matrix is one row index, restricting the gene panel one
 column index, and standardizing one whole-matrix operation.
 
+Every sample-keyed file goes through one reader, ``_sample_rows``. Its header
+goes through ``csv.reader``. A body line with no ``"`` is split on commas,
+which gives the row ``csv.reader`` would, and a line with nothing but its
+line ending is blank. A line with a ``"``, or one long enough that it might
+hold a field over ``csv.field_size_limit()``, goes to ``csv.reader``, which
+pulls in any further lines a quoted record spans and raises on an overlong
+field. Errors name the physical line a record starts on.
+
 The readers convert a whole expression or embedding row, or a whole
 clinical or risk column, with one ``np.array(tokens, dtype=...)`` call and
 one ``isfinite`` check, row by row so a file's tokens are never all held at
@@ -27,6 +35,7 @@ Floats are written with repr() so every load/save round-trip is bit-exact.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -261,19 +270,34 @@ def _float_tokens(tokens, where) -> np.ndarray:
     return np.array([_parse_float(tok, where(i)) for i, tok in enumerate(tokens)])
 
 
+def _may_hold_long_field(text: str, limit: int) -> bool:
+    """Whether ``text`` might hold a field longer than ``limit`` characters.
+
+    Such a field covers at least one whole aligned block of ``limit // 2``
+    characters, so a line with a comma in every block holds none.
+    """
+    block = limit // 2
+    return any(text.find(",", i, i + block) < 0
+               for i in range(0, len(text), block))
+
+
 def _sample_rows(path, columns=None):
     """Read a sample-keyed CSV: yield its header, then ``(lineno, row)`` for
-    every non-blank body row.
+    every non-blank body row, ``lineno`` being the line the row starts on.
 
     The header must be exactly ``columns`` when they are given, and hold at
     least 2 columns otherwise. Each body row must be as wide as the header
-    and start with a sample id not seen before; any other row raises
-    naming the file and line.
+    and start with a sample id not seen before; any other row, or a record
+    ``csv`` rejects, raises naming the file and line.
     """
     name = Path(path).name
+    limit = csv.field_size_limit()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise DataError(f"{name}:1: {exc}") from None
         if header is None:
             raise DataError(f"{name}: empty file")
         if columns is not None and tuple(header) != columns:
@@ -284,17 +308,32 @@ def _sample_rows(path, columns=None):
         yield header
         width = len(header)
         seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        lineno = reader.line_num
+        for line in fh:
+            lineno += 1
+            start = lineno
+            text = line.rstrip("\r\n")
+            if not text:
                 continue
+            if '"' in text or (len(text) > limit
+                               and _may_hold_long_field(text, limit)):
+                # csv.reader pulls any further lines a quoted record spans.
+                record = csv.reader(itertools.chain([line], fh))
+                try:
+                    row = next(record)
+                except csv.Error as exc:
+                    raise DataError(f"{name}:{start}: {exc}") from None
+                lineno += record.line_num - 1
+            else:
+                row = text.split(",")
             if len(row) != width:
                 raise DataError(
-                    f"{name}:{lineno}: expected {width} columns, got {len(row)}")
+                    f"{name}:{start}: expected {width} columns, got {len(row)}")
             if row[0] in seen:
                 raise DataError(
-                    f"{name}:{lineno}: duplicate sample id {row[0]!r}")
+                    f"{name}:{start}: duplicate sample id {row[0]!r}")
             seen.add(row[0])
-            yield lineno, row
+            yield start, row
 
 
 def _read_feature_csv(path, row_of: dict[str, int]):

@@ -6,7 +6,9 @@ agreement between the two routes is evidence of correctness rather than a
 shared bug.
 """
 
+import csv
 import math
+import os
 
 import numpy as np
 
@@ -34,6 +36,63 @@ def mask_dense(mask):
     for r, c in zip(mask.rows.tolist(), mask.cols.tolist()):
         out[r][c] = 1.0
     return np.asarray(out).reshape(mask.dim, mask.dim)
+
+
+def adjacency_set_sort(graph):
+    """Row and column lists of a graph's adjacency mask with self-loops,
+    built as a set of ``(i, j)`` pairs and sorted."""
+    index = {g: i for i, g in enumerate(graph.genes)}
+    coords = {(i, i) for i in range(len(graph.genes))}
+    for a, b in graph.edges:
+        i, j = index[a], index[b]
+        coords.add((i, j))
+        coords.add((j, i))
+    ordered = sorted(coords)
+    return [r for r, _ in ordered], [c for _, c in ordered]
+
+
+def csv_sample_rows(path, columns=None):
+    """A sample-keyed CSV read by ``csv.reader`` alone, record by record.
+
+    Returns ``(header, rows, error)``: the header once it passes its checks
+    (else None), the ``(line, row)`` pairs of the non-blank body records read
+    before any error, each numbered by the physical line it starts on, and
+    the message of the error that ends the read (None if none does). The
+    header must equal ``columns`` when given and hold at least 2 columns; a
+    body record must be as wide as the header and have a new sample id.
+    """
+    name = os.path.basename(path)
+    header, rows, seen = None, [], set()
+    start = 1
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for record in reader:
+                if header is None:
+                    if columns is not None and tuple(record) != columns:
+                        return None, [], (
+                            f"{name}: expected columns {','.join(columns)}, "
+                            f"got {','.join(record)}")
+                    if len(record) < 2:
+                        return None, [], (
+                            f"{name}: header needs sample_id + features")
+                    header = record
+                elif record:
+                    if len(record) != len(header):
+                        return header, rows, (
+                            f"{name}:{start}: expected {len(header)} columns, "
+                            f"got {len(record)}")
+                    if record[0] in seen:
+                        return header, rows, (
+                            f"{name}:{start}: duplicate sample id {record[0]!r}")
+                    seen.add(record[0])
+                    rows.append((start, record))
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            return header, rows, f"{name}:{start}: {exc}"
+    if header is None:
+        return None, [], f"{name}: empty file"
+    return header, rows, None
 
 
 def relu_scalar(v):

@@ -519,6 +519,17 @@ def test_eval_missing_sample_in_risks_exits_1(data_dir, tmp_path, capsys):
     assert "missing sample" in capsys.readouterr().err
 
 
+def test_eval_risks_overlong_field_exits_1(data_dir, tmp_path, capsys):
+    risks_path = tmp_path / "risks.csv"
+    risks_path.write_text("sample_id,risk\nS1,0.5\nS2," + "9" * 131073 + "\n")
+    rc = main(["eval", "--risks", str(risks_path),
+               "--clinical", str(data_dir / "clinical.csv"),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: risks.csv:3: field larger than field limit (131072)\n"
+
+
 def test_eval_without_model_or_risks_exits_2(tmp_path):
     assert main(["eval", "--out", str(tmp_path / "m.json")]) == 2
 

@@ -14,9 +14,11 @@ from helpers import neighbors
 from survfuse.datakit import (
     Cohort,
     SplitSet,
+    _sample_rows,
     gen_splits,
     load_cohort,
     read_clinical,
+    read_risks,
     save_cohort,
     standardize_expression,
     synth_gen,
@@ -372,6 +374,81 @@ def test_bad_token_mid_row_names_file_line_and_token(tmp_path, which, token,
     with pytest.raises(DataError) as exc:
         load_cohort(clinical, expr, emb)
     assert str(exc.value) == f"{which}.csv:3: {problem}"
+
+
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+# Unquoted fields hold no quote, comma or line break; quoted ones may hold
+# all three, and NUL.
+_UNQUOTED = st.text(alphabet="ab \x00", max_size=3)
+_QUOTED = st.text(alphabet='ab,"\r\n\x00', max_size=4).map(
+    lambda s: '"' + s.replace('"', '""') + '"')
+_RECORD = st.lists(st.one_of(_UNQUOTED, _QUOTED), min_size=1,
+                   max_size=3).map(",".join)
+_TWO_FIELDS = st.tuples(_UNQUOTED, st.one_of(_UNQUOTED, _QUOTED)).map(
+    ",".join)
+# Raw text: stray or unbalanced quotes, lone line breaks, NUL.
+_RAW = st.text(alphabet='a,"\r\n\x00', max_size=6)
+_LINE = st.one_of(
+    st.tuples(st.one_of(_TWO_FIELDS, _TWO_FIELDS, _TWO_FIELDS, _RECORD,
+                        st.just("")), _ENDINGS).map("".join),
+    _RAW)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.one_of(st.just("sample_id,risk"), _RECORD),
+       ending=_ENDINGS, body=st.lists(_LINE, max_size=8),
+       final_newline=st.booleans(),
+       columns=st.sampled_from([None, ("sample_id", "risk")]))
+def test_sample_rows_match_csv_reader_oracle(header, ending, body,
+                                            final_newline, columns):
+    text = header + ending + "".join(body)
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got_header, rows, error = None, [], None
+        try:
+            reader = _sample_rows(path, columns)
+            got_header = next(reader)
+            for lineno_row in reader:
+                rows.append(lineno_row)
+        except DataError as exc:
+            error = str(exc)
+        assert (got_header, rows, error) == \
+            oracles.csv_sample_rows(path, columns)
+
+
+def test_error_lines_count_physical_lines(tmp_path):
+    path = tmp_path / "r2.csv"
+    head = 'sample_id,risk\n"S\n1",0.5\n'
+    path.write_text(head + "S2,0.7\nS3,zz\n")
+    with pytest.raises(DataError, match="^r2.csv:5: unparseable number 'zz'$"):
+        read_risks(path)
+    path.write_text(head + "S2,0.7\nS3,0.1,0.2\n")
+    with pytest.raises(DataError, match="^r2.csv:5: expected 2 columns, got 3$"):
+        read_risks(path)
+    # The row itself is numbered by its first line.
+    path.write_text(head.replace("0.5", "x"))
+    with pytest.raises(DataError, match="^r2.csv:2: unparseable number 'x'$"):
+        read_risks(path)
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_overlong_field_is_a_data_error(tmp_path, quote):
+    """csv's field limit gives the same error whether the line takes the
+    quote-free path or csv.reader; a field at the limit is read."""
+    limit = 131072
+    path = tmp_path / "t.csv"
+    for field in ("x" * limit, "x" * (limit + 1)):
+        path.write_text(f"sample_id,a,b\nS0,1,2\nS1,{quote}{field}{quote},2\n")
+        if len(field) == limit:
+            assert list(_sample_rows(path))[2] == (3, ["S1", field, "2"])
+        else:
+            with pytest.raises(DataError) as exc:
+                list(_sample_rows(path))
+            assert str(exc.value) == \
+                f"t.csv:3: field larger than field limit ({limit})"
 
 
 def test_load_cohort_peak_memory_stays_near_matrix_size(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -192,6 +192,27 @@ def test_adjacency_symmetric_with_full_diagonal(n, raw_pairs):
     assert np.array_equal(np.diag(dense), np.ones(n))
     # edges dropped by the vertex set never appear
     assert dense.sum() == n + 2 * len(edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.permutations(range(10)), n=st.integers(0, 10),
+       pairs=st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                     max_size=25))
+@example(order=list(range(10)), n=0, pairs=set())
+@example(order=list(range(9, -1, -1)), n=10, pairs=set())
+@example(order=[3, 0, 9, 1, 8, 2, 7, 4, 6, 5], n=10,
+         pairs={(3, 9), (9, 3), (0, 1), (6, 5)})
+def test_build_adjacency_matches_set_and_sort_oracle(order, n, pairs):
+    """Genes in a shuffled order, isolated ones included; GeneGraph also
+    takes a pair in both orientations, which gives one edge."""
+    genes = tuple(f"g{k}" for k in order[:n])
+    edges = frozenset((genes[i], genes[j])
+                      for i, j in pairs if i < n and j < n and i != j)
+    graph = GeneGraph(genes=genes, edges=edges)
+    mask = build_adjacency(graph)
+    rows, cols = oracles.adjacency_set_sort(graph)
+    assert mask.rows.dtype == mask.cols.dtype == np.intp
+    assert (mask.rows.tolist(), mask.cols.tolist()) == (rows, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,12 @@
 #   - the fused walkthrough train (mmmt-default, 30 epochs) for seeds 1 and
 #     7, each followed by eval of best, final, and final per patient;
 #   - 3-epoch smst-gene (gene-only) and smst-image (image-only) runs on the
-#     same data, each followed by eval of best and final.
+#     same data, each followed by eval of best and final;
+#   - the fused walkthrough train for seed 1 again, followed by eval of
+#     final, on a copy of the data whose clinical.csv and expression.csv
+#     have \r\n line endings and a quoted sample id on every other line,
+#     so the CSV reader switches between its quote-free path and
+#     csv.reader.
 #
 # Every command's stdout, stderr and exit code is kept next to what it
 # wrote. The script ends with `diff -r` of the two directories and exits 0
@@ -54,19 +59,20 @@ step() {
     echo $? >"logs/$name.rc"
 }
 
-# config FILE VARIANT SCHEDULE PRESET SEED OUT
+# config FILE VARIANT SCHEDULE PRESET SEED OUT [DATA_DIR]
 config() {
+    local data=${7:-data}
     cat >"$1" <<EOF
 {
   "variant": "$2",
   "schedule": "$3",
   "preset": "$4",
   "seed": $5,
-  "expression": "data/expression.csv",
-  "embeddings": "data/embeddings.csv",
-  "clinical": "data/clinical.csv",
-  "edge_list": "data/edges.tsv",
-  "splits": "data/splits.json",
+  "expression": "$data/expression.csv",
+  "embeddings": "$data/embeddings.csv",
+  "clinical": "$data/clinical.csv",
+  "edge_list": "$data/edges.tsv",
+  "splits": "$data/splits.json",
   "out": "$6"
 }
 EOF
@@ -112,6 +118,20 @@ run_tree() {
                 --out "eval-$preset-$which.json"
         done
     done
+    mkdir -p data-crlf
+    cp data/embeddings.csv data/edges.tsv data/splits.json data-crlf/
+    for f in clinical expression; do
+        LC_ALL=C awk -F, -v OFS=, '{ sub(/\r$/, "") }
+            NR % 2 == 0 { $1 = "\"" $1 "\"" }
+            { printf "%s\r\n", $0 }' \
+            "data/$f.csv" >"data-crlf/$f.csv"
+    done
+    config fused-crlf.json fused alternate mmmt-default 1 out-fused-crlf/ \
+        data-crlf
+    step train-fused-crlf train fused-crlf.json --rep 0
+    step eval-fused-crlf-final eval --config fused-crlf.json \
+        --model out-fused-crlf/rep00/final --rep 0 \
+        --out eval-fused-crlf-final.json
 }
 
 for side in parent change; do
