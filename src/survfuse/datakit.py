@@ -30,14 +30,31 @@ parse. Only input that fails the vectorized conversion is walked token by
 token, to raise the error naming its file, line and token.
 
 Floats are written with repr() so every load/save round-trip is bit-exact.
+
+An expression or embedding file is parsed once per content: the checked
+parse (feature names, sample ids, float64 matrix, all in file order) is kept
+in ``.survfuse-cache/<file name>.bin`` beside the file. An entry is used only
+when it was written for the sha256 of the file's current bytes by this
+reader (the sha256 of this module's source, ``sys.version``, numpy's version
+and the byte order), and its own checksum holds; anything else is a miss,
+and a miss parses the file. Only a parse that completed is stored, so errors
+are reported from the file every time. A cache that cannot be written is
+skipped without a message. Entries are trusted as far as the files beside
+them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import hashlib
 import itertools
 import json
 import math
+import os
+import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -286,9 +303,9 @@ def _sample_rows(path, columns=None):
     every non-blank body row, ``lineno`` being the line the row starts on.
 
     The header must be exactly ``columns`` when they are given, and hold at
-    least 2 columns otherwise. Each body row must be as wide as the header
-    and start with a sample id not seen before; any other row, or a record
-    ``csv`` rejects, raises naming the file and line.
+    least 2 columns otherwise; no column name may repeat. Each body row must
+    be as wide as the header and start with a sample id not seen before; any
+    other row, or a record ``csv`` rejects, raises naming the file and line.
     """
     name = Path(path).name
     limit = csv.field_size_limit()
@@ -305,6 +322,11 @@ def _sample_rows(path, columns=None):
                             f"got {','.join(header)}")
         if len(header) < 2:
             raise DataError(f"{name}: header needs sample_id + features")
+        names: set[str] = set()
+        for column in header:
+            if column in names:
+                raise DataError(f"{name}:1: duplicate column {column!r}")
+            names.add(column)
         yield header
         width = len(header)
         seen: set[str] = set()
@@ -336,31 +358,149 @@ def _sample_rows(path, columns=None):
             yield start, row
 
 
-def _read_feature_csv(path, row_of: dict[str, int]):
-    """Shared reader for expression/embedding files: header names the
-    feature columns, each body row is sample_id followed by the values.
+class _FeatureTable(NamedTuple):
+    """An expression or embedding file as parsed, in file order."""
 
-    Returns the feature names, a float64 matrix with one row per entry of
-    ``row_of`` (sample id -> row) and the mask of rows the file filled; the
-    other rows hold zeros. Each body row is converted as it is read.
-    """
+    columns: list[str]
+    sample_ids: list[str]
+    values: np.ndarray
+
+
+def _parse_feature_csv(path) -> _FeatureTable:
+    """Parse an expression/embedding file: the header names the feature
+    columns, each body row is a sample id followed by its values. Each row
+    is converted as it is read."""
     name = Path(path).name
     reader = _sample_rows(path)
     header = next(reader)
-    matrix = np.zeros((len(row_of), len(header) - 1))
-    present = np.zeros(len(row_of), dtype=bool)
-    unknown = None
+    width = len(header) - 1
+    ids: list[str] = []
+    values = np.empty((0, width))
     for lineno, row in reader:
-        values = _float_tokens(row[1:], lambda _: f"{name}:{lineno}")
-        i = row_of.get(row[0])
-        if i is not None:
-            matrix[i] = values
-            present[i] = True
-        elif unknown is None:
-            unknown = row[0]
-    if unknown is not None:
-        raise DataError(f"{name}: sample {unknown!r} not in clinical table")
-    return tuple(header[1:]), matrix, present
+        n = len(ids)
+        if n == len(values):
+            # Grows in place: no view of ``values`` is alive here.
+            values.resize((2 * n + 1, width), refcheck=False)
+        values[n] = _float_tokens(row[1:], lambda _: f"{name}:{lineno}")
+        ids.append(row[0])
+    values.resize((len(ids), width), refcheck=False)
+    return _FeatureTable(header[1:], ids, values)
+
+
+_CACHE_DIR = ".survfuse-cache"
+_CACHE_FORMAT = "survfuse-feature-parse"
+
+
+@functools.cache
+def _reader_fingerprint() -> str:
+    """Changes with anything that could change a parse, so that no cache
+    entry outlives the reader that wrote it."""
+    digest = hashlib.sha256(Path(__file__).read_bytes())
+    digest.update(f"\0{sys.version}\0{np.__version__}\0{sys.byteorder}"
+                  .encode())
+    return digest.hexdigest()
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _content_sha256(table: _FeatureTable) -> str:
+    digest = hashlib.sha256(
+        json.dumps([table.columns, table.sample_ids]).encode())
+    digest.update(table.values)
+    return digest.hexdigest()
+
+
+def _load_entry(entry: Path, key: dict) -> _FeatureTable | None:
+    """The table cached in ``entry`` under ``key``, or None when the entry is
+    missing, damaged, or stored under another key."""
+    try:
+        with open(entry, "rb") as fh:
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict) or any(
+                    header.get(k) != v for k, v in key.items()):
+                return None
+            n, width = header["shape"]
+            # Check the size before allocating, so no damaged shape allocates.
+            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * n * width:
+                return None
+            table = _FeatureTable(header["columns"], header["sample_ids"],
+                                  np.empty((n, width)))
+            fh.readinto(table.values)
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    if (len(table.columns) != width or len(table.sample_ids) != n
+            or _content_sha256(table) != header["content_sha256"]):
+        return None
+    return table
+
+
+def _store_entry(entry: Path, key: dict, table: _FeatureTable, path) -> None:
+    """Write ``table`` to ``entry`` under ``key``: to a temporary file, then
+    renamed over it, so no reader sees a torn entry. Nothing is stored when
+    the CSV at ``path`` no longer hashes to the key, or where the cache
+    directory cannot be made or written."""
+    tmp = None
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".tmp", entry.name, entry.parent)
+        header = {**key, "shape": table.values.shape,
+                  "columns": table.columns, "sample_ids": table.sample_ids,
+                  "content_sha256": _content_sha256(table)}
+        with open(fd, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n")
+            fh.write(table.values)
+        # Hashing again shows that the bytes parsed are the bytes keyed.
+        if _file_sha256(path) == key["csv_sha256"]:
+            os.replace(tmp, entry)
+            tmp = None
+    except OSError:
+        pass
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _cached_parse(path) -> _FeatureTable:
+    """``_parse_feature_csv(path)``, read from the file's cache entry when
+    it holds the parse of these exact bytes by this reader."""
+    path = Path(path)
+    entry = path.parent / _CACHE_DIR / f"{path.name}.bin"
+    key = {"format": _CACHE_FORMAT, "csv_sha256": _file_sha256(path),
+           "reader": _reader_fingerprint()}
+    table = _load_entry(entry, key)
+    if table is None:
+        table = _parse_feature_csv(path)
+        _store_entry(entry, key, table, path)
+    return table
+
+
+def _read_feature_csv(path, row_of: dict[str, int]):
+    """An expression/embedding file joined onto the clinical rows.
+
+    Returns the feature names, a float64 matrix with one row per entry of
+    ``row_of`` (sample id -> row) and the mask of rows the file filled; the
+    other rows hold zeros. A file whose rows are the clinical rows, in
+    order, hands over its parsed matrix uncopied.
+    """
+    columns, ids, values = _cached_parse(path)
+    if ids == list(row_of):
+        return tuple(columns), values, np.ones(len(ids), dtype=bool)
+    rows = [row_of.get(sid) for sid in ids]
+    if None in rows:
+        raise DataError(f"{Path(path).name}: sample {ids[rows.index(None)]!r} "
+                        "not in clinical table")
+    matrix = np.zeros((len(row_of), len(columns)))
+    matrix[rows] = values
+    present = np.zeros(len(row_of), dtype=bool)
+    present[rows] = True
+    return tuple(columns), matrix, present
 
 
 class ClinicalTable(NamedTuple):

@@ -8,6 +8,7 @@ that restricts the first network layer to known gene-gene interactions.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -52,13 +53,20 @@ class GeneGraph:
     def subgraph(self, keep: list[str] | tuple[str, ...]) -> "GeneGraph":
         """Restrict to ``keep`` (order preserved); edges touching dropped
         genes are removed."""
+        keep = tuple(keep)
         keep_set = set(keep)
         missing = keep_set - set(self.genes)
         if missing:
             raise KeyError(f"genes not in graph: {sorted(missing)[:5]}")
+        if len(keep_set) == len(keep) == len(self.genes):
+            # Every gene, reordered: the edges and their checks still hold,
+            # and copy.copy skips __post_init__.
+            reordered = copy.copy(self)
+            reordered.genes = keep
+            return reordered
         edges = frozenset(
             (a, b) for a, b in self.edges if a in keep_set and b in keep_set)
-        return GeneGraph(genes=tuple(keep), edges=edges)
+        return GeneGraph(genes=keep, edges=edges)
 
 
 def _canonical(a: str, b: str) -> tuple[str, str]:
@@ -118,8 +126,6 @@ def intersect_features(graph: GeneGraph, panel: list[str] | tuple[str, ...]) -> 
     own ordering, and the subgraph's vertex order follows it. Raises
     ConfigError when the intersection is empty.
     """
-    if len(set(panel)) != len(panel):
-        raise DataError("expression panel contains duplicate gene names")
     graph_set = set(graph.genes)
     kept = tuple(g for g in panel if g in graph_set)
     if not kept:

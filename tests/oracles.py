@@ -58,8 +58,9 @@ def csv_sample_rows(path, columns=None):
     (else None), the ``(line, row)`` pairs of the non-blank body records read
     before any error, each numbered by the physical line it starts on, and
     the message of the error that ends the read (None if none does). The
-    header must equal ``columns`` when given and hold at least 2 columns; a
-    body record must be as wide as the header and have a new sample id.
+    header must equal ``columns`` when given and hold at least 2 columns, no
+    name twice; a body record must be as wide as the header and have a new
+    sample id.
     """
     name = os.path.basename(path)
     header, rows, seen = None, [], set()
@@ -76,6 +77,10 @@ def csv_sample_rows(path, columns=None):
                     if len(record) < 2:
                         return None, [], (
                             f"{name}: header needs sample_id + features")
+                    for i, column in enumerate(record):
+                        if column in record[:i]:
+                            return None, [], (
+                                f"{name}:1: duplicate column {column!r}")
                     header = record
                 elif record:
                     if len(record) != len(header):

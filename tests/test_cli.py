@@ -440,6 +440,30 @@ def test_unknown_scoring_choice_in_config_exits_2_before_reading_data(
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_duplicate_expression_column_exits_1(trained, data_dir, splits_file,
+                                             tmp_path, capsys, command):
+    """A header that repeats a gene is rejected by train and by eval of a
+    checkpoint alike, naming the file, line and column."""
+    rows = read_rows(data_dir / "expression.csv")
+    assert rows[0][1] == "G0001"
+    expression = tmp_path / "expression.csv"
+    with open(expression, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0] + ["G0001"]]
+                                 + [row + ["0.0"] for row in rows[1:]])
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", expression=str(expression))
+    args = {"train": ["train", str(config), "--rep", "0"],
+            "eval": ["eval", "--config", str(config), "--model",
+                     str(trained["out"] / "rep00" / "final"), "--rep", "0",
+                     "--out", str(tmp_path / "metrics.json")]}[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == \
+        "error: expression.csv:1: duplicate column 'G0001'\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_eval_matches_training_report(trained, tmp_path):
     out = tmp_path / "metrics.json"
     rc = main(["eval", "--config", str(trained["config"]),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import neighbors
+from survfuse import datakit
 from survfuse.datakit import (
     Cohort,
     SplitSet,
@@ -451,7 +452,8 @@ def test_overlong_field_is_a_data_error(tmp_path, quote):
                 f"t.csv:3: field larger than field limit ({limit})"
 
 
-def test_load_cohort_peak_memory_stays_near_matrix_size(tmp_path):
+def _wide_expression_files(tmp_path):
+    """A 160 x 2,000 expression file and its clinical table."""
     n, p = 160, 2000
     gen = np.random.default_rng(1)
     cohort = small_cohort(
@@ -463,15 +465,201 @@ def test_load_cohort_peak_memory_stays_near_matrix_size(tmp_path):
         expression=gen.standard_normal((n, p)), embedding=None)
     clinical, expr, _ = paths(tmp_path)
     save_cohort(cohort, clinical, expr)
+    return cohort, clinical, expr
+
+
+def _traced_load(clinical, expr):
     tracemalloc.start()
     try:
         loaded = load_cohort(clinical, expr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return loaded, peak
+
+
+def test_load_cohort_peak_memory_stays_near_matrix_size(tmp_path):
+    cohort, clinical, expr = _wide_expression_files(tmp_path)
+    loaded, peak = _traced_load(clinical, expr)
     assert np.array_equal(loaded.expression, cohort.expression)
     # Holding every token of the file at once would take about 24 MB.
     assert peak < 3 * (loaded.expression.nbytes + loaded.embedding.nbytes)
+
+
+def test_warm_load_peak_memory_stays_near_matrix_size(tmp_path):
+    cohort, clinical, expr = _wide_expression_files(tmp_path)
+    load_cohort(clinical, expr)
+    assert _entry(expr).is_file()
+    loaded, peak = _traced_load(clinical, expr)
+    assert np.array_equal(loaded.expression, cohort.expression)
+    assert peak < 3 * (loaded.expression.nbytes + loaded.embedding.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# Parse cache
+# ---------------------------------------------------------------------------
+
+
+def _entry(path):
+    return path.parent / ".survfuse-cache" / f"{path.name}.bin"
+
+
+def _cohort_bits(cohort):
+    """Every column of ``cohort``, arrays as dtype, shape and bytes."""
+    return [value if isinstance(value, tuple)
+            else (value.dtype, value.shape, value.tobytes())
+            for value in (getattr(cohort, name) for name in (
+                "sample_ids", "sample_patients", "gene_order", "time",
+                "event", "grade", "expression", "has_expression",
+                "embedding", "has_embedding"))]
+
+
+def _count_parses(monkeypatch):
+    """Count the rows ``datakit`` converts from text from now on."""
+    calls = []
+
+    def counted(tokens, where):
+        calls.append(where)
+        return float_tokens(tokens, where)
+
+    float_tokens = datakit._float_tokens
+    monkeypatch.setattr(datakit, "_float_tokens", counted)
+    return calls
+
+
+def _cached_files(tmp_path, layout="clinical-order"):
+    """Clinical, expression and embedding files of a 12-sample cohort with
+    -0.0 and a subnormal among the values, each loaded once; with layout
+    "reversed" or "subset" the modality rows are in reverse clinical order
+    or only every other clinical row."""
+    cohort, _, _ = synth_gen(patients=12, genes=5, causal_genes=2,
+                             censor_rate=0.4, label_noise=0.2, seed=3,
+                             embedding_dim=4)
+    cohort.expression[0, :2] = -0.0, 5e-324
+    clinical, expr, emb = paths(tmp_path)
+    save_cohort(cohort, clinical, expr, emb)
+    if layout != "clinical-order":
+        for path in (expr, emb):
+            header, *rows = path.read_text().splitlines(keepends=True)
+            rows = rows[::-1] if layout == "reversed" else rows[::2]
+            path.write_text(header + "".join(rows))
+    return cohort, load_cohort(clinical, expr, emb), (clinical, expr, emb)
+
+
+@pytest.mark.parametrize("layout", ["clinical-order", "reversed", "subset"])
+def test_warm_load_parses_nothing_and_equals_cold_load(tmp_path, monkeypatch,
+                                                       layout):
+    cohort, cold, files = _cached_files(tmp_path, layout)
+    assert sorted(p.name for p in (tmp_path / ".survfuse-cache").iterdir()) \
+        == ["emb.csv.bin", "expr.csv.bin"]
+    def refuse(tokens, where):
+        raise AssertionError("a warm load converted text")
+
+    monkeypatch.setattr(datakit, "_float_tokens", refuse)
+    warm = load_cohort(*files)
+    assert _cohort_bits(warm) == _cohort_bits(cold)
+    assert cold.has_expression.tolist() == [
+        layout != "subset" or i % 2 == 0 for i in range(12)]
+    present = cold.has_expression
+    assert cold.expression[present].tobytes() == \
+        cohort.expression[present].tobytes()
+    assert not cold.expression[~present].any()
+
+
+def test_changed_byte_forces_a_reparse(tmp_path, monkeypatch):
+    clinical, expr, _ = paths(tmp_path)
+    save_cohort(small_cohort(), clinical, expr)
+    load_cohort(clinical, expr)
+    text = expr.read_text()
+    expr.write_text(text.replace("0.2", "0.3", 1))
+    calls = _count_parses(monkeypatch)
+    assert load_cohort(clinical, expr).expression.tolist() == [
+        [0.1, 0.3], [0.1, 0.2], [0.1, 0.2]]
+    assert len(calls) == 3
+    assert load_cohort(clinical, expr).expression[0].tolist() == [0.1, 0.3]
+    assert len(calls) == 3
+
+    # A bad number is reported as a cold parse reports it, every time.
+    expr.write_text(text.replace("0.1", "0.x", 1))
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for path in (clinical, expr):
+        (fresh / path.name).write_bytes(path.read_bytes())
+    messages = []
+    for files in ((clinical, expr), (clinical, expr),
+                  (fresh / clinical.name, fresh / expr.name)):
+        with pytest.raises(DataError) as exc:
+            load_cohort(*files)
+        messages.append(str(exc.value))
+    assert messages == ["expr.csv:2: unparseable number '0.x'"] * 3
+    assert not (fresh / ".survfuse-cache").exists()
+
+
+def test_file_changed_during_parse_is_not_cached(tmp_path, monkeypatch):
+    clinical, expr, _ = paths(tmp_path)
+    save_cohort(small_cohort(), clinical, expr)
+    parse = datakit._parse_feature_csv
+
+    def parse_then_edit(path):
+        table = parse(path)
+        expr.write_text(expr.read_text().replace("0.2", "0.3"))
+        return table
+
+    monkeypatch.setattr(datakit, "_parse_feature_csv", parse_then_edit)
+    assert load_cohort(clinical, expr).expression[:, 1].tolist() == [0.2] * 3
+    assert list((tmp_path / ".survfuse-cache").iterdir()) == []
+    monkeypatch.setattr(datakit, "_parse_feature_csv", parse)
+    assert load_cohort(clinical, expr).expression[:, 1].tolist() == [0.3] * 3
+
+
+def _with_field(blob, **fields):
+    header, payload = blob.split(b"\n", 1)
+    return json.dumps({**json.loads(header), **fields}).encode() + b"\n" \
+        + payload
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: None,
+    lambda blob: blob[:-3],
+    lambda blob: blob + b"\0",
+    lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
+    lambda blob: blob.replace(b'"P0003-S01"', b'"P0003-S09"'),
+    lambda blob: blob.replace(b'"G0002"', b'"G0009"'),
+    lambda blob: b"[" + blob,
+    lambda blob: b"",
+    lambda blob: _with_field(blob, reader="0" * 64),
+    lambda blob: _with_field(blob, shape=[10 ** 9, 10 ** 9]),
+], ids=["missing", "truncated", "extra-byte", "payload-bit", "sample-id",
+        "column-name", "header-json", "empty", "fingerprint", "shape"])
+def test_damaged_entry_is_a_miss_and_is_rewritten(tmp_path, monkeypatch,
+                                                  damage):
+    _, cold, files = _cached_files(tmp_path)
+    entry = _entry(files[1])
+    good = entry.read_bytes()
+    damaged = damage(good)
+    if damaged is None:
+        entry.unlink()
+    else:
+        entry.write_bytes(damaged)
+    calls = _count_parses(monkeypatch)
+    assert _cohort_bits(load_cohort(*files)) == _cohort_bits(cold)
+    assert len(calls) == 12
+    assert entry.read_bytes() == good
+
+
+def test_unwritable_cache_location_loads_and_writes_nothing(tmp_path, capfd):
+    clinical, expr, emb = paths(tmp_path)
+    save_cohort(small_cohort(), clinical, expr, emb)
+    blocker = tmp_path / ".survfuse-cache"
+    blocker.write_text("not a directory\n")
+    listing = sorted(tmp_path.iterdir())
+    capfd.readouterr()
+    for _ in range(2):
+        cohort = load_cohort(clinical, expr, emb)
+        assert _cohort_bits(cohort) == _cohort_bits(small_cohort())
+    assert sorted(tmp_path.iterdir()) == listing
+    assert blocker.read_text() == "not a directory\n"
+    assert capfd.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------

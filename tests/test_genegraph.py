@@ -97,6 +97,27 @@ def test_graph_neighbors_and_subgraph():
     assert sub.edges == frozenset({("b", "c")})
 
 
+def test_subgraph_of_every_gene_reordered_equals_the_rebuilt_subgraph():
+    gen = np.random.default_rng(7)
+    names = [f"g{i}" for i in range(40)]
+    edges = frozenset(tuple(sorted((names[i], names[j])))
+                      for i, j in gen.integers(0, 40, size=(90, 2)) if i != j)
+    graph = GeneGraph(genes=tuple(names), edges=edges)
+    for keep in (names[::-1], list(gen.permutation(names))):
+        sub = graph.subgraph(keep)
+        rebuilt = GeneGraph(genes=tuple(keep), edges=frozenset(
+            (a, b) for a, b in graph.edges if a in keep and b in keep))
+        assert (sub.genes, sub.edges) == (rebuilt.genes, rebuilt.edges)
+        assert sub.edges is graph.edges
+        assert graph.genes == tuple(names)
+        mask = build_adjacency(sub)
+        assert (mask.rows.tolist(), mask.cols.tolist()) == \
+            oracles.adjacency_set_sort(rebuilt)
+    # As many genes as the graph, but one twice: still rejected.
+    with pytest.raises(DataError, match="duplicate gene symbols"):
+        graph.subgraph(names[:-1] + names[:1])
+
+
 def test_graph_rejects_invariant_violations():
     with pytest.raises(DataError):
         GeneGraph(genes=("a",), edges=frozenset({("a", "a")}))

@@ -12,7 +12,9 @@
 #   - eval --risks and km --svg on a risks file written from the synthetic
 #     clinical table by a fixed rule (risk = grade - time_days / 1000);
 #   - the fused walkthrough train (mmmt-default, 30 epochs) for seeds 1 and
-#     7, each followed by eval of best, final, and final per patient;
+#     7, each followed by eval of best, final, and final per patient; seed 1
+#     then evaluates final once more, which reads the parse cache the
+#     earlier commands wrote, where the tree has one;
 #   - 3-epoch smst-gene (gene-only) and smst-image (image-only) runs on the
 #     same data, each followed by eval of best and final;
 #   - the fused walkthrough train for seed 1 again, followed by eval of
@@ -22,8 +24,10 @@
 #     csv.reader.
 #
 # Every command's stdout, stderr and exit code is kept next to what it
-# wrote. The script ends with `diff -r` of the two directories and exits 0
-# only when every file is identical (1 on any difference, 2 on bad usage).
+# wrote. The script ends with `diff -r` of the two directories, less the
+# .survfuse-cache directories beside the input CSVs (a cache, not an
+# output), and exits 0 only when every file is identical (1 on any
+# difference, 2 on bad usage).
 # A fused walkthrough job takes about ten seconds on one core.
 
 set -uo pipefail
@@ -107,6 +111,9 @@ run_tree() {
             --model "out-fused-$seed/rep00/final" --rep 0 \
             --aggregation patient --out "eval-fused-$seed-patient.json"
     done
+    step eval-fused-1-final-again eval --config fused-1.json \
+        --model out-fused-1/rep00/final --rep 0 \
+        --out eval-fused-1-final-again.json
     for run in gene-only:smst-gene image-only:smst-image; do
         local variant=${run%%:*} preset=${run#*:}
         config "$preset.json" "$variant" survival-only "$preset" 7 \
@@ -140,8 +147,9 @@ for side in parent change; do
     (run_tree "${!side}" "$work/$side")
 done
 
-total=$(cd "$work/parent" && find . -type f | wc -l)
-if diff -r "$work/parent" "$work/change"; then
+total=$(cd "$work/parent" && find . -name .survfuse-cache -prune -o -type f \
+    -print | wc -l)
+if diff -r -x .survfuse-cache "$work/parent" "$work/change"; then
     echo "bytecheck: all $total files identical"
     exit 0
 fi
