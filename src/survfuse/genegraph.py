@@ -140,9 +140,10 @@ class AdjacencyMask:
 
     ``rows``/``cols`` list the coordinates of the nonzeros. The constructor
     takes them only inside [0, dim) and strictly increasing in row-major
-    order, which also rules out duplicates, so downstream sparse kernels
-    can treat the coordinate list as CSR structure directly and each
-    weight stays aligned with its coordinate.
+    order, which also rules out duplicates, so each weight stays aligned
+    with its coordinate. The row-major order also fixes the masked layer's
+    summation order: each output column adds its terms in ascending row
+    order (see ``netmodel.MaskedSparseLayer``).
     """
 
     genes: tuple[str, ...]

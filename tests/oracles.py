@@ -38,6 +38,21 @@ def mask_dense(mask):
     return np.asarray(out).reshape(mask.dim, mask.dim)
 
 
+def masked_product_loops(x, mask, values):
+    """``x @ W`` for the p x p matrix W holding ``values`` at the mask's
+    coordinates, in scipy's dense @ CSR order (``csc_matvecs`` over the
+    transpose): every output starts at 0.0, and each nonzero, in row-major
+    order, does ``y[n][c] = y[n][c] + v * x[n][r]`` for every row n. Python
+    rounds each multiply and each add on its own."""
+    xs = [list(map(float, row)) for row in np.atleast_2d(x)]
+    out = [[0.0] * mask.dim for _ in xs]
+    for r, c, v in zip(mask.rows.tolist(), mask.cols.tolist(),
+                       map(float, values)):
+        for n, row in enumerate(xs):
+            out[n][c] = out[n][c] + v * row[r]
+    return np.asarray(out).reshape(len(xs), mask.dim)
+
+
 def adjacency_set_sort(graph):
     """Row and column lists of a graph's adjacency mask with self-loops,
     built as a set of ``(i, j)`` pairs and sorted."""

@@ -21,7 +21,11 @@
 #     final, on a copy of the data whose clinical.csv and expression.csv
 #     have \r\n line endings and a quoted sample id on every other line,
 #     so the CSV reader switches between its quote-free path and
-#     csv.reader.
+#     csv.reader;
+#   - a 3-epoch fused train for seed 1, followed by eval of final, on a
+#     copy of the data whose edges.tsv links gene G0100 to 179 others, so
+#     one column of the masked gene layer sums 180 terms (the walkthrough
+#     graph's deepest column has 15).
 #
 # Every command's stdout, stderr and exit code is kept next to what it
 # wrote. The script ends with `diff -r` of the two directories, less the
@@ -139,6 +143,18 @@ run_tree() {
     step eval-fused-crlf-final eval --config fused-crlf.json \
         --model out-fused-crlf/rep00/final --rep 0 \
         --out eval-fused-crlf-final.json
+    mkdir -p data-hub
+    cp data/clinical.csv data/expression.csv data/embeddings.csv \
+        data/edges.tsv data/splits.json data-hub/
+    for i in $(seq 1 180); do
+        printf 'G0100\tG%04d\n' "$i"
+    done >>data-hub/edges.tsv
+    config fused-hub.json fused alternate mmmt-default 1 out-fused-hub/ \
+        data-hub
+    step train-fused-hub train fused-hub.json --rep 0 --epochs 3
+    step eval-fused-hub-final eval --config fused-hub.json \
+        --model out-fused-hub/rep00/final --rep 0 \
+        --out eval-fused-hub-final.json
 }
 
 for side in parent change; do
