@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .genegraph import GeneGraph
+from .genegraph import GeneGraph, canonical_pairs
 from .numcore import RngStream
 
 # Fixed stream ids so different random purposes never share a sequence.
@@ -865,21 +865,14 @@ def synth_gen(patients: int, genes: int, causal_genes: int,
     names = tuple(f"G{i + 1:0{width}d}" for i in range(genes))
     causal = np.sort(gen_graph.choice(genes, size=causal_genes, replace=False))
 
-    edges: set[tuple[str, str]] = set()
-
-    def add_edge(i: int, j: int) -> None:
-        if i != j:
-            a, b = names[i], names[j]
-            edges.add((a, b) if a <= b else (b, a))
-
     # Spanning tree keeps the causal genes in one connected component.
-    for k in range(1, causal_genes):
-        add_edge(int(causal[k]), int(causal[int(gen_graph.integers(0, k))]))
+    tree = [(causal[k], causal[gen_graph.integers(0, k)])
+            for k in range(1, causal_genes)]
     n_background = int(round(_BACKGROUND_EDGES_PER_GENE * genes))
-    pairs = gen_graph.integers(0, genes, size=(n_background, 2))
-    for i, j in pairs:
-        add_edge(int(i), int(j))
-    graph = GeneGraph(genes=names, edges=frozenset(edges))
+    background = gen_graph.integers(0, genes, size=(n_background, 2))
+    graph = GeneGraph(genes=names, pairs=canonical_pairs(
+        np.concatenate([np.array(tree, dtype=np.intp).reshape(-1, 2),
+                        background]), genes))
 
     x = gen_x.standard_normal((patients, genes))
     # Module activity is trimodal (three expression subtypes, the way tumor

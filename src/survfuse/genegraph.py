@@ -1,15 +1,16 @@
 """Gene interaction graphs and the sparse adjacency masks derived from them.
 
-An edge list (one interaction per line, two whitespace-separated gene
-symbols) becomes a ``GeneGraph``; intersecting its vertex set with the
+An edge list (UTF-8, two whitespace-separated gene symbols per line; ``#``
+comments, blank lines and a header line of header words skipped) becomes a
+``GeneGraph``: its symbols in order of first appearance and one integer
+array of edges from ``canonical_pairs``, the one rule that merges a pair's
+two orientations and drops self-pairs. Intersecting the graph with the
 expression panel and adding self-loops yields the binary ``AdjacencyMask``
 that restricts the first network layer to known gene-gene interactions.
 """
 
 from __future__ import annotations
 
-import copy
-import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,94 +29,91 @@ _HEADER_WORDS = {
 }
 
 
+def canonical_pairs(pairs, n: int) -> np.ndarray:
+    """The edge array of ``(k, 2)`` endpoint ids below ``n``: each pair as
+    ``(min, max)``, self-pairs dropped, rows sorted by their row-major key
+    ``i * n + j`` and repeats dropped."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    # Row-major keys, sorted and deduplicated; np.unique does the same but
+    # took 30x longer (numpy 2.4) on the 135,543 keys of a paper-scale mask.
+    keys = np.sort((lo * n + hi)[lo != hi])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
 @dataclass
 class GeneGraph:
     """Undirected interaction graph over named genes.
 
-    ``edges`` holds deduplicated, canonically ordered (min, max) symbol
-    pairs; self-pairs are never stored (self-loops only appear when the
-    adjacency mask is built).
+    ``pairs`` is an ``(m, 2)`` ``intp`` array of indices into ``genes``, as
+    ``canonical_pairs`` returns it: each row ``i < j`` (self-loops only
+    appear when the adjacency mask is built), rows strictly increasing in
+    row-major order, so no edge is stored twice.
     """
 
     genes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    pairs: np.ndarray
 
     def __post_init__(self):
-        known = set(self.genes)
-        if len(known) != len(self.genes):
+        n = len(self.genes)
+        if len(set(self.genes)) != n:
             raise DataError("duplicate gene symbols in graph")
-        for a, b in self.edges:
-            if a == b:
-                raise DataError(f"self-pair ({a!r}, {b!r}) in edge set")
-            if a not in known or b not in known:
-                raise DataError(f"edge endpoint not in gene list: ({a!r}, {b!r})")
-
-    def subgraph(self, keep: list[str] | tuple[str, ...]) -> "GeneGraph":
-        """Restrict to ``keep`` (order preserved); edges touching dropped
-        genes are removed."""
-        keep = tuple(keep)
-        keep_set = set(keep)
-        missing = keep_set - set(self.genes)
-        if missing:
-            raise KeyError(f"genes not in graph: {sorted(missing)[:5]}")
-        if len(keep_set) == len(keep) == len(self.genes):
-            # Every gene, reordered: the edges and their checks still hold,
-            # and copy.copy skips __post_init__.
-            reordered = copy.copy(self)
-            reordered.genes = keep
-            return reordered
-        edges = frozenset(
-            (a, b) for a, b in self.edges if a in keep_set and b in keep_set)
-        return GeneGraph(genes=keep, edges=edges)
-
-
-def _canonical(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
+        self.pairs = pairs = np.asarray(self.pairs, dtype=np.intp)
+        i, j = pairs.T
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise DataError(f"edge endpoint out of range [0, {n})")
+        if np.any(i >= j) or np.any(np.diff(i * n + j) <= 0):
+            raise DataError("edge pairs are not (i < j) rows strictly "
+                            "increasing in row-major order")
 
 
 def parse_edge_list(path) -> GeneGraph:
-    """Read an interaction edge list.
+    """Read an interaction edge list (format in the module docstring).
 
-    Each non-blank, non-comment ('#'-prefixed) line must hold exactly two
-    whitespace-separated symbols. Duplicate pairs (either orientation)
-    collapse to one undirected edge and self-pairs are dropped, though
-    their symbols still count as genes. A leading line made only of header
-    vocabulary (``gene1 gene2``, ``source target``, ...) is skipped.
+    Errors name the file and its physical line: non-UTF-8 bytes, or a line
+    that is not exactly two symbols. A list with no edge left warns.
     """
     path = Path(path)
-    genes: list[str] = []
-    seen: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    first_data_line = True
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        # Line ends as text mode reads them: LF, CRLF and a lone CR.
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"{path.name}:{line}: not UTF-8 text") from None
+    index: dict[str, int] = {}
+    ids: list[int] = []
+    header_checked = False
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != 2:
+            raise ParseError(
+                f"{path.name}:{lineno}: expected 2 columns, got {len(tokens)}")
+        if not header_checked:
+            header_checked = True
+            if all(t.lower() in _HEADER_WORDS for t in tokens):
                 continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ParseError(
-                    f"{path.name}:{lineno}: expected 2 columns, got {len(tokens)}")
-            if first_data_line:
-                first_data_line = False
-                if all(t.lower() in _HEADER_WORDS for t in tokens):
-                    continue
-            a, b = tokens
-            for g in (a, b):
-                if g not in seen:
-                    seen.add(g)
-                    genes.append(g)
-            if a != b:
-                edges.add(_canonical(a, b))
-    if not edges:
+        for t in tokens:
+            ids.append(index.setdefault(t, len(index)))
+    pairs = canonical_pairs(ids, len(index))
+    if not len(pairs):
         warnings.warn(f"{path.name}: no edges parsed", stacklevel=2)
-    return GeneGraph(genes=tuple(genes), edges=frozenset(edges))
+    return GeneGraph(genes=tuple(index), pairs=pairs)
 
 
 def serialize_graph(graph: GeneGraph, path) -> None:
-    """Write the graph back out as a two-column edge list (sorted)."""
+    """Write the graph back out as a two-column edge list: each pair in
+    symbol order, the lines sorted."""
+    genes = graph.genes
+    lines = sorted(tuple(sorted((genes[i], genes[j])))
+                   for i, j in graph.pairs.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b in sorted(graph.edges):
+        for a, b in lines:
             fh.write(f"{a}\t{b}\n")
 
 
@@ -123,15 +121,21 @@ def intersect_features(graph: GeneGraph, panel: list[str] | tuple[str, ...]) -> 
     """Restrict graph and expression panel to their shared genes.
 
     Returns (subgraph, kept_panel) where kept_panel preserves the panel's
-    own ordering, and the subgraph's vertex order follows it. Raises
-    ConfigError when the intersection is empty.
+    own ordering, and the subgraph's vertex order follows it; edges touching
+    a dropped gene are dropped. Raises ConfigError when the intersection is
+    empty, DataError when a kept gene is in the panel twice.
     """
-    graph_set = set(graph.genes)
-    kept = tuple(g for g in panel if g in graph_set)
+    position = {g: i for i, g in enumerate(graph.genes)}
+    kept = tuple(g for g in panel if g in position)
     if not kept:
         raise ConfigError(
             "no overlap between interaction graph and expression panel")
-    return graph.subgraph(list(kept)), kept
+    # new_id[old] is a gene's index in ``kept``, or -1 once it is dropped.
+    new_id = np.full(len(graph.genes), -1, dtype=np.intp)
+    new_id[[position[g] for g in kept]] = np.arange(len(kept))
+    pairs = new_id[graph.pairs]
+    pairs = pairs[pairs.min(axis=1) >= 0]
+    return GeneGraph(genes=kept, pairs=canonical_pairs(pairs, len(kept))), kept
 
 
 @dataclass
@@ -176,16 +180,10 @@ class AdjacencyMask:
 def build_adjacency(graph: GeneGraph) -> AdjacencyMask:
     """Binary adjacency in the graph's vertex order, with every diagonal
     entry forced to 1 so each gene always sees itself."""
-    genes = graph.genes
-    n = len(genes)
-    index = {g: i for i, g in enumerate(genes)}
-    i, j = np.fromiter(
-        map(index.__getitem__, itertools.chain.from_iterable(graph.edges)),
-        dtype=np.intp, count=2 * len(graph.edges)).reshape(-1, 2).T
+    n = len(graph.genes)
+    i, j = graph.pairs.T
     diagonal = np.arange(n, dtype=np.intp)
-    # Row-major keys, sorted and deduplicated; np.unique does the same but
-    # took 30x longer (numpy 2.4) on the 135,543 keys of a paper-scale graph.
+    # The pairs are distinct with i < j, so the three key sets are disjoint.
     keys = np.sort(np.concatenate([i * n + j, j * n + i, diagonal * (n + 1)]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
     rows, cols = np.divmod(keys, n)
-    return AdjacencyMask(genes=genes, rows=rows, cols=cols)
+    return AdjacencyMask(genes=graph.genes, rows=rows, cols=cols)

@@ -10,7 +10,7 @@ to a generic interior point first.
 import numpy as np
 
 from survfuse.errors import DimensionError
-from survfuse.genegraph import GeneGraph, build_adjacency
+from survfuse.genegraph import GeneGraph, build_adjacency, canonical_pairs
 from survfuse.netmodel import NetworkConfig, assemble
 from survfuse.numcore import RngStream
 
@@ -34,25 +34,35 @@ ACCEPTED_SCHEDULE_HEADS = {
 }
 
 
+def graph_of(genes, symbol_pairs=()):
+    """A ``GeneGraph`` over ``genes`` whose edges are the symbol pairs,
+    canonicalised by the package's one rule."""
+    index = {g: i for i, g in enumerate(genes)}
+    ids = [(index[a], index[b]) for a, b in symbol_pairs]
+    return GeneGraph(genes=tuple(genes),
+                     pairs=canonical_pairs(ids, len(genes)))
+
+
+def symbol_pairs(graph):
+    """The graph's edges as ``(min, max)`` symbol tuples, in row order."""
+    return [tuple(sorted((graph.genes[i], graph.genes[j])))
+            for i, j in graph.pairs.tolist()]
+
+
 def random_mask(p, seed, edges=None):
     """Symmetric self-looped adjacency over p placeholder genes."""
     gen = np.random.default_rng(seed)
     genes = tuple(f"g{i:03d}" for i in range(p))
-    pair_set = set()
-    for _ in range(edges if edges is not None else 2 * p):
-        i, j = (int(v) for v in gen.integers(0, p, size=2))
-        if i != j:
-            a, b = genes[i], genes[j]
-            pair_set.add((a, b) if a <= b else (b, a))
-    graph = GeneGraph(genes=genes, edges=frozenset(pair_set))
-    return build_adjacency(graph)
+    drawn = [tuple(genes[v] for v in gen.integers(0, p, size=2))
+             for _ in range(edges if edges is not None else 2 * p)]
+    return build_adjacency(graph_of(genes, drawn))
 
 
 def neighbors(graph, gene):
     """The genes that share an edge of ``graph`` with ``gene``."""
     if gene not in graph.genes:
         raise KeyError(f"gene {gene!r} not in graph")
-    return frozenset(b if a == gene else a for a, b in graph.edges
+    return frozenset(b if a == gene else a for a, b in symbol_pairs(graph)
                      if gene in (a, b))
 
 

@@ -53,17 +53,62 @@ def masked_product_loops(x, mask, values):
     return np.asarray(out).reshape(len(xs), mask.dim)
 
 
-def adjacency_set_sort(graph):
-    """Row and column lists of a graph's adjacency mask with self-loops,
-    built as a set of ``(i, j)`` pairs and sorted."""
-    index = {g: i for i, g in enumerate(graph.genes)}
-    coords = {(i, i) for i in range(len(graph.genes))}
-    for a, b in graph.edges:
+def adjacency_set_sort(genes, edges):
+    """Row and column lists of the adjacency mask with self-loops over
+    ``genes`` and the symbol pairs ``edges``, built as a set of ``(i, j)``
+    pairs and sorted."""
+    index = {g: i for i, g in enumerate(genes)}
+    coords = {(i, i) for i in range(len(genes))}
+    for a, b in edges:
         i, j = index[a], index[b]
         coords.add((i, j))
         coords.add((j, i))
     ordered = sorted(coords)
     return [r for r, _ in ordered], [c for _, c in ordered]
+
+
+# A first data line made only of these words (case-insensitive) is a header.
+EDGE_HEADER_WORDS = {
+    "gene1", "gene2", "genea", "geneb", "gene_a", "gene_b",
+    "protein1", "protein2", "proteina", "proteinb", "protein_a", "protein_b",
+    "source", "target", "node1", "node2", "from", "to",
+    "symbol1", "symbol2", "interactor_a", "interactor_b",
+}
+
+
+def edge_list_sets(path):
+    """An interaction edge list read line by line in text mode into a set
+    of canonical ``(min, max)`` symbol tuples.
+
+    Returns ``(genes, edges, error)``: the symbols in order of first
+    appearance (a self-pair's included, a header's not), the edge set
+    (self-pairs dropped), and the message of the error that ends the read,
+    or None. On an error, genes and edges are None.
+    """
+    name = os.path.basename(path)
+    genes, seen, edges = [], set(), set()
+    first_data_line = True
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                return None, None, (
+                    f"{name}:{lineno}: expected 2 columns, got {len(tokens)}")
+            if first_data_line:
+                first_data_line = False
+                if all(t.lower() in EDGE_HEADER_WORDS for t in tokens):
+                    continue
+            a, b = tokens
+            for g in (a, b):
+                if g not in seen:
+                    seen.add(g)
+                    genes.append(g)
+            if a != b:
+                edges.add((a, b) if a <= b else (b, a))
+    return tuple(genes), frozenset(edges), None
 
 
 def csv_sample_rows(path, columns=None):

@@ -850,6 +850,19 @@ def test_bad_clinical_value_names_file_and_line(data_dir, splits_file,
     assert f"error: clinical.csv:5: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_non_utf8_edge_list_names_file_and_line(data_dir, splits_file,
+                                                tmp_path, capsys, ending):
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(ending.join([b"# interactions", b"", b"G0001\tG0002",
+                                   b"G0003\tG00\xff4", b""]))
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", edge_list=str(edges))
+    assert main(["train", str(config)]) == 1
+    assert "error: edges.tsv:4: not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["eval", "km"])
 @pytest.mark.parametrize("body, message", [
     ("", "risks.csv: empty file"),

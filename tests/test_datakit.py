@@ -866,7 +866,7 @@ def test_synth_deterministic_per_seed():
                   label_noise=0.1, seed=6, embedding_dim=4)
     c = synth_gen(patients=10, genes=8, causal_genes=3, censor_rate=0.3,
                   label_noise=0.1, seed=7, embedding_dim=4)
-    assert a[1].edges == b[1].edges
+    assert np.array_equal(a[1].pairs, b[1].pairs)
     assert np.array_equal(a[0].expression_matrix(a[0].sample_ids),
                           b[0].expression_matrix(b[0].sample_ids))
     assert np.array_equal(a[2].risk, b[2].risk)

@@ -1,10 +1,14 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import neighbors
+from helpers import graph_of, neighbors, symbol_pairs
 from survfuse.errors import ConfigError, DataError, ParseError
 from survfuse.genegraph import (
     AdjacencyMask,
@@ -30,27 +34,28 @@ def write(tmp_path, text, name="edges.tsv"):
 def test_parse_undirected_dedup(tmp_path):
     g = parse_edge_list(write(tmp_path, "g1\tg2\ng2\tg1\n"))
     assert len(g.genes) == 2
-    assert len(g.edges) == 1
-    assert g.edges == frozenset({("g1", "g2")})
+    assert g.pairs.dtype == np.intp
+    assert g.pairs.tolist() == [[0, 1]]
+    assert symbol_pairs(g) == [("g1", "g2")]
 
 
 def test_parse_drops_self_pairs(tmp_path):
     with pytest.warns(UserWarning, match="no edges"):
         g = parse_edge_list(write(tmp_path, "g1\tg1\n"))
     assert g.genes == ("g1",)
-    assert len(g.edges) == 0
+    assert g.pairs.shape == (0, 2)
 
 
 def test_parse_skips_comments_and_blanks(tmp_path):
     text = "# interactions\n\na\tb\n   \nb\tc\n"
     g = parse_edge_list(write(tmp_path, text))
     assert g.genes == ("a", "b", "c")
-    assert len(g.edges) == 2
+    assert len(g.pairs) == 2
 
 
 def test_parse_accepts_space_separation(tmp_path):
     g = parse_edge_list(write(tmp_path, "a b\nc   d\n"))
-    assert len(g.edges) == 2
+    assert len(g.pairs) == 2
 
 
 def test_parse_bad_column_count_reports_line(tmp_path):
@@ -75,9 +80,90 @@ def test_serialize_parse_round_trip(tmp_path):
     out = tmp_path / "ser.tsv"
     serialize_graph(g, out)
     again = parse_edge_list(out)
-    assert again.edges == g.edges
+    assert sorted(symbol_pairs(again)) == sorted(symbol_pairs(g))
     serialize_graph(again, tmp_path / "ser2.tsv")
     assert (tmp_path / "ser2.tsv").read_bytes() == out.read_bytes()
+
+
+# Symbols that collide in case, share prefixes, sort differently from their
+# first appearance, or are header words away from the first data line.
+_SYMBOLS = ("a", "b", "B", "g1", "g10", "G2", "\u00e9", "to", "Source")
+_HEADERS = ("gene1\tgene2", "Source Target", "from to", "PROTEIN_A  protein_b")
+_SPACE = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def _edge_lists(draw):
+    """Edge-list text: an optional header line, then edges joined by tabs or
+    spaces, edges repeated reversed, self-pairs, comments, blank lines and
+    now and then a line of the wrong width, each ended by LF, CRLF or CR."""
+    lines = [draw(st.sampled_from(_HEADERS))] if draw(st.booleans()) else []
+    drawn = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(
+            ["edge"] * 6 + ["reverse"] * 2 + ["self", "comment", "blank",
+                                              "width"]))
+        a, b = draw(st.sampled_from(_SYMBOLS)), draw(st.sampled_from(_SYMBOLS))
+        if kind == "reverse" and drawn:
+            b, a = drawn[draw(st.integers(0, len(drawn) - 1))]
+        elif kind == "self":
+            b = a
+        drawn.append((a, b))
+        sep = draw(st.sampled_from(["\t", " ", "  \t "]))
+        line = f"{draw(_SPACE)}{a}{sep}{b}{draw(_SPACE)}"
+        if kind == "comment":
+            line = f"{draw(_SPACE)}#{line}"
+        elif kind == "blank":
+            line = draw(_SPACE)
+        elif kind == "width":
+            line = draw(st.sampled_from([a, f"{line} {a}"]))
+        lines.append(line)
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_edge_lists(), data=st.data())
+def test_edge_path_matches_the_set_oracle(text, data):
+    """Parse, intersect with a shuffled panel that adds and drops genes,
+    serialize and build the mask; compare each step with the literal
+    set-of-tuples route."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        genes, edges, error = oracles.edge_list_sets(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                graph = parse_edge_list(path)
+            except ParseError as exc:
+                assert str(exc) == error
+                return
+        assert error is None
+        assert [str(w.message) for w in caught] == (
+            [] if edges else ["edges.tsv: no edges parsed"])
+        assert graph.genes == genes
+        assert sorted(symbol_pairs(graph)) == sorted(edges)
+        serialize_graph(graph, Path(tmp) / "out.tsv")
+        assert (Path(tmp) / "out.tsv").read_bytes() == "".join(
+            f"{a}\t{b}\n" for a, b in sorted(edges)).encode("utf-8")
+
+    kept_genes = data.draw(st.lists(st.sampled_from(genes), unique=True)) \
+        if genes else []
+    panel = data.draw(st.permutations(kept_genes + ["x1", "x2"]))
+    kept = tuple(g for g in panel if g in genes)
+    if not kept:
+        with pytest.raises(ConfigError):
+            intersect_features(graph, panel)
+        return
+    sub, got_kept = intersect_features(graph, panel)
+    sub_edges = [(a, b) for a, b in edges if a in kept and b in kept]
+    assert got_kept == sub.genes == kept
+    assert sorted(symbol_pairs(sub)) == sorted(sub_edges)
+    mask = build_adjacency(sub)
+    assert (mask.rows.tolist(), mask.cols.tolist()) == \
+        oracles.adjacency_set_sort(kept, sub_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -86,63 +172,70 @@ def test_serialize_parse_round_trip(tmp_path):
 
 
 def test_graph_neighbors_and_subgraph():
-    g = GeneGraph(genes=("a", "b", "c", "d"),
-                  edges=frozenset({("a", "b"), ("b", "c")}))
+    g = graph_of(("a", "b", "c", "d"), [("a", "b"), ("c", "b")])
     assert neighbors(g, "b") == frozenset({"a", "c"})
     assert neighbors(g, "d") == frozenset()
     with pytest.raises(KeyError):
         neighbors(g, "zzz")
-    sub = g.subgraph(["c", "b"])
-    assert sub.genes == ("c", "b")
-    assert sub.edges == frozenset({("b", "c")})
+    sub, kept = intersect_features(g, ["c", "b"])
+    assert sub.genes == kept == ("c", "b")
+    assert sub.pairs.tolist() == [[0, 1]]
+    assert symbol_pairs(sub) == [("b", "c")]
 
 
 def test_subgraph_of_every_gene_reordered_equals_the_rebuilt_subgraph():
     gen = np.random.default_rng(7)
     names = [f"g{i}" for i in range(40)]
-    edges = frozenset(tuple(sorted((names[i], names[j])))
-                      for i, j in gen.integers(0, 40, size=(90, 2)) if i != j)
-    graph = GeneGraph(genes=tuple(names), edges=edges)
+    drawn = [(names[i], names[j])
+             for i, j in gen.integers(0, 40, size=(90, 2))]
+    graph = graph_of(names, drawn)
+    edges = symbol_pairs(graph)
     for keep in (names[::-1], list(gen.permutation(names))):
-        sub = graph.subgraph(keep)
-        rebuilt = GeneGraph(genes=tuple(keep), edges=frozenset(
-            (a, b) for a, b in graph.edges if a in keep and b in keep))
-        assert (sub.genes, sub.edges) == (rebuilt.genes, rebuilt.edges)
-        assert sub.edges is graph.edges
+        sub, _ = intersect_features(graph, keep)
+        rebuilt = graph_of(keep, drawn)
+        assert sub.genes == rebuilt.genes == tuple(keep)
+        assert np.array_equal(sub.pairs, rebuilt.pairs)
         assert graph.genes == tuple(names)
         mask = build_adjacency(sub)
         assert (mask.rows.tolist(), mask.cols.tolist()) == \
-            oracles.adjacency_set_sort(rebuilt)
+            oracles.adjacency_set_sort(keep, edges)
     # As many genes as the graph, but one twice: still rejected.
     with pytest.raises(DataError, match="duplicate gene symbols"):
-        graph.subgraph(names[:-1] + names[:1])
+        intersect_features(graph, names[:-1] + names[:1])
 
 
 def test_graph_rejects_invariant_violations():
-    with pytest.raises(DataError):
-        GeneGraph(genes=("a",), edges=frozenset({("a", "a")}))
-    with pytest.raises(DataError):
-        GeneGraph(genes=("a",), edges=frozenset({("a", "b")}))
-    with pytest.raises(DataError):
-        GeneGraph(genes=("a", "a"), edges=frozenset())
+    genes = ("a", "b", "c")
+    unordered = r"not \(i < j\) rows strictly increasing in row-major order"
+    for pairs, message in (
+            ([[0, 3]], r"out of range \[0, 3\)"),
+            ([[-1, 1]], r"out of range \[0, 3\)"),
+            ([[1, 1]], unordered),  # a self-pair
+            ([[1, 0]], unordered),
+            ([[1, 2], [0, 1]], unordered),  # unsorted rows
+            ([[0, 1], [0, 1]], unordered)):  # a repeated row
+        with pytest.raises(DataError, match=message):
+            GeneGraph(genes=genes, pairs=np.array(pairs, dtype=np.intp))
+    with pytest.raises(DataError, match="duplicate gene symbols"):
+        GeneGraph(genes=("a", "a"), pairs=np.empty((0, 2), dtype=np.intp))
 
 
 def test_intersect_orders_by_panel():
-    g = GeneGraph(genes=("a", "b", "c"), edges=frozenset({("a", "b")}))
+    g = graph_of(("a", "b", "c"), [("a", "b")])
     sub, kept = intersect_features(g, ["c", "a", "x"])
     assert kept == ("c", "a")
     assert sub.genes == ("c", "a")
-    assert len(sub.edges) == 0
+    assert sub.pairs.shape == (0, 2)
 
 
 def test_intersect_disjoint_is_config_error():
-    g = GeneGraph(genes=("a", "b"), edges=frozenset())
+    g = graph_of(("a", "b"))
     with pytest.raises(ConfigError):
         intersect_features(g, ["x", "y"])
 
 
 def test_intersect_rejects_duplicate_panel():
-    g = GeneGraph(genes=("a", "b"), edges=frozenset())
+    g = graph_of(("a", "b"))
     with pytest.raises(DataError):
         intersect_features(g, ["a", "a"])
 
@@ -153,20 +246,20 @@ def test_intersect_rejects_duplicate_panel():
 
 
 def test_build_adjacency_hand_example():
-    g = GeneGraph(genes=("g1", "g2", "g3"), edges=frozenset({("g1", "g2")}))
+    g = graph_of(("g1", "g2", "g3"), [("g1", "g2")])
     mask = build_adjacency(g)
     coords = set(zip(mask.rows.tolist(), mask.cols.tolist()))
     assert coords == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
 
 
 def test_build_adjacency_no_edges_is_identity():
-    g = GeneGraph(genes=("a", "b", "c"), edges=frozenset())
+    g = graph_of(("a", "b", "c"))
     mask = build_adjacency(g)
     assert np.array_equal(oracles.mask_dense(mask), np.eye(3))
 
 
 def test_build_adjacency_respects_order():
-    g = GeneGraph(genes=("c", "b", "a"), edges=frozenset({("a", "c")}))
+    g = graph_of(("c", "b", "a"), [("a", "c")])
     mask = build_adjacency(g)
     assert mask.genes == ("c", "b", "a")
     dense = oracles.mask_dense(mask)
@@ -202,12 +295,9 @@ def test_mask_rejects_duplicates():
     st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12))
 def test_adjacency_symmetric_with_full_diagonal(n, raw_pairs):
     genes = tuple(f"g{i}" for i in range(n))
-    edges = set()
-    for i, j in raw_pairs:
-        if i < n and j < n and i != j:
-            a, b = genes[i], genes[j]
-            edges.add((a, b) if a <= b else (b, a))
-    mask = build_adjacency(GeneGraph(genes=genes, edges=frozenset(edges)))
+    edges = {frozenset((genes[i], genes[j])) for i, j in raw_pairs
+             if i < n and j < n and i != j}
+    mask = build_adjacency(graph_of(genes, [tuple(e) for e in edges]))
     dense = oracles.mask_dense(mask)
     assert np.array_equal(dense, dense.T)
     assert np.array_equal(np.diag(dense), np.ones(n))
@@ -224,14 +314,13 @@ def test_adjacency_symmetric_with_full_diagonal(n, raw_pairs):
 @example(order=[3, 0, 9, 1, 8, 2, 7, 4, 6, 5], n=10,
          pairs={(3, 9), (9, 3), (0, 1), (6, 5)})
 def test_build_adjacency_matches_set_and_sort_oracle(order, n, pairs):
-    """Genes in a shuffled order, isolated ones included; GeneGraph also
-    takes a pair in both orientations, which gives one edge."""
+    """Genes in a shuffled order, isolated ones included; a pair given in
+    both orientations gives one edge."""
     genes = tuple(f"g{k}" for k in order[:n])
-    edges = frozenset((genes[i], genes[j])
-                      for i, j in pairs if i < n and j < n and i != j)
-    graph = GeneGraph(genes=genes, edges=edges)
-    mask = build_adjacency(graph)
-    rows, cols = oracles.adjacency_set_sort(graph)
+    edges = [(genes[i], genes[j])
+             for i, j in pairs if i < n and j < n and i != j]
+    mask = build_adjacency(graph_of(genes, edges))
+    rows, cols = oracles.adjacency_set_sort(genes, edges)
     assert mask.rows.dtype == mask.cols.dtype == np.intp
     assert (mask.rows.tolist(), mask.cols.tolist()) == (rows, cols)
 
@@ -278,7 +367,7 @@ def test_full_scale_parse_and_mask(tmp_path):
     assert len(seen) == FULL_EDGES
 
     graph = parse_edge_list(path)
-    assert len(graph.edges) == len(seen) == FULL_EDGES
+    assert len(graph.pairs) == len(seen) == FULL_EDGES
     assert len(graph.genes) <= FULL_GENES
 
     # the expression panel covers every symbol, so the intersection is the
@@ -289,6 +378,6 @@ def test_full_scale_parse_and_mask(tmp_path):
     assert len(kept) == FULL_GENES - len(missing)
     mask = build_adjacency(sub)
     assert mask.dim == len(kept)
-    kept_edges = sum(1 for a, b in graph.edges
+    kept_edges = sum(1 for a, b in symbol_pairs(graph)
                      if a not in missing and b not in missing)
     assert mask.nnz == mask.dim + 2 * kept_edges

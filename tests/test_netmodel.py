@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from helpers import (
     VARIANT_HEAD_COMBOS,
+    graph_of,
     masked_from_dense,
     micro_config,
     micro_network,
@@ -26,7 +27,7 @@ from helpers import (
 import survfuse
 from survfuse import netmodel
 from survfuse.errors import ConfigError, DataError, DimensionError, UsageError
-from survfuse.genegraph import AdjacencyMask, GeneGraph, build_adjacency
+from survfuse.genegraph import AdjacencyMask, build_adjacency
 from survfuse.netmodel import (
     MaskedSparseLayer,
     NetworkConfig,
@@ -83,7 +84,7 @@ def gene_branch_output(net, gene_x, image_x=None):
 
 def test_identity_mask_linear_layer_is_identity():
     genes = ("a", "b", "c", "d")
-    mask = build_adjacency(GeneGraph(genes=genes, edges=frozenset()))
+    mask = build_adjacency(graph_of(genes))
     linear = ("linear", "linear")
     net = fused_around(mask, masked_from_dense(mask, np.eye(4)), np.eye(4),
                        activations=linear)

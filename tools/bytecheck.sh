@@ -25,7 +25,15 @@
 #   - a 3-epoch fused train for seed 1, followed by eval of final, on a
 #     copy of the data whose edges.tsv links gene G0100 to 179 others, so
 #     one column of the masked gene layer sums 180 terms (the walkthrough
-#     graph's deepest column has 15).
+#     graph's deepest column has 15);
+#   - a 3-epoch fused train for seed 1, followed by eval of final, on a
+#     copy of the data whose edges.tsv is messy but means nearly the same
+#     graph: a "gene1 gene2" header, comments and blank lines, every edge
+#     twice (once space-separated, once reversed and tab-separated), a
+#     self-pair, two symbols outside the panel, and the lines shuffled so
+#     genes first appear out of symbol order. Every edge of gene G0013 is
+#     left out, so that panel gene is dropped and the graph's edges are
+#     remapped onto a smaller panel.
 #
 # Every command's stdout, stderr and exit code is kept next to what it
 # wrote. The script ends with `diff -r` of the two directories, less the
@@ -155,6 +163,29 @@ run_tree() {
     step eval-fused-hub-final eval --config fused-hub.json \
         --model out-fused-hub/rep00/final --rep 0 \
         --out eval-fused-hub-final.json
+    mkdir -p data-messy
+    cp data/clinical.csv data/expression.csv data/embeddings.csv \
+        data/splits.json data-messy/
+    # Each line gets a random sort key in the first field, cut after sorting.
+    {
+        printf 'gene1 gene2\n# a messy copy of edges.tsv\n\n'
+        LC_ALL=C awk -F'\t' 'BEGIN { srand(1) }
+            $1 == "G0013" || $2 == "G0013" { next }
+            { printf "%.17g\t%s %s\n%.17g\t%s\t%s\n", rand(), $1, $2,
+                     rand(), $2, $1 }
+            NR % 50 == 0 { printf "%.17g\t# line %d\n%.17g\t\n", rand(), NR,
+                                  rand() }
+            END { printf "%.17g\tG0007\tG0007\n", rand()
+                  printf "%.17g\tXNOVEL1 G0002\n", rand()
+                  printf "%.17g\tXNOVEL2\tXNOVEL3\n", rand() }' \
+            data/edges.tsv | LC_ALL=C sort -g -k1,1 | cut -f2-
+    } >data-messy/edges.tsv
+    config fused-messy.json fused alternate mmmt-default 1 out-fused-messy/ \
+        data-messy
+    step train-fused-messy train fused-messy.json --rep 0 --epochs 3
+    step eval-fused-messy-final eval --config fused-messy.json \
+        --model out-fused-messy/rep00/final --rep 0 \
+        --out eval-fused-messy-final.json
 }
 
 for side in parent change; do
