@@ -64,6 +64,24 @@ def test_parse_bad_column_count_reports_line(tmp_path):
         parse_edge_list(path)
 
 
+@pytest.mark.parametrize("first, later, message", [
+    (b"x\ty\tz", b"c\td\xff", "edges.tsv:2: expected 2 columns, got 3"),
+    (b"c\td\xff", b"x\ty\tz", "edges.tsv:2: not UTF-8 text"),
+    (b"x\ty\xff\tz", b"c\td", "edges.tsv:2: not UTF-8 text"),
+], ids=["width-first", "byte-first", "same-line"])
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_parse_reports_the_first_bad_line(tmp_path, first, later, message,
+                                          ending):
+    # The later bad line lies past the first 8 KB of the file.
+    lines = [b"a\tb", first] + [b"a\tb"] * 5000 + [later]
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(ending.join(lines) + ending)
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(path)
+    assert str(exc.value) == message
+
+
 def test_parse_header_autodetect(tmp_path):
     g = parse_edge_list(write(tmp_path, "Gene1\tGene2\na\tb\n"))
     assert g.genes == ("a", "b")
