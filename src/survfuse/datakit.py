@@ -49,6 +49,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -298,6 +299,32 @@ def _may_hold_long_field(text: str, limit: int) -> bool:
                for i in range(0, len(text), block))
 
 
+def _text_lines(path):
+    """The physical lines of ``path`` as text mode reads them, line endings
+    kept (LF, CRLF or a lone CR ends a line). At the first byte that is not
+    UTF-8, every line before it is still yielded, then a DataError names the
+    line that holds the byte."""
+    n = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for n, line in enumerate(fh, start=1):
+                yield line
+            return
+        except UnicodeDecodeError:
+            pass
+    # Text mode decodes in blocks, so the lines before the bad byte that
+    # share its block are read again here, from the file's bytes.
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:exc.start]
+    # A stand-in for the bad byte makes the last line the one that holds it.
+    lines = io.StringIO(data.decode("utf-8") + "?", newline="").readlines()
+    yield from lines[n:-1]
+    raise DataError(f"{Path(path).name}:{len(lines)}: not UTF-8 text")
+
+
 def _sample_rows(path, columns=None):
     """Read a sample-keyed CSV: yield its header, then ``(lineno, row)`` for
     every non-blank body row, ``lineno`` being the line the row starts on.
@@ -305,12 +332,14 @@ def _sample_rows(path, columns=None):
     The header must be exactly ``columns`` when they are given, and hold at
     least 2 columns otherwise; no column name may repeat. Each body row must
     be as wide as the header and start with a sample id not seen before; any
-    other row, or a record ``csv`` rejects, raises naming the file and line.
+    other row, a record ``csv`` rejects, or a byte that is not UTF-8 raises
+    naming the file and line.
     """
     name = Path(path).name
     limit = csv.field_size_limit()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    lines = _text_lines(path)
+    with contextlib.closing(lines):
+        reader = csv.reader(lines)
         try:
             header = next(reader, None)
         except csv.Error as exc:
@@ -331,7 +360,7 @@ def _sample_rows(path, columns=None):
         width = len(header)
         seen: set[str] = set()
         lineno = reader.line_num
-        for line in fh:
+        for line in lines:
             lineno += 1
             start = lineno
             text = line.rstrip("\r\n")
@@ -340,7 +369,7 @@ def _sample_rows(path, columns=None):
             if '"' in text or (len(text) > limit
                                and _may_hold_long_field(text, limit)):
                 # csv.reader pulls any further lines a quoted record spans.
-                record = csv.reader(itertools.chain([line], fh))
+                record = csv.reader(itertools.chain([line], lines))
                 try:
                     row = next(record)
                 except csv.Error as exc:

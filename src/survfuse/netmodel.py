@@ -20,8 +20,8 @@ Dropout follows the activation: SELU layers use the self-normalizing
 variant, others use standard inverted dropout; heads carry none.
 
 A checkpoint (format version 2) stores ``Network.param_vector`` as one
-``params.bin``; each of its files is written or read once and hashed from
-memory. Version 1 checkpoints are rejected.
+``params.bin``; each of its files is written or read once and hashed once.
+Version 1 checkpoints are rejected.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
@@ -502,14 +503,23 @@ def assemble(config: NetworkConfig, mask: AdjacencyMask | None,
             col_nnz = np.bincount(m.cols, minlength=m.dim)
             row_nnz = np.bincount(m.rows, minlength=m.dim)
             fans = col_nnz[m.cols] + row_nnz[m.rows]
-            limit = np.sqrt(6.0 / fans)
-            layer.weights[...] = gen.uniform(-1.0, 1.0, size=m.nnz) * limit
+            _uniform_into(layer.weights, -1.0, 1.0, gen)
+            layer.weights *= np.sqrt(6.0 / fans)
         else:
             d_in, d_out = layer.weights.shape
             limit = np.sqrt(6.0 / (d_in + d_out))
-            layer.weights[...] = gen.uniform(-limit, limit, size=(d_in, d_out))
+            _uniform_into(layer.weights, -limit, limit, gen)
     net.init_seed = rng.seed
     return net
+
+
+def _uniform_into(out: Array, low: float, high: float, gen) -> None:
+    """``out[...] = gen.uniform(low, high, out.shape)``, bit for bit, with no
+    temporary: numpy draws each value as ``low + (high - low) * u`` from the
+    ``u`` that ``gen.random`` draws, in the same order."""
+    gen.random(out=out)
+    out *= high - low
+    out += low
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +547,47 @@ def _manifest_params(network: Network) -> list[dict]:
             for name, shape, offset in network._layout]
 
 
-def save_checkpoint(network: Network, path) -> None:
-    """Write a version-2 checkpoint directory: ``manifest.json`` (config,
-    seed, genes, and each parameter's name, shape and float64 offset),
-    ``params.bin`` (``param_vector`` as little-endian float64), ``mask.bin``
-    (gene branch only: the mask's rows then cols as little-endian int32) and
-    ``checksums.txt``, whose digests hash the bytes in memory."""
+def _params_bytes(network: Network):
+    # On a little-endian machine this is param_vector itself, not a copy.
+    return np.asarray(network.param_vector, dtype="<f8")
+
+
+def save_params(network: Network, path) -> None:
+    """Start a checkpoint in directory ``path``: remove its
+    ``checksums.txt``, so that it cannot be loaded, then write
+    ``params.bin`` from ``param_vector``, unhashed."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    (path / _CHECKSUM_NAME).unlink(missing_ok=True)
+    # An existing file is overwritten in place, not truncated first, so its
+    # cached pages are reused: 2 ms against 15 ms for 10 MB.
+    fd = os.open(path / _PARAMS_NAME, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(_params_bytes(network))
+        fh.truncate()
+
+
+def save_checkpoint(network: Network, path, params_sha256: str | None = None,
+                    params_saved: bool = False) -> str:
+    """Write a version-2 checkpoint directory and return the sha256 of its
+    ``params.bin``: ``manifest.json`` (config, seed, genes, and each
+    parameter's name, shape and float64 offset), ``params.bin``
+    (``param_vector`` as little-endian float64), ``mask.bin`` (gene branch
+    only: the mask's rows then cols as little-endian int32) and, last,
+    ``checksums.txt``, whose digests hash the bytes in memory.
+
+    ``params_sha256``, when given, is the known digest of ``param_vector``.
+    With ``params_saved``, the checkpoint that ``save_params`` started is
+    completed: its ``params.bin`` is kept and hashed from the file.
+    """
+    path = Path(path)
+    if params_saved:
+        with open(path / _PARAMS_NAME, "rb") as fh:
+            params_sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
+    else:
+        save_params(network, path)
+        params_sha256 = (params_sha256
+                         or hashlib.sha256(_params_bytes(network)).hexdigest())
     manifest = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -552,7 +595,7 @@ def save_checkpoint(network: Network, path) -> None:
         "seed": network.init_seed,
         "params": _manifest_params(network),
     }
-    digests: dict[str, str] = {}
+    digests = {_PARAMS_NAME: params_sha256}
     mask = network.mask
     if mask is not None:
         manifest["genes"] = list(mask.genes)
@@ -560,12 +603,10 @@ def save_checkpoint(network: Network, path) -> None:
         digests[_MASK_NAME] = _write(path / _MASK_NAME, coords)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     digests[_MANIFEST_NAME] = _write(path / _MANIFEST_NAME, text.encode("utf-8"))
-    # On a little-endian machine this is param_vector itself, not a copy.
-    values = np.asarray(network.param_vector, dtype="<f8")
-    digests[_PARAMS_NAME] = _write(path / _PARAMS_NAME, values)
     with open(path / _CHECKSUM_NAME, "w", encoding="utf-8") as fh:
         for name in sorted(digests):
             fh.write(f"{digests[name]}  {name}\n")
+    return params_sha256
 
 
 def _read_checksums(path: Path) -> dict[str, str]:

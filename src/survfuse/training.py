@@ -17,7 +17,7 @@ import numpy as np
 
 from .datakit import DEFAULT_GRADE_NAMES
 from .errors import ConfigError, DataError, NumericError, UndefinedResultError
-from .netmodel import HEAD_TASKS, Network, save_checkpoint
+from .netmodel import HEAD_TASKS, Network, save_checkpoint, save_params
 from .numcore import AdamState, RngStream, adam_step
 from .surveval import accuracy_and_micro_f1, c_index, confusion, predicted_classes
 
@@ -269,8 +269,12 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
 
     With ``out_dir`` set, checkpoints land in out_dir/final and
     out_dir/best (best by the evaluation score over ``eval_ids``; final
-    when no evaluation is possible) along with history.csv. The whole run
-    is bit-reproducible from (profile, cohort, split).
+    when no evaluation is possible) along with history.csv. No copy of the
+    parameters is held: an epoch that improves the score, unless it is the
+    last, writes them to best/params.bin at once, and makes best/
+    unloadable until the run completes it after final/. Without
+    ``out_dir`` nothing is kept. The whole run is bit-reproducible from
+    (profile, cohort, split).
     """
     tasks_needed = check_heads(profile.schedule, network.config.heads)
 
@@ -285,9 +289,7 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     history = TrainingHistory()
     params = network.params()
     state = AdamState.for_params(params)
-    # adam_step updates the network's parameters in place, so the best epoch
-    # is kept as a copy, not as a reference.
-    best_vector = np.empty_like(network.param_vector)
+    best_dir = None if out_dir is None else Path(out_dir) / "best"
     shuffle_stream = RngStream(profile.seed, _STREAM_SHUFFLE)
     dropout_stream = RngStream(profile.seed, _STREAM_DROPOUT)
 
@@ -339,18 +341,18 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
             history.snapshots.append(snap)
             if snap.score is not None and snap.score > best_score:
                 best_score = snap.score
-                np.copyto(best_vector, network.param_vector)
                 history.best_epoch = epoch
+                if best_dir is not None and epoch < profile.epochs - 1:
+                    save_params(network, best_dir)
 
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        del state  # free the Adam moments so the copy below adds no peak memory
-        save_checkpoint(network, out_dir / "final")
-        final_vector = network.param_vector.copy()
-        if history.best_epoch is not None:
-            np.copyto(network.param_vector, best_vector)
-        save_checkpoint(network, out_dir / "best")
-        np.copyto(network.param_vector, final_vector)
+        final_sha256 = save_checkpoint(network, out_dir / "final")
+        if history.best_epoch in (None, profile.epochs - 1):
+            # best/ holds the final parameters, already hashed.
+            save_checkpoint(network, best_dir, final_sha256)
+        else:
+            save_checkpoint(network, best_dir, params_saved=True)
         history.to_csv(out_dir / "history.csv")
     return network, history

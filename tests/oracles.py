@@ -53,6 +53,28 @@ def masked_product_loops(x, mask, values):
     return np.asarray(out).reshape(len(xs), mask.dim)
 
 
+def uniform_init_draws(gen, layers):
+    """Initial weights of ``layers``, in order, drawn as ``assemble``'s
+    docstring states them with one ``gen.uniform`` array per layer: a dense
+    (d_in, d_out) layer from U(+-sqrt(6/(d_in+d_out))), and a masked layer
+    from U(-1, 1), each nonzero (r, c) then times sqrt(6/(nonzeros in
+    column c + nonzeros in row r))."""
+    draws = []
+    for layer in layers:
+        mask = getattr(layer, "mask", None)
+        if mask is not None:
+            rows, cols = mask.rows.tolist(), mask.cols.tolist()
+            limits = [math.sqrt(6.0 / (cols.count(c) + rows.count(r)))
+                      for r, c in zip(rows, cols)]
+            draws.append(gen.uniform(-1.0, 1.0, size=len(rows))
+                         * np.array(limits))
+        else:
+            d_in, d_out = layer.weights.shape
+            limit = math.sqrt(6.0 / (d_in + d_out))
+            draws.append(gen.uniform(-limit, limit, size=(d_in, d_out)))
+    return draws
+
+
 def adjacency_set_sort(genes, edges):
     """Row and column lists of the adjacency mask with self-loops over
     ``genes`` and the symbol pairs ``edges``, built as a set of ``(i, j)``

@@ -863,6 +863,33 @@ def test_non_utf8_edge_list_names_file_and_line(data_dir, splits_file,
     assert "error: edges.tsv:4: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["clinical", "expression", "embeddings",
+                                  "risks"])
+def test_non_utf8_sample_table_names_file_and_line(data_dir, splits_file,
+                                                   tmp_path, capsys, kind):
+    name = f"{kind}.csv"
+    if kind == "risks":
+        text = "sample_id,risk\n" + "".join(
+            f"{row[0]},{i}\n"
+            for i, row in enumerate(read_rows(data_dir / "clinical.csv")[1:]))
+        lines = text.encode().split(b"\n")
+    else:
+        lines = (data_dir / name).read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b",", b",\xff", 1)  # line 5 of the file
+    path = tmp_path / name
+    path.write_bytes(b"\n".join(lines))
+    if kind == "risks":
+        args = ["eval", "--risks", str(path), "--clinical",
+                str(data_dir / "clinical.csv"), "--out", str(tmp_path / "out")]
+    else:
+        config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                              tmp_path / "out", **{kind: str(path)})
+        args = ["train", str(config)]
+    assert main(args) == 1
+    assert f"error: {name}:5: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / ".survfuse-cache" / f"{name}.bin").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "km"])
 @pytest.mark.parametrize("body, message", [
     ("", "risks.csv: empty file"),

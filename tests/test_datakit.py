@@ -452,6 +452,39 @@ def test_overlong_field_is_a_data_error(tmp_path, quote):
                 f"t.csv:3: field larger than field limit ({limit})"
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"],
+                         ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("filler", [0, 2000], ids=["first-block", "later"])
+@pytest.mark.parametrize("second, message", [
+    ("S0,0.5", "t.csv:{bad}: not UTF-8 text"),
+    ("S0,0.5,7", "t.csv:2: expected 2 columns, got 3"),
+    ("S0,x", "t.csv:2: unparseable number 'x'"),
+    ('"S0', "t.csv:{bad}: not UTF-8 text"),
+], ids=["valid", "width", "number", "open-quote"])
+def test_non_utf8_byte_is_reported_after_earlier_lines(tmp_path, ending,
+                                                      filler, second,
+                                                      message):
+    """The lines before the first non-UTF-8 byte are all read, in the
+    decoder's block or before it, so an error on them comes first; a
+    quoted record still open at the bad byte ends at it."""
+    lines = (["sample_id,risk", second]
+             + [f"S{i},0.{i}" for i in range(1, filler + 1)])
+    bad = len(lines) + 1
+    path = tmp_path / "t.csv"
+    path.write_bytes(ending.encode().join(
+        [line.encode() for line in lines] + [b"S\xff,0.1", b"S9999,0.2", b""]))
+    with pytest.raises(DataError) as exc:
+        read_risks(path)
+    assert str(exc.value) == message.format(bad=bad)
+    rows = []
+    with pytest.raises(DataError):
+        for row in _sample_rows(path, ("sample_id", "risk")):
+            rows.append(row)
+    if second == "S0,0.5":
+        assert rows[1:] == [(i, line.split(","))
+                            for i, line in enumerate(lines[1:], start=2)]
+
+
 def _wide_expression_files(tmp_path):
     """A 160 x 2,000 expression file and its clinical table."""
     n, p = 160, 2000

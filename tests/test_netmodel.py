@@ -34,6 +34,7 @@ from survfuse.netmodel import (
     assemble,
     load_checkpoint,
     save_checkpoint,
+    save_params,
 )
 from survfuse.numcore import RngStream
 from survfuse.training import SurvivalBatchLabels, cox_loss, nll_loss
@@ -323,6 +324,24 @@ def test_assemble_zero_biases_and_bounded_weights():
         else:
             d_in, d_out = value.shape
             assert np.max(np.abs(value)) <= np.sqrt(6.0 / (d_in + d_out))
+
+
+@pytest.mark.parametrize("variant, heads", VARIANT_HEAD_COMBOS)
+@pytest.mark.parametrize("seed", [0, 9])
+def test_assemble_draws_match_uniform_oracle(variant, heads, seed):
+    """assemble fills each weight array in place, bit for bit what one
+    gen.uniform array per layer gives."""
+    config = dataclasses.replace(micro_config(variant, heads),
+                                 gene_branch_dim=33)
+    mask = random_mask(12, 5) if "gene" in config.inputs else None
+    net = assemble(config, mask, RngStream(seed, 31))
+    want = oracles.uniform_init_draws(RngStream(seed, 31).generator(),
+                                      net.all_layers())
+    for layer, draws in zip(net.all_layers(), want, strict=True):
+        assert layer.weights.tobytes() == draws.tobytes(), layer.name
+    for name, value in net.params().items():
+        if name.endswith(".b"):
+            assert not value.any(), name
 
 
 def test_assemble_mask_contract():
@@ -674,6 +693,27 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     b = loaded.predict(gene_x=gene_x, image_x=image_x)
     assert np.array_equal(a["survival"], b["survival"])
     assert np.array_equal(a["grade"], b["grade"])
+
+
+def test_checkpoint_completed_from_saved_params(tmp_path):
+    """save_params makes a checkpoint directory unloadable at once; the
+    save_checkpoint that completes it, from the params.bin on disk or from
+    a known digest, writes the bytes a plain save_checkpoint writes."""
+    net = randomize_params(micro_network("fused", "both", seed=8), seed=9)
+    digest = save_checkpoint(net, tmp_path / "plain")
+    want = {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()}
+    assert digest == hashlib.sha256(want["params.bin"]).hexdigest()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(randomize_params(micro_network("fused", "both"), seed=1),
+                    ckpt)
+    save_params(net, ckpt)
+    with pytest.raises(DataError, match="missing checksums.txt"):
+        load_checkpoint(ckpt)
+    assert save_checkpoint(net, ckpt, params_saved=True) == digest
+    assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == want
+    assert save_checkpoint(net, tmp_path / "known", digest) == digest
+    assert {p.name: p.read_bytes()
+            for p in (tmp_path / "known").iterdir()} == want
 
 
 def test_checkpoint_round_trip_without_mask(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -428,10 +429,10 @@ def test_train_best_tracks_validation_score(tmp_path):
 
 
 def test_best_checkpoint_holds_best_epoch_not_final(tmp_path):
-    """Adam updates parameters in place, so the best epoch must be saved as
-    a copy. On this seed the best epoch (0) is not the last one and scores
-    differently from it, so a snapshot that aliased the live parameters
-    would write the final weights into best/."""
+    """Adam updates parameters in place, so best/ must hold the parameters
+    as they were when the best epoch ended. On this seed the best epoch (0)
+    is not the last one and scores differently from it, so a best/ written
+    from the live parameters at the end would hold the final weights."""
     cohort, mask = micro_cohort(20)
     ids = list(cohort.sample_ids)
     net = micro_net(mask, 20)
@@ -448,6 +449,100 @@ def test_best_checkpoint_holds_best_epoch_not_final(tmp_path):
         history.snapshots[-1].score != history.snapshots[best_epoch].score
     assert not np.array_equal(best.param_vector, final.param_vector)
     assert np.array_equal(net.param_vector, final.param_vector)
+
+
+def _scripted_scores(monkeypatch, scores):
+    """Make epoch e score ``scores[e]`` and return the list that collects
+    a copy of ``param_vector`` as each epoch's evaluation sees it."""
+    seen = []
+
+    def scripted(network, cohort, ids, tasks):
+        seen.append(network.param_vector.copy())
+        snap = evaluate_network(network, cohort, ids, tasks)
+        return dataclasses.replace(snap, score=scores[len(seen) - 1])
+
+    monkeypatch.setattr("survfuse.training.evaluate_network", scripted)
+    return seen
+
+
+@pytest.mark.parametrize("scores, best_epoch", [
+    ([0.1, 0.3, 0.5, 0.2, 0.4], 2),
+    ([0.1, 0.3, 0.2, 0.5], 3),
+    ([None, None, None], None),
+], ids=["before-last", "last", "none-scored"])
+def test_best_params_file_holds_best_epoch_snapshot(tmp_path, monkeypatch,
+                                                    scores, best_epoch):
+    cohort, mask = micro_cohort(21)
+    ids = list(cohort.sample_ids)
+    seen = _scripted_scores(monkeypatch, scores)
+    net, history = train(micro_net(mask, 21), cohort, ids[:32],
+                         micro_profile(21, epochs=len(scores)),
+                         eval_ids=ids[32:], out_dir=tmp_path / "run")
+    assert history.best_epoch == best_epoch
+    want = net.param_vector if best_epoch is None else seen[best_epoch]
+    assert (tmp_path / "run" / "best" / "params.bin").read_bytes() == \
+        want.astype("<f8").tobytes()
+    assert np.array_equal(load_checkpoint(tmp_path / "run" / "best")
+                          .param_vector, want)
+    assert np.array_equal(load_checkpoint(tmp_path / "run" / "final")
+                          .param_vector, net.param_vector)
+
+
+@pytest.mark.parametrize("earlier_run", [False, True],
+                         ids=["fresh", "over-earlier-run"])
+def test_failed_run_leaves_best_unloadable(tmp_path, monkeypatch,
+                                           earlier_run):
+    """A run that fails after an improving epoch has begun to overwrite
+    best/; neither what it wrote nor an earlier run's best/ may load."""
+    cohort, mask = micro_cohort(22)
+    ids = list(cohort.sample_ids)
+    out = tmp_path / "run"
+    if earlier_run:
+        train(micro_net(mask, 22), cohort, ids[:32], micro_profile(22),
+              eval_ids=ids[32:], out_dir=out)
+        load_checkpoint(out / "best")
+    _scripted_scores(monkeypatch, [0.5, 0.4, 0.3])
+    calls = 0
+
+    def cox_fails_in_epoch_1(risks, labels):
+        nonlocal calls
+        calls += 1
+        if calls > 2:  # 32 samples in batches of 8: 2 survival steps an epoch
+            return math.inf, np.zeros_like(np.asarray(risks, dtype=float))
+        return cox_loss(risks, labels)
+
+    monkeypatch.setattr("survfuse.training.cox_loss", cox_fails_in_epoch_1)
+    with pytest.raises(NumericError, match="epoch 1"):
+        train(micro_net(mask, 22), cohort, ids[:32], micro_profile(22),
+              eval_ids=ids[32:], out_dir=out)
+    with pytest.raises(DataError, match="missing checksums.txt"):
+        load_checkpoint(out / "best")
+
+
+@pytest.mark.parametrize("with_out_dir", [False, True],
+                         ids=["no-out-dir", "out-dir"])
+def test_train_holds_no_model_copy_beyond_adam_moments(tmp_path,
+                                                       with_out_dir):
+    """train() allocates the two Adam moments and nothing else as large as
+    the model, whether or not it writes checkpoints."""
+    cohort, mask = micro_cohort(23)
+    ids = list(cohort.sample_ids)
+    # 1.06M parameters, nearly all in gene.compress and trunk.0, so that
+    # per-batch arrays stay far below one model-sized vector.
+    cfg = NetworkConfig(variant="fused", heads="both", gene_dim=12,
+                        image_dim=7, grade_classes=3, gene_branch_dim=2000,
+                        trunk_dims=(512, 4), head_hidden_dim=3,
+                        dropout_p=0.1)
+    net = assemble(cfg, mask, RngStream(23, 31))
+    model_bytes = net.param_vector.nbytes
+    tracemalloc.start()
+    try:
+        train(net, cohort, ids[:32], micro_profile(23), eval_ids=ids[32:],
+              out_dir=tmp_path / "run" if with_out_dir else None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * model_bytes < peak < 2.5 * model_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@
 #   - 3-epoch smst-gene (gene-only) and smst-image (image-only) runs on the
 #     same data, each followed by eval of best and final;
 #   - the fused walkthrough train for seed 1 again, followed by eval of
+#     best and final, into a copy of seed 7's finished output directory, so
+#     each checkpoint is written over one already there (seed 1's best
+#     epoch is 26 of 0-29; seed 7's, like the 3-epoch runs', is its last);
+#   - the fused walkthrough train for seed 1 again, followed by eval of
 #     final, on a copy of the data whose clinical.csv and expression.csv
 #     have \r\n line endings and a quoted sample id on every other line,
 #     so the CSV reader switches between its quote-free path and
@@ -136,6 +140,15 @@ run_tree() {
                 --model "out-$preset/rep00/$which" --rep 0 \
                 --out "eval-$preset-$which.json"
         done
+    done
+    cp -r out-fused-7 out-fused-1-over-7
+    config fused-1-over-7.json fused alternate mmmt-default 1 \
+        out-fused-1-over-7/
+    step train-fused-1-over-7 train fused-1-over-7.json --rep 0
+    for which in best final; do
+        step "eval-fused-1-over-7-$which" eval --config fused-1-over-7.json \
+            --model "out-fused-1-over-7/rep00/$which" --rep 0 \
+            --out "eval-fused-1-over-7-$which.json"
     done
     mkdir -p data-crlf
     cp data/embeddings.csv data/edges.tsv data/splits.json data-crlf/
