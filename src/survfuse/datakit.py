@@ -49,7 +49,6 @@ import contextlib
 import csv
 import functools
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -63,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .genegraph import GeneGraph, canonical_pairs
+from .genegraph import GeneGraph, canonical_pairs, text_lines
 from .numcore import RngStream
 
 # Fixed stream ids so different random purposes never share a sequence.
@@ -299,32 +298,6 @@ def _may_hold_long_field(text: str, limit: int) -> bool:
                for i in range(0, len(text), block))
 
 
-def _text_lines(path):
-    """The physical lines of ``path`` as text mode reads them, line endings
-    kept (LF, CRLF or a lone CR ends a line). At the first byte that is not
-    UTF-8, every line before it is still yielded, then a DataError names the
-    line that holds the byte."""
-    n = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            for n, line in enumerate(fh, start=1):
-                yield line
-            return
-        except UnicodeDecodeError:
-            pass
-    # Text mode decodes in blocks, so the lines before the bad byte that
-    # share its block are read again here, from the file's bytes.
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        data = data[:exc.start]
-    # A stand-in for the bad byte makes the last line the one that holds it.
-    lines = io.StringIO(data.decode("utf-8") + "?", newline="").readlines()
-    yield from lines[n:-1]
-    raise DataError(f"{Path(path).name}:{len(lines)}: not UTF-8 text")
-
-
 def _sample_rows(path, columns=None):
     """Read a sample-keyed CSV: yield its header, then ``(lineno, row)`` for
     every non-blank body row, ``lineno`` being the line the row starts on.
@@ -337,7 +310,7 @@ def _sample_rows(path, columns=None):
     """
     name = Path(path).name
     limit = csv.field_size_limit()
-    lines = _text_lines(path)
+    lines = text_lines(path, DataError)
     with contextlib.closing(lines):
         reader = csv.reader(lines)
         try:

@@ -11,6 +11,8 @@ that restricts the first network layer to known gene-gene interactions.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +70,32 @@ class GeneGraph:
                             "increasing in row-major order")
 
 
+def text_lines(path, error):
+    """The physical lines of ``path`` as text mode reads them, line endings
+    kept (LF, CRLF or a lone CR ends a line). At the first byte that is not
+    UTF-8, every line before it is still yielded, then ``error`` (an
+    exception class) is raised naming the line that holds the byte."""
+    n = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for n, line in enumerate(fh, start=1):
+                yield line
+            return
+        except UnicodeDecodeError:
+            pass
+    # Text mode decodes in blocks, so the lines before the bad byte that
+    # share its block are read again here, from the file's bytes.
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:exc.start]
+    # A stand-in for the bad byte makes the last line the one that holds it.
+    lines = io.StringIO(data.decode("utf-8") + "?", newline="").readlines()
+    yield from lines[n:-1]
+    raise error(f"{Path(path).name}:{len(lines)}: not UTF-8 text")
+
+
 def parse_edge_list(path) -> GeneGraph:
     """Read an interaction edge list (format in the module docstring).
 
@@ -75,33 +103,24 @@ def parse_edge_list(path) -> GeneGraph:
     that is not exactly two symbols. A list with no edge left warns.
     """
     path = Path(path)
-    data = path.read_bytes()
-    try:
-        text, complete = data.decode("utf-8"), True
-    except UnicodeDecodeError as exc:
-        # The lines before the one holding the first bad byte are still
-        # read first, so an earlier bad line is the error reported.
-        text, complete = data[:exc.start].decode("utf-8"), False
-    # Line ends as text mode reads them: LF, CRLF and a lone CR.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     index: dict[str, int] = {}
     ids: list[int] = []
     header_checked = False
-    for lineno, line in enumerate(lines if complete else lines[:-1], start=1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if len(tokens) != 2:
-            raise ParseError(
-                f"{path.name}:{lineno}: expected 2 columns, got {len(tokens)}")
-        if not header_checked:
-            header_checked = True
-            if all(t.lower() in _HEADER_WORDS for t in tokens):
+    lines = text_lines(path, ParseError)
+    with contextlib.closing(lines):
+        for lineno, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
                 continue
-        for t in tokens:
-            ids.append(index.setdefault(t, len(index)))
-    if not complete:
-        raise ParseError(f"{path.name}:{len(lines)}: not UTF-8 text")
+            if len(tokens) != 2:
+                raise ParseError(f"{path.name}:{lineno}: expected 2 columns, "
+                                 f"got {len(tokens)}")
+            if not header_checked:
+                header_checked = True
+                if all(t.lower() in _HEADER_WORDS for t in tokens):
+                    continue
+            for t in tokens:
+                ids.append(index.setdefault(t, len(index)))
     pairs = canonical_pairs(ids, len(index))
     if not len(pairs):
         warnings.warn(f"{path.name}: no edges parsed", stacklevel=2)

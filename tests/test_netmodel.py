@@ -695,10 +695,12 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.array_equal(a["grade"], b["grade"])
 
 
-def test_checkpoint_completed_from_saved_params(tmp_path):
+def test_checkpoint_completed_from_saved_params(tmp_path, monkeypatch):
     """save_params makes a checkpoint directory unloadable at once; the
     save_checkpoint that completes it, from the params.bin on disk or from
     a known digest, writes the bytes a plain save_checkpoint writes."""
+    # Python 3.10, which the package supports, has no hashlib.file_digest.
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
     net = randomize_params(micro_network("fused", "both", seed=8), seed=9)
     digest = save_checkpoint(net, tmp_path / "plain")
     want = {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()}
