@@ -44,6 +44,7 @@ from .genegraph import AdjacencyMask
 from .numcore import (
     _ADAM_CHUNK,
     Array,
+    FactoredGradient,
     RngStream,
     activation,
     activation_backward,
@@ -264,10 +265,12 @@ def _run_layers(x: Array, layers, mode: str, gen) -> tuple[Array, list[LayerCach
 
 
 def _backward_layers(caches: list[LayerCache], upstream: Array,
-                     grads: Mapping[str, Array], dx_start: int = 0) -> Array | None:
-    """Backpropagate through one segment, writing every parameter gradient
-    into its array in ``grads``. Returns the gradient w.r.t. the segment
-    input's columns ``dx_start:``, or None when the caller needs none."""
+                     grads: dict, dx_start: int = 0) -> Array | None:
+    """Backpropagate through one segment, writing the masked values' and
+    biases' gradients into their arrays in ``grads`` and setting each dense
+    weight's entry to its ``FactoredGradient``. Returns the gradient w.r.t.
+    the segment input's columns ``dx_start:``, or None when the caller needs
+    none."""
     d_out = upstream
     for i in reversed(range(len(caches))):
         cache = caches[i]
@@ -288,9 +291,8 @@ def _backward_layers(caches: list[LayerCache], upstream: Array,
             # nothing reads the gradient w.r.t. the raw gene input.
             d_out = None
         else:
-            d_out = dense_backward(
-                cache.x, layer.weights, d_pre, grads[f"{layer.name}.w"],
-                grads[f"{layer.name}.b"], start)
+            grads[f"{layer.name}.w"], d_out = dense_backward(
+                cache.x, layer.weights, d_pre, grads[f"{layer.name}.b"], start)
     return d_out
 
 
@@ -304,11 +306,13 @@ class Network:
     The constructor owns the parameter layout. It derives each layer's name,
     widths, activation and dropout from ``VARIANT_LAYOUT``, the config and
     the mask; allocates ``param_vector`` (every parameter, one contiguous
-    float64 vector in layer order) and ``grad_vector`` (the same layout for
-    gradients) once; and makes each layer with its ``weights``/``bias`` as
-    reshaped views into ``param_vector``. Nothing rebinds them, and a
-    network is not a dataclass, so no layer can end up pointing into another
-    network's vector. A whole model is snapshotted or restored with one
+    float64 vector in layer order) and ``grad_vector`` (the gradients that
+    ``backward`` stores: the masked values and the biases, in the same
+    order; a dense weight's gradient is never stored) once; and makes each
+    layer with its ``weights``/``bias`` as reshaped views into
+    ``param_vector``. Nothing rebinds them, and a network is not a
+    dataclass, so no layer can end up pointing into another network's
+    vector. A whole model is snapshotted or restored with one
     ``np.copyto``. Parameters start at zero until ``assemble`` or
     ``load_checkpoint`` fills ``param_vector``.
     """
@@ -352,29 +356,29 @@ class Network:
                 specs += [(head, f"{head}.0", width, hidden, "relu", 0.0),
                           (head, f"{head}.1", hidden, d_out, act, 0.0)]
 
-        # Each parameter's name, shape and offset, recorded once, and each
-        # segment's slice of the vectors.
-        layout, spans, offset = [], {}, 0
-        for seg, name, d_in, d_out, _, _ in specs:
-            start = spans[seg].start if seg in spans else offset
+        # Each parameter's name, shape and offset, recorded once, and the
+        # offset of each stored gradient: every one but a dense weight's.
+        layout, stored, offset, grad_offset = [], [], 0, 0
+        for _, name, d_in, d_out, _, _ in specs:
             for part, shape in ((("values", (mask.nnz,)),)
                                 if name == "gene.masked" else
                                 (("w", (d_in, d_out)), ("b", (d_out,)))):
                 layout.append((f"{name}.{part}", shape, offset))
                 offset += math.prod(shape)
-            spans[seg] = slice(start, offset)
+                if part != "w":
+                    stored.append((f"{name}.{part}", shape, grad_offset))
+                    grad_offset += math.prod(shape)
         self._layout = tuple(layout)
-        self._spans = spans
         self.param_vector = np.zeros(offset)
-        self.grad_vector = np.zeros(offset)
+        self.grad_vector = np.zeros(grad_offset)
 
-        def views(vector):
+        def views(vector, entries):
             return MappingProxyType({
                 name: vector[lo:lo + math.prod(shape)].reshape(shape)
-                for name, shape, lo in layout})
+                for name, shape, lo in entries})
 
-        self._params = params = views(self.param_vector)
-        self._grads = views(self.grad_vector)
+        self._params = params = views(self.param_vector, layout)
+        self._grads = views(self.grad_vector, stored)
         # Layers by segment, in parameter order.
         self._layers: dict[str, list] = {}
         for seg, name, _, _, act, p in specs:
@@ -445,25 +449,34 @@ class Network:
         return trace
 
     def backward(self, trace: ForwardTrace, d_survival: Array | None = None,
-                 d_grade: Array | None = None) -> Mapping[str, Array]:
+                 d_grade: Array | None = None
+                 ) -> Mapping[str, Array | FactoredGradient]:
         """Gradients of a scalar loss w.r.t. every parameter given the loss
-        gradients at the head outputs. Heads with no upstream contribute
-        zeros, so the result always covers the full registry.
+        gradients at the head outputs, as a read-only mapping in layer
+        order. Heads with no upstream contribute zeros, so the result
+        always covers the full registry.
 
-        The gradients are written into ``grad_vector``; the returned
-        read-only mapping holds views into it, which the next backward pass
-        overwrites.
+        The masked values' and biases' gradients are written into
+        ``grad_vector`` and mapped as views into it, which the next
+        backward pass overwrites. A dense weight's gradient ``x.T @ d_pre``
+        is never formed: it is mapped to a ``FactoredGradient`` over the
+        layer input the trace holds and the ``d_pre`` computed here, which
+        ``adam_step`` expands block by block (``expand()`` forms it whole).
+        An unused head's weights get factors with no batch rows.
         """
         if d_survival is None and d_grade is None:
             raise UsageError("backward needs at least one head gradient")
 
-        grads = self._grads
+        grads = {name: self._grads.get(name) for name, _, _ in self._layout}
         rep = trace.outputs["representation"]
         d_rep = np.zeros_like(rep)
         for head, upstream in (("survival", d_survival), ("grade", d_grade)):
             if upstream is None:
-                if head in self._spans:
-                    self.grad_vector[self._spans[head]] = 0.0
+                for layer in self._layers.get(head, ()):
+                    grads[f"{layer.name}.b"][...] = 0.0
+                    grads[f"{layer.name}.w"] = FactoredGradient(
+                        np.empty((0, layer.dim_in)),
+                        np.empty((0, layer.dim_out)))
                 continue
             if head not in trace.caches:
                 raise UsageError(f"network has no {head} head")
@@ -477,7 +490,7 @@ class Network:
         d_gene = _backward_layers(trace.caches["trunk"], d_rep, grads, gene_from)
         if "gene" in cfg.inputs:
             _backward_layers(trace.caches["gene"], d_gene, grads, cfg.gene_dim)
-        return grads
+        return MappingProxyType(grads)
 
     def predict(self, gene_x: Array | None = None,
                 image_x: Array | None = None) -> dict[str, Array]:
@@ -575,7 +588,9 @@ def save_checkpoint(network: Network, path, params_sha256: str | None = None,
     parameter's name, shape and float64 offset), ``params.bin``
     (``param_vector`` as little-endian float64), ``mask.bin`` (gene branch
     only: the mask's rows then cols as little-endian int32) and, last,
-    ``checksums.txt``, whose digests hash the bytes in memory.
+    ``checksums.txt``, whose digests hash the bytes in memory. A
+    ``mask.bin`` left by an earlier checkpoint in ``path`` is removed when
+    this one has none.
 
     ``params_sha256``, when given, is the known digest of ``param_vector``.
     With ``params_saved``, the checkpoint that ``save_params`` started is
@@ -605,6 +620,9 @@ def save_checkpoint(network: Network, path, params_sha256: str | None = None,
         manifest["genes"] = list(mask.genes)
         coords = np.concatenate((mask.rows, mask.cols)).astype("<i4")
         digests[_MASK_NAME] = _write(path / _MASK_NAME, coords)
+    else:
+        # An earlier checkpoint in this directory may have had a mask.
+        (path / _MASK_NAME).unlink(missing_ok=True)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     digests[_MANIFEST_NAME] = _write(path / _MANIFEST_NAME, text.encode("utf-8"))
     with open(path / _CHECKSUM_NAME, "w", encoding="utf-8") as fh:

@@ -2,10 +2,12 @@
 
 Activations, dropout and the dense-layer forward are pure functions of their
 arguments (plus an explicit random generator where randomness is involved).
-``dense_backward`` writes its weight and bias gradients into caller-owned
-arrays, and ``adam_step`` updates parameters and moments in place, so one
-``AdamState`` must not be shared between concurrent updates. All arrays are
-C-contiguous float64; mixed inputs are coerced on entry.
+``dense_backward`` writes its bias gradient into a caller-owned array and
+returns its weight gradient unexpanded, as a ``FactoredGradient``;
+``adam_step`` expands such a gradient a block of rows at a time and updates
+parameters and moments in place, so one ``AdamState`` must not be shared
+between concurrent updates. All arrays are C-contiguous float64; mixed
+inputs are coerced on entry.
 """
 
 from __future__ import annotations
@@ -149,17 +151,44 @@ def dense_forward(x: Array, w: Array, b: Array) -> Array:
     return x @ w + b
 
 
-def dense_backward(x: Array, w: Array, upstream_z: Array, dw: Array, db: Array,
-                   dx_start: int = 0) -> Array | None:
+@dataclass(frozen=True)
+class FactoredGradient:
+    """A dense layer's weight gradient ``x.T @ d_pre``, kept as its factors:
+    the layer input ``x`` (batch x d_in) and the gradient at the
+    pre-activation ``d_pre`` (batch x d_out). Neither is copied, so both
+    must stay unchanged until the gradient is read.
+
+    ``expand(r0, r1)`` forms rows ``r0:r1`` of the product; ``adam_step``
+    forms it in blocks that equal the same rows of the whole product bit
+    for bit (see ``_rows_per_block``). Factors with no batch rows stand for
+    an exact +0.0 gradient.
+    """
+
+    x: Array
+    d_pre: Array
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.x.shape[1], self.d_pre.shape[1]
+
+    def expand(self, r0: int = 0, r1: int | None = None,
+               out: Array | None = None) -> Array:
+        return np.matmul(self.x[:, r0:r1].T, self.d_pre, out=out)
+
+
+def dense_backward(x: Array, w: Array, upstream_z: Array, db: Array,
+                   dx_start: int = 0) -> tuple[FactoredGradient, Array | None]:
     """Gradients of z = x @ w + b given dL/dz.
 
-    ``dw`` and ``db`` receive their gradients in place; the return value is
-    dx. It covers input columns ``dx_start:`` only, and is None when that
-    range is empty: columns whose gradient nobody reads are never computed.
+    ``db`` receives the bias gradient in place. The weight gradient is
+    returned as its factors ``(x, dL/dz)``, never formed here, together
+    with dx. dx covers input columns ``dx_start:`` only, and is None when
+    that range is empty: columns whose gradient nobody reads are never
+    computed.
     """
-    np.matmul(x.T, upstream_z, out=dw)
     np.sum(upstream_z, axis=0, out=db)
-    return upstream_z @ w[dx_start:].T if dx_start < w.shape[0] else None
+    dx = upstream_z @ w[dx_start:].T if dx_start < w.shape[0] else None
+    return FactoredGradient(x, upstream_z), dx
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +197,34 @@ def dense_backward(x: Array, w: Array, upstream_z: Array, dw: Array, db: Array,
 
 # Elements per pass of the in-place update. The sixteen passes over one chunk
 # of parameter, gradient, moments and scratch then stay in a core's L2 cache
-# instead of streaming the whole model through memory sixteen times. The
-# masked layer's gradient bounds its gathers by the same count.
+# instead of streaming the whole model through memory sixteen times. A
+# factored gradient is expanded into scratch in blocks of whole rows of about
+# this many elements (see _rows_per_block), and the masked layer's gradient
+# bounds its gathers by the same count.
 _ADAM_CHUNK = 1 << 15
 # Adam's moment decay rates and denominator guard (Kingma and Ba's values).
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+# A factored gradient whose batch size times its factors' largest magnitudes
+# stays below this cannot overflow: no sum of products comes near 2**1024.
+_FINITE_BOUND = 2.0 ** 1000
 
 
 @dataclass
 class AdamState:
     """Per-parameter first/second moment estimates plus the step counter.
 
-    It also owns the fixed-size scratch that ``adam_step`` works in, so a step
+    It also owns the scratch that ``adam_step`` works in: two rows for the
+    update and one for an expanded gradient block, each ``_ADAM_CHUNK``
+    elements unless a factored gradient needs a larger block. A step
     allocates nothing that grows with the model.
     """
 
     first_moment: dict[str, Array] = field(default_factory=dict)
     second_moment: dict[str, Array] = field(default_factory=dict)
     step_count: int = 0
-    work: Array = field(default_factory=lambda: np.empty((2, _ADAM_CHUNK)),
+    work: Array = field(default_factory=lambda: np.empty((3, _ADAM_CHUNK)),
                         init=False, repr=False)
     finite: Array = field(default_factory=lambda: np.empty(_ADAM_CHUNK, dtype=bool),
                           init=False, repr=False)
@@ -202,15 +238,62 @@ class AdamState:
         )
 
 
+def _rows_per_block(d_in: int, d_out: int) -> int:
+    """Rows of a factored gradient expanded at once: as many whole rows as
+    fit in ``_ADAM_CHUNK`` elements, but at least two, and every row of a
+    one-column gradient. With one BLAS thread, each element of a block of
+    two or more rows sums its batch terms in the order the whole product
+    does, so it has the same bits. A one-row block (vector times matrix)
+    and part of a column (matrix times vector) go to other BLAS kernels,
+    whose sums can round differently."""
+    return d_in if d_out == 1 else min(d_in, max(2, _ADAM_CHUNK // d_out))
+
+
+def _gradient_blocks(g, state: AdamState):
+    """``(lo, hi, values)`` for consecutive blocks of one flat gradient:
+    slices of a stored one, or whole rows of a factored one expanded into
+    ``state.work[2]``, which the next block overwrites. A lone last row is
+    expanded together with the row before it."""
+    if not isinstance(g, FactoredGradient):
+        for lo in range(0, g.size, _ADAM_CHUNK):
+            yield lo, lo + _ADAM_CHUNK, g[lo:lo + _ADAM_CHUNK]
+        return
+    d_in, d_out = g.shape
+    rows = _rows_per_block(d_in, d_out)
+    for r0 in range(0, d_in, rows):
+        r1 = min(r0 + rows, d_in)
+        first = r0 - 1 if r1 - r0 == 1 and r0 > 0 else r0
+        block = state.work[2, :(r1 - first) * d_out]
+        g.expand(first, r1, out=block.reshape(r1 - first, d_out))
+        yield r0 * d_out, r1 * d_out, block[(r0 - first) * d_out:]
+
+
+def _is_finite(g, state: AdamState) -> bool:
+    if isinstance(g, FactoredGradient):
+        # Finite factors make finite products, and their batch sums cannot
+        # overflow below the bound. Only when it fails is every block formed.
+        bound = (len(g.x) * float(np.abs(g.x).max(initial=0.0))
+                 * float(np.abs(g.d_pre).max(initial=0.0)))
+        if bound < _FINITE_BOUND:
+            return True
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(np.isfinite(block, out=state.finite[:block.size]).all()
+                   for _, _, block in _gradient_blocks(g, state))
+
+
 def adam_step(
     params: Mapping[str, Array],
-    grads: Mapping[str, Array],
+    grads: Mapping[str, Array | FactoredGradient],
     state: AdamState,
     rate: float,
     weight_decay: float = 0.0,
 ) -> tuple[Mapping[str, Array], AdamState]:
     """One Adam update over all parameters; weight decay is decoupled
     (applied to the parameter directly, never mixed into the moments).
+
+    A gradient is an array or a ``FactoredGradient``; a factored one is
+    expanded one block of rows at a time into scratch and updated while the
+    block is in cache, so no weight-sized gradient is ever stored.
 
     The update is in place: every parameter array, both moments and
     ``state.step_count`` change, and ``grads`` is only read. The same
@@ -226,6 +309,7 @@ def adam_step(
     if rate <= 0:
         raise ValueError(f"learning rate must be positive, got {rate}")
     flat = []
+    width = _ADAM_CHUNK
     for name, p in params.items():
         g = grads[name]
         if p.shape != g.shape:
@@ -234,23 +318,27 @@ def adam_step(
         if not p.flags.c_contiguous:
             raise ValueError(f"parameter {name!r} must be C-contiguous to be "
                              "updated in place")
-        flat.append((name, p.reshape(-1), np.ascontiguousarray(g).reshape(-1),
+        if isinstance(g, FactoredGradient):
+            width = max(width, _rows_per_block(*g.shape) * g.shape[1])
+        else:
+            g = np.ascontiguousarray(g).reshape(-1)
+        flat.append((name, p.reshape(-1), g,
                      state.first_moment[name].reshape(-1),
                      state.second_moment[name].reshape(-1)))
+    if state.work.shape[1] < width:
+        state.work = np.empty((3, width))
+        state.finite = np.empty(width, dtype=bool)
     for name, _, g, _, _ in flat:
-        for lo in range(0, g.size, _ADAM_CHUNK):
-            chunk = g[lo:lo + _ADAM_CHUNK]
-            if not np.isfinite(chunk, out=state.finite[:chunk.size]).all():
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
+        if not _is_finite(g, state):
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
 
     t = state.step_count + 1
     bc1 = 1.0 - _BETA1 ** t
     bc2 = 1.0 - _BETA2 ** t
     decay = rate * weight_decay
     for _, p_all, g_all, m_all, v_all in flat:
-        for lo in range(0, p_all.size, _ADAM_CHUNK):
-            span = slice(lo, lo + _ADAM_CHUNK)
-            p, g, m, v = p_all[span], g_all[span], m_all[span], v_all[span]
+        for lo, hi, g in _gradient_blocks(g_all, state):
+            p, m, v = p_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
             a, b = state.work[0, :p.size], state.work[1, :p.size]
             np.multiply(m, _BETA1, out=m)
             np.multiply(g, 1.0 - _BETA1, out=a)
@@ -271,4 +359,3 @@ def adam_step(
             np.subtract(p, b, out=p)
     state.step_count = t
     return params, state
-

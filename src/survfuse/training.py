@@ -46,10 +46,13 @@ class TrainingProfile:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # NaN compares False with everything, so finiteness is checked first.
+        if not math.isfinite(self.base_lr) or self.base_lr <= 0:
+            raise ConfigError(
+                f"base_lr must be positive and finite, got {self.base_lr}")
+        if not math.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise ConfigError(
+                f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.schedule not in SCHEDULES:

@@ -12,7 +12,7 @@ import numpy as np
 from survfuse.errors import DimensionError
 from survfuse.genegraph import GeneGraph, build_adjacency, canonical_pairs
 from survfuse.netmodel import NetworkConfig, assemble
-from survfuse.numcore import RngStream
+from survfuse.numcore import FactoredGradient, RngStream
 
 VARIANT_HEAD_COMBOS = [
     (variant, heads)
@@ -109,6 +109,13 @@ def set_params(net, params):
             raise DimensionError(f"shape mismatch for {name!r}")
     for name, view in net.params().items():
         np.copyto(view, params[name])
+
+
+def expanded(grads):
+    """``backward``'s gradients as plain arrays: each dense weight's
+    ``FactoredGradient`` formed whole, the stored ones copied."""
+    return {name: g.expand() if isinstance(g, FactoredGradient) else g.copy()
+            for name, g in grads.items()}
 
 
 def masked_from_dense(mask, dense_weights):

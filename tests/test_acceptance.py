@@ -161,7 +161,8 @@ def test_criterion_4_gradient_suite(report):
             _, d_survival = cox_loss(trace.outputs["survival"], labels)
         if net.config.with_grade:
             _, d_grade = nll_loss(trace.outputs["grade"], grades)
-        analytic = net.backward(trace, d_survival=d_survival, d_grade=d_grade)
+        analytic = helpers.expanded(
+            net.backward(trace, d_survival=d_survival, d_grade=d_grade))
         numeric = oracles.fd_param_gradients(net.params(), loss_value)
         for name, fd in numeric.items():
             worst = max(worst, oracles.rel_err(analytic[name], fd))

@@ -409,6 +409,35 @@ def test_mistyped_config_value_exits_2_before_reading_data(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--lr", "nan", "base_lr"), ("--lr", "inf", "base_lr"),
+    ("--weight-decay", "nan", "weight_decay"),
+    ("--weight-decay", "inf", "weight_decay")])
+def test_non_finite_rate_flag_exits_2_before_reading_data(
+        data_dir, splits_file, tmp_path, capsys, flag, value, field):
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out")
+    assert main(["train", str(config), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be" in err and value in err
+    assert "dropped" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,field", [("lr", "base_lr"),
+                                       ("weight_decay", "weight_decay")])
+def test_non_finite_rate_in_config_exits_2_before_reading_data(
+        data_dir, splits_file, tmp_path, capsys, key, field):
+    # json writes and reads NaN, so run.json can carry one.
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", **{key: float("nan")})
+    assert "NaN" in config.read_text()
+    assert main(["train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be" in err and "nan" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_number_fields_take_integers_and_null(data_dir, splits_file,
                                                      tmp_path):
     config = write_config(tmp_path / "run.json", data_dir, splits_file,

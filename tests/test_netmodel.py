@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from helpers import (
     VARIANT_HEAD_COMBOS,
+    expanded,
     graph_of,
     masked_from_dense,
     micro_config,
@@ -36,7 +37,7 @@ from survfuse.netmodel import (
     save_checkpoint,
     save_params,
 )
-from survfuse.numcore import RngStream
+from survfuse.numcore import AdamState, FactoredGradient, RngStream, adam_step
 from survfuse.training import SurvivalBatchLabels, cox_loss, nll_loss
 
 
@@ -468,11 +469,17 @@ def test_backward_only_reads_the_trace(variant, heads):
               for seg, i, part, a in _cache_arrays(trace)]
     assert any(part == "drop_scale" and a is not None
                for _, _, part, a in before)
-    net.backward(trace, **upstream)
-    first = net.grad_vector.copy()
-    assert first.any()
-    net.backward(trace, **upstream)
-    assert np.array_equal(net.grad_vector.view(np.int64), first.view(np.int64))
+    first = expanded(net.backward(trace, **upstream))
+    first_stored = net.grad_vector.copy()
+    assert first_stored.any()
+    assert all(first[layer.name + ".w"].any() for layer in net.all_layers()
+               if layer.name != "gene.masked")
+    second = expanded(net.backward(trace, **upstream))
+    assert np.array_equal(net.grad_vector.view(np.int64),
+                          first_stored.view(np.int64))
+    assert list(second) == list(first) == list(net.params())
+    for name, g in second.items():
+        assert np.array_equal(g.view(np.int64), first[name].view(np.int64)), name
     after = _cache_arrays(trace)
     assert [key[:3] for key in after] == [key[:3] for key in before]
     for (*key, old), (_, _, _, new) in zip(before, after):
@@ -497,6 +504,55 @@ def test_layers_are_views_of_their_own_network(variant, heads):
         assert not np.shares_memory(a, other.grad_vector)
 
 
+def test_grad_vector_stores_only_masked_values_and_biases():
+    """Dense weight gradients come back as their factors, never stored."""
+    net = randomize_params(micro_network("fused", "both"), seed=2)
+    gene_x, image_x = _inputs_for("fused", 4, np.random.default_rng(2))
+    trace = net.forward(gene_x=gene_x, image_x=image_x)
+    grads = net.backward(trace, d_survival=np.ones((4, 1)))
+    stored = [name for name in net.params() if not name.endswith(".w")]
+    assert net.grad_vector.size == sum(net.params()[n].size for n in stored)
+    for name, g in grads.items():
+        if name in stored:
+            assert g.base is net.grad_vector, name
+        else:
+            assert isinstance(g, FactoredGradient), name
+            assert g.shape == net.params()[name].shape
+    for cache in trace.caches["trunk"]:
+        assert grads[cache.layer.name + ".w"].x is cache.x
+    # The grade head got no upstream: factors with no batch rows.
+    assert len(grads["grade.0.w"].x) == 0
+
+
+def test_backward_and_adam_store_no_weight_gradient():
+    """Building a network and its Adam state, then a forward, backward and
+    Adam step, allocates the parameters and the two moments, plus scratch
+    and batch-sized arrays below half of one more model-sized vector."""
+    mask = random_mask(12, 23)
+    # 1.06M parameters, nearly all in gene.compress and trunk.0.
+    cfg = NetworkConfig(variant="fused", heads="both", gene_dim=12,
+                        image_dim=7, gene_branch_dim=2000, trunk_dims=(512, 4),
+                        head_hidden_dim=3, dropout_p=0.1)
+    batch = 8
+    gen = np.random.default_rng(23)
+    gene_x = gen.standard_normal((batch, 12))
+    image_x = gen.standard_normal((batch, 7))
+    tracemalloc.start()
+    try:
+        net = assemble(cfg, mask, RngStream(23, 31))
+        state = AdamState.for_params(net.params())
+        trace = net.forward(gene_x=gene_x, image_x=image_x, mode="train",
+                            rng=RngStream(23, 22), key=(1,))
+        grads = net.backward(trace, d_survival=np.ones((batch, 1)))
+        adam_step(net.params(), grads, state, rate=1e-3, weight_decay=4e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model_bytes = net.param_vector.nbytes
+    assert model_bytes > 8_000_000
+    assert 3 * model_bytes < peak < 3.5 * model_bytes
+
+
 def test_backward_requires_a_head_gradient():
     net = micro_network("gene-only", "survival")
     trace = net.forward(gene_x=np.zeros((2, 12)))
@@ -509,8 +565,8 @@ def test_backward_zero_upstream_gives_zero_grads():
     net = randomize_params(micro_network("fused", "both"), seed=5)
     gene_x, image_x = _inputs_for("fused", 4, gen)
     trace = net.forward(gene_x=gene_x, image_x=image_x)
-    grads = net.backward(trace, d_survival=np.zeros((4, 1)),
-                         d_grade=np.zeros((4, 3)))
+    grads = expanded(net.backward(trace, d_survival=np.zeros((4, 1)),
+                                  d_grade=np.zeros((4, 3))))
     assert set(grads) == set(net.params())
     assert all(not g.any() for g in grads.values())
 
@@ -520,7 +576,7 @@ def test_backward_unused_head_gets_zero_grads():
     net = randomize_params(micro_network("fused", "both"), seed=6)
     gene_x, image_x = _inputs_for("fused", 4, gen)
     trace = net.forward(gene_x=gene_x, image_x=image_x)
-    grads = net.backward(trace, d_survival=np.ones((4, 1)))
+    grads = expanded(net.backward(trace, d_survival=np.ones((4, 1))))
     assert not grads["grade.0.w"].any()
     assert not grads["grade.1.b"].any()
     assert grads["trunk.0.w"].any()
@@ -546,7 +602,7 @@ def test_backward_matches_fd_on_joint_loss():
         return ls + lg, trace, ds, dg
 
     total, trace, ds, dg = loss_and_trace()
-    analytic = net.backward(trace, d_survival=ds, d_grade=dg)
+    analytic = expanded(net.backward(trace, d_survival=ds, d_grade=dg))
     fd = oracles.fd_param_gradients(net.params(),
                                    lambda: loss_and_trace()[0])
     worst = max(oracles.rel_err(analytic[name], fd[name]) for name in fd)
@@ -727,6 +783,17 @@ def test_checkpoint_round_trip_without_mask(tmp_path):
     x = np.random.default_rng(5).standard_normal((4, 7))
     assert np.array_equal(net.predict(image_x=x)["grade"],
                           loaded.predict(image_x=x)["grade"])
+
+
+def test_checkpoint_without_mask_removes_an_earlier_mask(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(micro_network("fused", "both", seed=1), ckpt)
+    assert (ckpt / "mask.bin").is_file()
+    net = randomize_params(micro_network("image-only", "grade", seed=3), seed=4)
+    save_checkpoint(net, ckpt)
+    assert sorted(p.name for p in ckpt.iterdir()) == [
+        "checksums.txt", "manifest.json", "params.bin"]
+    assert np.array_equal(load_checkpoint(ckpt).param_vector, net.param_vector)
 
 
 def test_checkpoint_version_2_layout(tmp_path):

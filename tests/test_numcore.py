@@ -13,7 +13,9 @@ from survfuse.numcore import (
     ALPHA_DROP_VALUE,
     SELU_ALPHA,
     SELU_LAMBDA,
+    _ADAM_CHUNK,
     AdamState,
+    FactoredGradient,
     RngStream,
     activation,
     activation_backward,
@@ -233,8 +235,9 @@ def test_dense_backward_matches_fd():
     w = gen.standard_normal((5, 3))
     b = gen.standard_normal(3)
     upstream = gen.standard_normal((4, 3))
-    dw, db = np.empty_like(w), np.empty_like(b)
-    dx = dense_backward(x, w, upstream, dw, db)
+    db = np.empty_like(b)
+    factored, dx = dense_backward(x, w, upstream, db)
+    dw = factored.expand()
 
     fd_w = oracles.fd_array_gradient(
         lambda v: float(np.sum(dense_forward(x, v, b) * upstream)), w)
@@ -250,8 +253,9 @@ def test_dense_backward_matches_fd():
 def test_dense_backward_zero_upstream():
     x = np.ones((2, 3))
     w = np.ones((3, 2))
-    dw, db = np.ones((3, 2)), np.ones(2)
-    dx = dense_backward(x, w, np.zeros((2, 2)), dw, db)
+    db = np.ones(2)
+    factored, dx = dense_backward(x, w, np.zeros((2, 2)), db)
+    dw = factored.expand()
     assert not dx.any() and not dw.any() and not db.any()
 
 
@@ -405,6 +409,100 @@ def test_adam_rejects_bad_rate():
     with pytest.raises(ValueError):
         adam_step(params, {"w": np.zeros(1)}, AdamState.for_params(params),
                   rate=0.0)
+
+
+def _factors(batch, d_in, d_out, seed):
+    """Random factors with exact zeros, negative zeros and an all-zero
+    ``d_pre`` column mixed in."""
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((batch, d_in))
+    d = gen.standard_normal((batch, d_out)) * 1e-3
+    x[gen.random(x.shape) < 0.1] = 0.0
+    x[gen.random(x.shape) < 0.1] = -0.0
+    d[:, d_out // 2] = 0.0
+    return x, d
+
+
+def _step_pair(factored, materialised, weight_decay=4e-4, steps=3):
+    """Adam steps on the factored gradients and, on a copy, on the same
+    gradients formed whole; returns both (params, state) pairs."""
+    sides = []
+    for grads in (factored, materialised):
+        params = {name: np.random.default_rng(40).standard_normal(g.shape)
+                  for name, g in grads.items()}
+        state = AdamState.for_params(params)
+        for _ in range(steps):
+            adam_step(params, grads, state, rate=1e-3,
+                      weight_decay=weight_decay)
+        sides.append((params, state))
+    return sides
+
+
+def _same_bytes(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("batch,d_in,d_out", [
+    (32, 2000, 512), (7, 2000, 512), (32, 200, 1000), (8, 1000, 512),
+    (32, 32, 16), (32, 16, 1), (32, 16, 3), (32, 65, 512), (1, 130, 512),
+    (8, _ADAM_CHUNK + 9, 1), (3, 5, _ADAM_CHUNK + 7)])
+def test_factored_step_equals_step_on_formed_gradient(batch, d_in, d_out):
+    """Expanding x.T @ d_pre one block of rows at a time gives the step a
+    whole formed gradient gives, byte for byte: with a lone last row, a
+    one-row batch, a single column longer than a chunk, and rows wider than
+    a chunk."""
+    x, d = _factors(batch, d_in, d_out, seed=d_in + d_out)
+    factored = {"l.w": FactoredGradient(x, d), "l.b": d.sum(axis=0)}
+    formed = {"l.w": np.ascontiguousarray(x.T @ d), "l.b": d.sum(axis=0)}
+    (p1, s1), (p2, s2) = _step_pair(factored, formed)
+    for name in formed:
+        assert _same_bytes(p1[name], p2[name]), name
+        assert _same_bytes(s1.first_moment[name], s2.first_moment[name]), name
+        assert _same_bytes(s1.second_moment[name], s2.second_moment[name]), name
+    assert s1.step_count == s2.step_count == 3
+
+
+def _assert_rejected(grads, bad):
+    params = {"a": np.array([1.0, 2.0]), bad: np.ones(grads[bad].shape)}
+    state = AdamState.for_params(params)
+    with pytest.raises(NumericError, match=f"'{bad}'"):
+        adam_step(params, grads, state, rate=0.01)
+    assert params["a"].tolist() == [1.0, 2.0] and (params[bad] == 1.0).all()
+    assert not state.first_moment["a"].any() and state.step_count == 0
+    assert not state.second_moment[bad].any()
+
+
+@pytest.mark.parametrize("factor,value", [
+    ("x", np.nan), ("x", np.inf), ("d_pre", -np.inf), ("d_pre", np.nan)])
+def test_adam_rejects_non_finite_factors(factor, value):
+    x, d = _factors(4, 6, 3, seed=1)
+    (x if factor == "x" else d)[2, 1] = value
+    _assert_rejected({"a": np.array([0.1, 0.2]),
+                      "w": FactoredGradient(x, d)}, "w")
+
+
+@pytest.mark.parametrize("x,d", [
+    ([[1e200]], [[1e200]]),  # one product overflows
+    ([[1e308], [1e308]], [[1.0], [1.0]]),  # finite products, the sum overflows
+])
+def test_adam_rejects_factors_whose_product_overflows(x, d):
+    _assert_rejected({"a": np.array([0.1, 0.2]),
+                      "w": FactoredGradient(np.array(x), np.array(d))}, "w")
+
+
+def test_adam_steps_on_finite_factors_above_the_bound():
+    """The certificate fails (2 * 1e152 * 1e152 > 2**1000), but every
+    formed element is finite: the step is taken, as on the formed
+    gradient."""
+    x = np.array([[1e152, 0.0, 2.0], [0.0, 1e-150, -1.0]])
+    d = np.array([[1e-150, 3.0], [1e152, -0.5]])
+    formed = x.T @ d
+    assert np.isfinite(formed).all()
+    (p1, s1), (p2, s2) = _step_pair({"w": FactoredGradient(x, d)},
+                                    {"w": formed})
+    assert _same_bytes(p1["w"], p2["w"])
+    assert _same_bytes(s1.second_moment["w"], s2.second_moment["w"])
+    assert s1.step_count == 3
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,10 @@
 #     self-pair, two symbols outside the panel, and the lines shuffled so
 #     genes first appear out of symbol order. Every edge of gene G0013 is
 #     left out, so that panel gene is dropped and the graph's edges are
-#     remapped onto a smaller panel.
+#     remapped onto a smaller panel;
+#   - a 3-epoch fused train for seed 1 with batch 24, followed by eval of
+#     final. The 320 training samples make 13 batches of 24 and a last one
+#     of 8, so every epoch forms weight gradients at two batch heights.
 #
 # Every command's stdout, stderr and exit code is kept next to what it
 # wrote. The script ends with `diff -r` of the two directories, less the
@@ -199,6 +202,12 @@ run_tree() {
     step eval-fused-messy-final eval --config fused-messy.json \
         --model out-fused-messy/rep00/final --rep 0 \
         --out eval-fused-messy-final.json
+    config fused-ragged.json fused alternate mmmt-default 1 out-fused-ragged/
+    step train-fused-ragged train fused-ragged.json --rep 0 --epochs 3 \
+        --batch 24
+    step eval-fused-ragged-final eval --config fused-ragged.json \
+        --model out-fused-ragged/rep00/final --rep 0 \
+        --out eval-fused-ragged-final.json
 }
 
 for side in parent change; do
