@@ -322,14 +322,13 @@ def cmd_splits(args) -> int:
     return 0
 
 
-def _train_one_rep(cfg: RunConfig, cohort, mask, split_set: SplitSet,
+def _train_one_rep(cfg: RunConfig, run_cohort, mask, split_set: SplitSet,
                    rep: int, out_root: Path, verbose: bool) -> dict:
+    """Train and score one repetition on ``run_cohort``, whose expression is
+    already standardized on the repetition's training ids."""
     profile = cfg.resolved_profile()
     train_ids, test_ids = split_set.repetitions[rep]
     inputs = VARIANT_INPUTS[cfg.variant]
-    run_cohort = cohort
-    if "gene" in inputs:
-        run_cohort = standardize_expression(cohort, train_ids)
     net_config = NetworkConfig(
         variant=cfg.variant,
         heads=cfg.resolved_heads(),
@@ -392,9 +391,20 @@ def cmd_train(args) -> int:
         json.dump(echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    reports = [_train_one_rep(cfg, cohort, mask, split_set, rep, out_root,
-                              args.verbose)
-               for rep in reps]
+    reports = []
+    for rep in reps:
+        run_cohort = cohort
+        if "gene" in VARIANT_INPUTS[cfg.variant]:
+            run_cohort = standardize_expression(
+                cohort, split_set.repetitions[rep][0])
+        if rep == reps[-1]:
+            # Nothing reads the unstandardized matrix again, so the last
+            # repetition trains with one expression matrix alive.
+            del cohort
+        reports.append(_train_one_rep(cfg, run_cohort, mask, split_set, rep,
+                                      out_root, args.verbose))
+        # Released before the next repetition standardizes its own.
+        del run_cohort
     if args.all_reps:
         aggregate: dict = {"reps": n_reps, "metrics": {}}
         for key in ("c_index", "micro_f1", "accuracy", "micro_auc", "micro_ap"):

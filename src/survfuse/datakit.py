@@ -97,6 +97,8 @@ def _raise_first_failure(checks, n: int) -> None:
         raise DataError(next(message(i) for rows, message in checks if rows[i]))
 
 
+# How an error names each modality a sample can lack.
+_MISSING = {"expression": "expression data", "embedding": "image embedding"}
 # Cohort fields that hold one entry per sample, in row order.
 _ROW_FIELDS = ("sample_ids", "sample_patients", "time", "event", "grade",
                "expression", "has_expression", "embedding", "has_embedding")
@@ -190,29 +192,24 @@ class Cohort:
                 self.has_expression.tolist(), self.embedding,
                 self.has_embedding.tolist()))
 
-    def rows(self, ids) -> np.ndarray:
-        """Row positions of ``ids``, in the order given."""
+    def rows(self, ids, *modalities: str) -> np.ndarray:
+        """Row positions of ``ids``, in the order given. For each of
+        ``modalities`` ("expression", "embedding"), in turn, a DataError
+        names the first id whose row lacks it."""
         index = self._index
         try:
-            return np.array([index[sid] for sid in ids], dtype=np.intp)
+            rows = np.array([index[sid] for sid in ids], dtype=np.intp)
         except KeyError as exc:
             raise DataError(f"unknown sample id {exc.args[0]!r}") from None
-
-    def _gather(self, matrix, present, ids, what: str) -> np.ndarray:
-        rows = self.rows(ids)
-        missing = ~present[rows]
-        if missing.any():
-            sid = self.sample_ids[rows[np.argmax(missing)]]
-            raise DataError(f"sample {sid!r} has no {what}")
-        return matrix[rows]
+        for modality in modalities:
+            missing = ~getattr(self, f"has_{modality}")[rows]
+            if missing.any():
+                sid = self.sample_ids[rows[np.argmax(missing)]]
+                raise DataError(f"sample {sid!r} has no {_MISSING[modality]}")
+        return rows
 
     def expression_matrix(self, ids) -> np.ndarray:
-        return self._gather(self.expression, self.has_expression, ids,
-                            "expression data")
-
-    def embedding_matrix(self, ids) -> np.ndarray:
-        return self._gather(self.embedding, self.has_embedding, ids,
-                            "image embedding")
+        return self.expression[self.rows(ids, "expression")]
 
     def times(self, ids) -> np.ndarray:
         return self.time[self.rows(ids)]

@@ -12,6 +12,7 @@ inputs are coerced on entry.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -297,17 +298,21 @@ def adam_step(
 
     The update is in place: every parameter array, both moments and
     ``state.step_count`` change, and ``grads`` is only read. The same
-    ``params`` and ``state`` objects are returned. All gradients
-    are checked before anything is written, so a rejected step leaves the
-    parameters and the state as they were. Each element goes through the
-    same floating-point operations in the same order as the out-of-place
-    update, with (b1, b2, eps) = (_BETA1, _BETA2, _EPS):
-    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    ``params`` and ``state`` objects are returned. The rate, the weight
+    decay and all gradients are checked before anything is written, so a
+    rejected step leaves the parameters and the state as they were. Each
+    element goes through the same floating-point operations in the same
+    order as the out-of-place update, with (b1, b2, eps) =
+    (_BETA1, _BETA2, _EPS): m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
     p = p - (rate*(m/bc1) / (sqrt(v/bc2)+eps) + (rate*wd)*p), so the
     result is bit-identical to it.
     """
-    if rate <= 0:
-        raise ValueError(f"learning rate must be positive, got {rate}")
+    # NaN compares False with everything, so finiteness is checked first.
+    if not math.isfinite(rate) or rate <= 0:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
+    if not math.isfinite(weight_decay) or weight_decay < 0:
+        raise ValueError(
+            f"weight_decay must be >= 0 and finite, got {weight_decay}")
     flat = []
     width = _ADAM_CHUNK
     for name, p in params.items():

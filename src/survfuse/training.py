@@ -226,11 +226,25 @@ class TrainingHistory:
 # Training loop
 # ---------------------------------------------------------------------------
 
+# The cohort matrix each network input reads, in the order checked.
+_INPUT_MATRICES = (("gene", "expression"), ("image", "embedding"))
+
+
+def _input_sources(network: Network, cohort, ids):
+    """Row positions of ``ids`` and the cohort's own (gene, image) matrices,
+    None for an input the variant does not read. A DataError names the
+    first id that lacks a modality the variant needs."""
+    needed = [matrix for name, matrix in _INPUT_MATRICES
+              if name in network.config.inputs]
+    rows = cohort.rows(ids, *needed)
+    return rows, [getattr(cohort, matrix) if matrix in needed else None
+                  for _, matrix in _INPUT_MATRICES]
+
+
 def design_matrices(network: Network, cohort, ids):
     """Modality matrices the variant needs, None for the unused ones."""
-    inputs = network.config.inputs
-    gene_x = cohort.expression_matrix(ids) if "gene" in inputs else None
-    image_x = cohort.embedding_matrix(ids) if "image" in inputs else None
+    rows, sources = _input_sources(network, cohort, ids)
+    gene_x, image_x = (None if m is None else m[rows] for m in sources)
     return gene_x, image_x
 
 
@@ -284,7 +298,9 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     train_ids = list(train_ids)
     if not train_ids:
         raise ConfigError("empty training id list")
-    gene_x, image_x = design_matrices(network, cohort, train_ids)
+    # Each batch is gathered from the cohort's matrices; no copy of the
+    # training rows is made.
+    rows, (gene_x, image_x) = _input_sources(network, cohort, train_ids)
     times = cohort.times(train_ids)
     events = cohort.events(train_ids)
     grades = cohort.grades(train_ids) if "grade" in tasks_needed else None
@@ -305,11 +321,12 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
         perm = shuffle_stream.generator(epoch).permutation(n)
         for start in range(0, n, profile.batch_size):
             idx = perm[start:start + profile.batch_size]
+            batch = rows[idx]
             c += 1
             tasks = select_task(c, profile.schedule)
             trace = network.forward(
-                gene_x=None if gene_x is None else gene_x[idx],
-                image_x=None if image_x is None else image_x[idx],
+                gene_x=None if gene_x is None else gene_x[batch],
+                image_x=None if image_x is None else image_x[batch],
                 mode="train", rng=dropout_stream, key=(c,))
             total = 0.0
             d_survival = None

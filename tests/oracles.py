@@ -53,6 +53,21 @@ def masked_product_loops(x, mask, values):
     return np.asarray(out).reshape(len(xs), mask.dim)
 
 
+def masked_gradient_column_gathers(x, d_pre, mask, chunk):
+    """A masked layer's weight gradient as its backward pass once formed
+    it: for each slice of ``chunk // batch`` nonzeros, gather the columns
+    ``x[:, rows]`` and ``d_pre[:, cols]`` and sum the batch with
+    ``einsum("nk,nk->k")``. Fancy indexing on columns returns F-ordered
+    (batch, k) arrays, and that layout fixes einsum's summation order."""
+    out = np.empty(mask.nnz)
+    step = max(1, chunk // len(d_pre))
+    for lo in range(0, mask.nnz, step):
+        span = slice(lo, lo + step)
+        np.einsum("nk,nk->k", x[:, mask.rows[span]], d_pre[:, mask.cols[span]],
+                  out=out[span])
+    return out
+
+
 def uniform_init_draws(gen, layers):
     """Initial weights of ``layers``, in order, drawn as ``assemble``'s
     docstring states them with one ``gen.uniform`` array per layer: a dense

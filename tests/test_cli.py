@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,63 @@ def test_train_all_reps_aggregates(data_dir, splits_file, tmp_path):
     assert len(block["values"]) == 2
     assert block["mean"] == pytest.approx(np.mean(block["values"]))
     assert block["std"] == pytest.approx(np.std(block["values"], ddof=1))
+
+
+def test_train_all_reps_writes_what_single_rep_runs_write(data_dir,
+                                                          splits_file,
+                                                          tmp_path):
+    """Each repetition of --all-reps, the last one trained after the
+    unstandardized cohort is released, writes the bytes a --rep run does."""
+    config = write_config(tmp_path / "all.json", data_dir, splits_file,
+                          tmp_path / "all")
+    assert main(["train", str(config), "--all-reps"]) == 0
+    for rep in (0, 1):
+        config = write_config(tmp_path / f"rep{rep}.json", data_dir,
+                              splits_file, tmp_path / f"one{rep}")
+        assert main(["train", str(config), "--rep", str(rep)]) == 0
+        for name in ("history.csv", "summary.json", "final/params.bin"):
+            assert sha(tmp_path / "all" / f"rep{rep:02d}" / name) == \
+                sha(tmp_path / f"one{rep}" / f"rep{rep:02d}" / name), \
+                (rep, name)
+
+
+class _StopAtTrain(Exception):
+    pass
+
+
+def test_train_holds_one_expression_matrix_when_training(tmp_path,
+                                                         monkeypatch):
+    """At the entry of train() under `train --rep 0`, the traced memory
+    holds the standardized expression matrix and the network, and no
+    unstandardized copy of the matrix."""
+    data = tmp_path / "data"
+    assert main(["synth", "--patients", "600", "--genes", "400", "--causal",
+                 "4", "--seed", "3", "--embedding-dim", "2",
+                 "--out", str(data)]) == 0
+    splits = tmp_path / "splits.json"
+    assert main(["splits", "--clinical", str(data / "clinical.csv"),
+                 "--reps", "1", "--out", str(splits)]) == 0
+    config = write_config(tmp_path / "run.json", data, splits,
+                          tmp_path / "out", variant="gene-only",
+                          schedule="survival-only", preset="smst-gene")
+    held = {}
+
+    def stop_at_train(network, cohort, *args, **kwargs):
+        held["matrix"] = cohort.expression.nbytes
+        held["other"] = (tracemalloc.get_traced_memory()[0]
+                         - network.param_vector.nbytes
+                         - network.grad_vector.nbytes)
+        raise _StopAtTrain
+
+    monkeypatch.setattr("survfuse.cli.train", stop_at_train)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_StopAtTrain):
+            main(["train", str(config), "--rep", "0"])
+    finally:
+        tracemalloc.stop()
+    assert held["matrix"] >= 600 * 300 * 8
+    assert held["matrix"] < held["other"] < 1.5 * held["matrix"]
 
 
 def test_train_gene_only_survival_run(data_dir, splits_file, tmp_path):

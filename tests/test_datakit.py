@@ -52,7 +52,7 @@ def test_cohort_basic_accessors():
     assert cohort.sample_ids == ("S1", "S2", "S3")
     assert cohort.sample_patients == ("P1", "P1", "P2")
     assert cohort.expression_matrix(["S3", "S1"]).shape == (2, 2)
-    assert cohort.embedding_matrix(["S1"]).tolist() == [[1.0, 2.0, 3.0]]
+    assert cohort.embedding[cohort.rows(["S1"], "embedding")].tolist() == [[1.0, 2.0, 3.0]]
     assert cohort.times(["S2", "S3"]).tolist() == [5.0, 8.5]
     assert cohort.events(["S1", "S2"]).tolist() == [1, 0]
     assert cohort.grades(["S1", "S2", "S3"]).tolist() == [0, 1, 2]
@@ -74,7 +74,7 @@ def test_cohort_missing_modality_rows():
     with pytest.raises(DataError, match="'S2' has no expression"):
         cohort.expression_matrix(["S1", "S2"])
     with pytest.raises(DataError, match="'S3' has no image embedding"):
-        cohort.embedding_matrix(["S3"])
+        cohort.rows(["S3"], "embedding")
     sub = cohort.take([2, 0])
     assert sub.sample_ids == ("S3", "S1")
     assert sub.has_embedding.tolist() == [False, True]
@@ -92,7 +92,7 @@ def test_cohort_validation():
     with pytest.raises(DataError, match="'S2' has no expression"):
         bare.expression_matrix(["S1", "S2"])
     with pytest.raises(DataError, match="'S2' has no image embedding"):
-        bare.embedding_matrix(["S2"])
+        bare.rows(["S2"], "embedding")
     with pytest.raises(DataError, match="expression width"):
         small_cohort(expression=np.ones((3, 1)))
     # One matrix holds every embedding, so widths cannot differ by sample;
@@ -196,7 +196,7 @@ def test_load_cohort_keeps_modality_free_rows(tmp_path, recwarn):
     bare = load_cohort(clinical)
     assert bare.sample_ids == ("S1", "S2")
     with pytest.raises(DataError, match="'S1' has no image embedding"):
-        bare.embedding_matrix(["S1"])
+        bare.rows(["S1"], "embedding")
 
 
 def test_load_cohort_error_reports(tmp_path):
@@ -915,7 +915,8 @@ def test_synth_ids_and_shapes():
     assert cohort.gene_order == graph.genes
     assert len(graph.genes) == 7
     assert cohort.expression_matrix(cohort.sample_ids).shape == (5, 7)
-    assert cohort.embedding_matrix(cohort.sample_ids).shape == (5, 6)
+    assert cohort.embedding[cohort.rows(cohort.sample_ids,
+                                        "embedding")].shape == (5, 6)
     assert truth.beta.shape == (7,)
     assert np.count_nonzero(truth.beta) == 2
 

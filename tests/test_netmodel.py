@@ -630,6 +630,29 @@ def test_masked_gradient_in_slices_equals_one_full_gather(monkeypatch, batch):
     assert np.array_equal(sliced.view(np.int64), full.view(np.int64))
 
 
+@pytest.mark.parametrize("batch", [1, 2, 7, 8, 24, 31, 32, 33, 64])
+def test_masked_gradient_row_gathers_equal_column_gathers(batch):
+    """Gathering rows of x.T and d_pre.T gives einsum the layout that
+    gathering columns of x and d_pre gave, so the same bits, also over a
+    hub column and a ragged last slice."""
+    dim, hub = 2000, 3
+    gen = np.random.default_rng(batch)
+    coords = {(int(r), int(c)) for r, c in gen.integers(0, dim, (41_000, 2))}
+    coords |= {(r, hub) for r in range(0, dim, 2)}
+    mask = _coordinate_mask(dim, coords)
+    assert np.count_nonzero(mask.cols == hub) >= dim // 2
+    step = netmodel._ADAM_CHUNK // batch
+    assert mask.nnz > step and mask.nnz % step
+    layer = MaskedSparseLayer("gene.masked", mask, np.zeros(mask.nnz))
+    x = _awkward_values(gen, (batch, dim))
+    d_pre = gen.standard_normal((batch, dim))
+    got = np.empty(mask.nnz)
+    layer.gradient(x, d_pre, got)
+    want = oracles.masked_gradient_column_gathers(x, d_pre, mask,
+                                                  netmodel._ADAM_CHUNK)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_masked_backward_memory_stays_below_one_gather():
     # The masked gradient once gathered x[:, rows] and d_pre[:, cols] in
     # full: two batch x nnz arrays, 10 MB each here.

@@ -411,6 +411,26 @@ def test_adam_rejects_bad_rate():
                   rate=0.0)
 
 
+@pytest.mark.parametrize("rate, weight_decay, named", [
+    (math.nan, 0.0, "rate"), (math.inf, 0.0, "rate"),
+    (-math.inf, 0.0, "rate"), (0.01, math.nan, "weight_decay"),
+    (0.01, math.inf, "weight_decay"), (0.01, -1.0, "weight_decay")])
+def test_adam_rejected_setting_changes_nothing(rate, weight_decay, named):
+    # One good step first, so the moments and step count are not zeros.
+    params = {"w": np.array([0.5])}
+    state = AdamState.for_params(params)
+    adam_step(params, {"w": np.array([0.25])}, state, rate=0.01,
+              weight_decay=0.1)
+    before = [a.tobytes() for a in (params["w"], state.first_moment["w"],
+                                    state.second_moment["w"])]
+    with pytest.raises(ValueError, match=f"^{named} "):
+        adam_step(params, {"w": np.array([0.25])}, state, rate=rate,
+                  weight_decay=weight_decay)
+    assert [a.tobytes() for a in (params["w"], state.first_moment["w"],
+                                  state.second_moment["w"])] == before
+    assert state.step_count == 1
+
+
 def _factors(batch, d_in, d_out, seed):
     """Random factors with exact zeros, negative zeros and an all-zero
     ``d_pre`` column mixed in."""

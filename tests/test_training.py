@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from survfuse.datakit import synth_gen
+from survfuse.datakit import Cohort, synth_gen
 from survfuse.errors import ConfigError, DataError, NumericError
 from survfuse.genegraph import build_adjacency
 from survfuse.netmodel import NetworkConfig, assemble, load_checkpoint
@@ -543,6 +543,51 @@ def test_train_holds_no_model_copy_beyond_adam_moments(tmp_path,
     finally:
         tracemalloc.stop()
     assert 2 * model_bytes < peak < 2.5 * model_bytes
+
+
+def test_train_makes_no_copy_of_the_training_rows():
+    """Batches are gathered from the cohort's own expression matrix: with a
+    network far smaller than that matrix, train()'s peak stays a fraction of
+    it, where a copy of the training rows would be 0.8 of it."""
+    n, p = 2000, 1000
+    gen = np.random.default_rng(24)
+    mask = helpers.random_mask(p, 24)
+    cohort = Cohort(sample_ids=[f"S{i}" for i in range(n)],
+                    sample_patients=[f"P{i}" for i in range(n)],
+                    time=gen.uniform(1.0, 100.0, n), event=gen.integers(0, 2, n),
+                    grade=gen.integers(0, 3, n), gene_order=mask.genes,
+                    expression=gen.standard_normal((n, p)))
+    cfg = NetworkConfig(variant="gene-only", heads="survival", gene_dim=p,
+                        trunk_dims=(4,), head_hidden_dim=2, dropout_p=0.1)
+    net = assemble(cfg, mask, RngStream(24, 31))
+    matrix_bytes = cohort.expression.nbytes
+    assert net.param_vector.nbytes < matrix_bytes / 100
+    profile = micro_profile(24, epochs=1, schedule="survival-only")
+    tracemalloc.start()
+    try:
+        train(net, cohort, cohort.sample_ids[:1600], profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * matrix_bytes
+
+
+@pytest.mark.parametrize("modality, what", [("expression", "expression data"),
+                                            ("embedding", "image embedding")])
+def test_train_checks_modalities_before_any_iteration(monkeypatch, modality,
+                                                      what):
+    cohort, mask = micro_cohort(25)
+    ids = list(cohort.sample_ids)
+    present = np.ones(len(ids), dtype=bool)
+    present[5] = False
+    cohort = dataclasses.replace(cohort, **{f"has_{modality}": present})
+
+    def no_iteration(c, schedule):
+        raise AssertionError("an iteration started")
+
+    monkeypatch.setattr("survfuse.training.select_task", no_iteration)
+    with pytest.raises(DataError, match=f"sample '{ids[5]}' has no {what}"):
+        train(micro_net(mask, 25), cohort, ids[:32], micro_profile(25))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,10 @@
 #     remapped onto a smaller panel;
 #   - a 3-epoch fused train for seed 1 with batch 24, followed by eval of
 #     final. The 320 training samples make 13 batches of 24 and a last one
-#     of 8, so every epoch forms weight gradients at two batch heights.
+#     of 8, so every epoch forms weight gradients at two batch heights;
+#   - a 2-epoch fused train of all 5 repetitions (--all-reps) for seed 1,
+#     which trains every repetition but the last while the unstandardized
+#     cohort is still held, and writes aggregate.json.
 #
 # Every command's stdout, stderr and exit code is kept next to what it
 # wrote. The script ends with `diff -r` of the two directories, less the
@@ -208,6 +211,8 @@ run_tree() {
     step eval-fused-ragged-final eval --config fused-ragged.json \
         --model out-fused-ragged/rep00/final --rep 0 \
         --out eval-fused-ragged-final.json
+    config fused-all.json fused alternate mmmt-default 1 out-fused-all/
+    step train-fused-all train fused-all.json --all-reps --epochs 2
 }
 
 for side in parent change; do
