@@ -324,8 +324,8 @@ def cmd_splits(args) -> int:
 
 def _train_one_rep(cfg: RunConfig, run_cohort, mask, split_set: SplitSet,
                    rep: int, out_root: Path, verbose: bool) -> dict:
-    """Train and score one repetition on ``run_cohort``, whose expression is
-    already standardized on the repetition's training ids."""
+    """Train and score one repetition on ``run_cohort`` (expression already
+    standardized on its training ids); best/ is the test split's best epoch."""
     profile = cfg.resolved_profile()
     train_ids, test_ids = split_set.repetitions[rep]
     inputs = VARIANT_INPUTS[cfg.variant]

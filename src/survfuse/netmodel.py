@@ -53,6 +53,7 @@ from .numcore import (
     dense_backward,
     dense_forward,
     dropout_mask,
+    named_views,
 )
 
 # Per variant: the input matrices it reads, whether a dense gene.compress
@@ -392,13 +393,8 @@ class Network:
         self.param_vector = np.zeros(offset)
         self.grad_vector = np.zeros(grad_offset)
 
-        def views(vector, entries):
-            return MappingProxyType({
-                name: vector[lo:lo + math.prod(shape)].reshape(shape)
-                for name, shape, lo in entries})
-
-        self._params = params = views(self.param_vector, layout)
-        self._grads = views(self.grad_vector, stored)
+        self._params = params = named_views(self.param_vector, layout)
+        self._grads = named_views(self.grad_vector, stored)
         # Layers by segment, in parameter order.
         self._layers: dict[str, list] = {}
         for seg, name, _, _, act, p in specs:

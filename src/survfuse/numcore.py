@@ -3,11 +3,11 @@
 Activations, dropout and the dense-layer forward are pure functions of their
 arguments (plus an explicit random generator where randomness is involved).
 ``dense_backward`` writes its bias gradient into a caller-owned array and
-returns its weight gradient unexpanded, as a ``FactoredGradient``;
-``adam_step`` expands such a gradient a block of rows at a time and updates
-parameters and moments in place, so one ``AdamState`` must not be shared
-between concurrent updates. All arrays are C-contiguous float64; mixed
-inputs are coerced on entry.
+returns its weight gradient unexpanded, as a ``FactoredGradient``. An
+``AdamState`` is built for one parameter mapping and must be stepped with
+it; ``adam_step`` updates parameters and moments in place, so one state
+must not be shared between concurrent updates. All arrays are C-contiguous
+float64; mixed inputs are coerced on entry.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -161,7 +162,7 @@ class FactoredGradient:
 
     ``expand(r0, r1)`` forms rows ``r0:r1`` of the product; ``adam_step``
     forms it in blocks that equal the same rows of the whole product bit
-    for bit (see ``_rows_per_block``). Factors with no batch rows stand for
+    for bit (see ``_blocks``). Factors with no batch rows stand for
     an exact +0.0 gradient.
     """
 
@@ -200,7 +201,7 @@ def dense_backward(x: Array, w: Array, upstream_z: Array, db: Array,
 # of parameter, gradient, moments and scratch then stay in a core's L2 cache
 # instead of streaming the whole model through memory sixteen times. A
 # factored gradient is expanded into scratch in blocks of whole rows of about
-# this many elements (see _rows_per_block), and the masked layer's gradient
+# this many elements (see _blocks), and the masked layer's gradient
 # bounds its gathers by the same count.
 _ADAM_CHUNK = 1 << 15
 # Adam's moment decay rates and denominator guard (Kingma and Ba's values).
@@ -212,74 +213,80 @@ _EPS = 1e-8
 _FINITE_BOUND = 2.0 ** 1000
 
 
+def named_views(vector: Array, layout) -> Mapping[str, Array]:
+    """Map each ``(name, shape, offset, ...)`` in ``layout`` to its view."""
+    return MappingProxyType({
+        name: vector[lo:lo + math.prod(shape)].reshape(shape)
+        for name, shape, lo, *_ in layout})
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment estimates plus the step counter.
+    """Adam's state for the one parameter mapping ``for_params`` was given,
+    which every step must be given too. The moments ``m`` and ``v`` are flat
+    vectors laid out like it, mapped by name as ``first_moment`` and
+    ``second_moment``. ``plan`` holds each parameter's name, shape, offset
+    and ``_blocks``; ``work`` is two rows for the update and one for an
+    expanded gradient block, as wide as the widest block, so a step
+    allocates nothing that grows with the model."""
 
-    It also owns the scratch that ``adam_step`` works in: two rows for the
-    update and one for an expanded gradient block, each ``_ADAM_CHUNK``
-    elements unless a factored gradient needs a larger block. A step
-    allocates nothing that grows with the model.
-    """
-
-    first_moment: dict[str, Array] = field(default_factory=dict)
-    second_moment: dict[str, Array] = field(default_factory=dict)
+    plan: tuple
+    m: Array
+    v: Array
+    first_moment: Mapping[str, Array]
+    second_moment: Mapping[str, Array]
+    work: Array = field(repr=False)
     step_count: int = 0
-    work: Array = field(default_factory=lambda: np.empty((3, _ADAM_CHUNK)),
-                        init=False, repr=False)
-    finite: Array = field(default_factory=lambda: np.empty(_ADAM_CHUNK, dtype=bool),
-                          init=False, repr=False)
 
     @classmethod
     def for_params(cls, params: Mapping[str, Array]) -> "AdamState":
-        return cls(
-            first_moment={k: np.zeros_like(v) for k, v in params.items()},
-            second_moment={k: np.zeros_like(v) for k, v in params.items()},
-            step_count=0,
-        )
+        plan, offset = [], 0
+        for name, p in params.items():
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} must be C-contiguous to "
+                                 "be updated in place")
+            plan.append((name, p.shape, offset, _blocks(p.shape)))
+            offset += p.size
+        # A lone last row's two-row expansion is never wider than a block.
+        width = max((hi - lo for *_, blocks in plan for lo, hi, _, _ in blocks),
+                    default=0)
+        m, v = np.zeros(offset), np.zeros(offset)
+        return cls(plan=tuple(plan), m=m, v=v, first_moment=named_views(m, plan),
+                   second_moment=named_views(v, plan), work=np.empty((3, width)))
 
 
-def _rows_per_block(d_in: int, d_out: int) -> int:
-    """Rows of a factored gradient expanded at once: as many whole rows as
-    fit in ``_ADAM_CHUNK`` elements, but at least two, and every row of a
-    one-column gradient. With one BLAS thread, each element of a block of
-    two or more rows sums its batch terms in the order the whole product
-    does, so it has the same bits. A one-row block (vector times matrix)
-    and part of a column (matrix times vector) go to other BLAS kernels,
-    whose sums can round differently."""
-    return d_in if d_out == 1 else min(d_in, max(2, _ADAM_CHUNK // d_out))
-
-
-def _gradient_blocks(g, state: AdamState):
-    """``(lo, hi, values)`` for consecutive blocks of one flat gradient:
-    slices of a stored one, or whole rows of a factored one expanded into
-    ``state.work[2]``, which the next block overwrites. A lone last row is
-    expanded together with the row before it."""
-    if not isinstance(g, FactoredGradient):
-        for lo in range(0, g.size, _ADAM_CHUNK):
-            yield lo, lo + _ADAM_CHUNK, g[lo:lo + _ADAM_CHUNK]
-        return
-    d_in, d_out = g.shape
-    rows = _rows_per_block(d_in, d_out)
+def _blocks(shape: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """``(lo, hi, r0, r1)`` per block of one flat parameter: elements
+    ``lo:hi`` are updated together, and a factored gradient for them is
+    expanded from rows ``r0:r1``. A matrix is cut into as many whole rows as
+    fit in ``_ADAM_CHUNK`` elements, but at least two (all of a one-column
+    matrix), and a lone last row is expanded with the row before it: with
+    one BLAS thread, each element of a block of two or more rows sums its
+    batch terms in the order the whole product does, so it has the same
+    bits, while a one-row block (vector times matrix) and part of a column
+    (matrix times vector) go to other BLAS kernels, whose sums can round
+    differently. Any other shape is cut into ``_ADAM_CHUNK`` elements."""
+    d_in, d_out, rows = math.prod(shape), 1, _ADAM_CHUNK
+    if len(shape) == 2 and d_in:
+        d_in, d_out = shape
+        rows = d_in if d_out == 1 else min(d_in, max(2, _ADAM_CHUNK // d_out))
+    blocks = []
     for r0 in range(0, d_in, rows):
         r1 = min(r0 + rows, d_in)
         first = r0 - 1 if r1 - r0 == 1 and r0 > 0 else r0
-        block = state.work[2, :(r1 - first) * d_out]
-        g.expand(first, r1, out=block.reshape(r1 - first, d_out))
-        yield r0 * d_out, r1 * d_out, block[(r0 - first) * d_out:]
+        blocks.append((r0 * d_out, r1 * d_out, first, r1))
+    return tuple(blocks)
 
 
-def _is_finite(g, state: AdamState) -> bool:
-    if isinstance(g, FactoredGradient):
-        # Finite factors make finite products, and their batch sums cannot
-        # overflow below the bound. Only when it fails is every block formed.
-        bound = (len(g.x) * float(np.abs(g.x).max(initial=0.0))
-                 * float(np.abs(g.d_pre).max(initial=0.0)))
-        if bound < _FINITE_BOUND:
-            return True
-    with np.errstate(over="ignore", invalid="ignore"):
-        return all(np.isfinite(block, out=state.finite[:block.size]).all()
-                   for _, _, block in _gradient_blocks(g, state))
+def _gradient_block(g, lo: int, hi: int, r0: int, r1: int, out: Array) -> Array:
+    """Elements ``lo:hi`` of gradient ``g``, flattened; a factored one's rows
+    ``r0:r1`` are expanded into ``out``, which the next block overwrites."""
+    if not isinstance(g, FactoredGradient):
+        return np.ravel(g)[lo:hi]
+    d_out = g.shape[1]
+    block = out[:hi - r0 * d_out]
+    g.expand(r0, r1, out=block.reshape(r1 - r0, d_out))
+    return block[lo - r0 * d_out:]
 
 
 def adam_step(
@@ -292,9 +299,9 @@ def adam_step(
     """One Adam update over all parameters; weight decay is decoupled
     (applied to the parameter directly, never mixed into the moments).
 
-    A gradient is an array or a ``FactoredGradient``; a factored one is
-    expanded one block of rows at a time into scratch and updated while the
-    block is in cache, so no weight-sized gradient is ever stored.
+    ``params`` must be the mapping ``state`` was built for. A gradient, an
+    array or a ``FactoredGradient``, is read in the blocks of ``state.plan``;
+    a factored one is expanded into scratch a block at a time, never whole.
 
     The update is in place: every parameter array, both moments and
     ``state.step_count`` change, and ``grads`` is only read. The same
@@ -313,38 +320,35 @@ def adam_step(
     if not math.isfinite(weight_decay) or weight_decay < 0:
         raise ValueError(
             f"weight_decay must be >= 0 and finite, got {weight_decay}")
-    flat = []
-    width = _ADAM_CHUNK
-    for name, p in params.items():
+    for name, shape, _, blocks in state.plan:
         g = grads[name]
-        if p.shape != g.shape:
+        if g.shape != shape:
             raise DimensionError(
-                f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-        if not p.flags.c_contiguous:
-            raise ValueError(f"parameter {name!r} must be C-contiguous to be "
-                             "updated in place")
+                f"gradient shape {g.shape} != parameter shape {shape} for {name!r}")
         if isinstance(g, FactoredGradient):
-            width = max(width, _rows_per_block(*g.shape) * g.shape[1])
-        else:
-            g = np.ascontiguousarray(g).reshape(-1)
-        flat.append((name, p.reshape(-1), g,
-                     state.first_moment[name].reshape(-1),
-                     state.second_moment[name].reshape(-1)))
-    if state.work.shape[1] < width:
-        state.work = np.empty((3, width))
-        state.finite = np.empty(width, dtype=bool)
-    for name, _, g, _, _ in flat:
-        if not _is_finite(g, state):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
+            # Finite factors make finite products, and their batch sums cannot
+            # overflow below the bound. Only when it fails is every block formed.
+            bound = (len(g.x) * float(np.abs(g.x).max(initial=0.0))
+                     * float(np.abs(g.d_pre).max(initial=0.0)))
+            if bound < _FINITE_BOUND:
+                continue
+        for block in blocks:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = _gradient_block(g, *block, state.work[2])
+            if not np.isfinite(values).all():
+                raise NumericError(f"non-finite gradient for parameter {name!r}")
 
     t = state.step_count + 1
     bc1 = 1.0 - _BETA1 ** t
     bc2 = 1.0 - _BETA2 ** t
     decay = rate * weight_decay
-    for _, p_all, g_all, m_all, v_all in flat:
-        for lo, hi, g in _gradient_blocks(g_all, state):
+    for name, _, offset, blocks in state.plan:
+        g_all, p_all = grads[name], params[name].reshape(-1)
+        m_all, v_all = state.m[offset:], state.v[offset:]
+        for lo, hi, r0, r1 in blocks:
+            g = _gradient_block(g_all, lo, hi, r0, r1, state.work[2])
             p, m, v = p_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
-            a, b = state.work[0, :p.size], state.work[1, :p.size]
+            a, b = state.work[0, :hi - lo], state.work[1, :hi - lo]
             np.multiply(m, _BETA1, out=m)
             np.multiply(g, 1.0 - _BETA1, out=a)
             np.add(m, a, out=m)

@@ -285,13 +285,13 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     zero loss and skips the parameter update.
 
     With ``out_dir`` set, checkpoints land in out_dir/final and
-    out_dir/best (best by the evaluation score over ``eval_ids``; final
-    when no evaluation is possible) along with history.csv. No copy of the
-    parameters is held: an epoch that improves the score, unless it is the
-    last, writes them to best/params.bin at once, and makes best/
-    unloadable until the run completes it after final/. Without
-    ``out_dir`` nothing is kept. The whole run is bit-reproducible from
-    (profile, cohort, split).
+    out_dir/best (best by the score over ``eval_ids``, which the command
+    line sets to the test split; final when no evaluation is possible)
+    along with history.csv. No copy of the parameters is held: an epoch
+    that improves the score, unless it is the last, writes them to
+    best/params.bin at once, and makes best/ unloadable until the run
+    completes it after final/. Without ``out_dir`` nothing is kept. The
+    whole run is bit-reproducible from (profile, cohort, split).
     """
     tasks_needed = check_heads(profile.schedule, network.config.heads)
 

@@ -553,6 +553,36 @@ def test_backward_and_adam_store_no_weight_gradient():
     assert 3 * model_bytes < peak < 3.5 * model_bytes
 
 
+def test_adam_moments_are_laid_out_like_param_vector():
+    """Each moment is one vector of ``param_vector``'s size, and every
+    name's view of it sits at that parameter's manifest offset; steps
+    reuse the plan and the scratch built with the state."""
+    net = micro_network("fused", "both", seed=3)
+    state = AdamState.for_params(net.params())
+    size = net.param_vector.size
+    for vector, moments in ((state.m, state.first_moment),
+                            (state.v, state.second_moment)):
+        assert vector.shape == (size,)
+        vector[:] = np.arange(size)
+        for entry in netmodel._manifest_params(net):
+            view = moments[entry["name"]]
+            assert view.base is vector and view.shape == tuple(entry["shape"])
+            assert np.array_equal(view.ravel(), np.arange(
+                entry["offset"], entry["offset"] + view.size))
+        vector[:] = 0.0
+    plan, work = state.plan, state.work
+    gen = np.random.default_rng(3)
+    for c in range(1, 4):
+        trace = net.forward(gene_x=gen.standard_normal((5, 12)),
+                            image_x=gen.standard_normal((5, 7)),
+                            mode="train", rng=RngStream(3, 22), key=(c,))
+        grads = net.backward(trace, d_survival=np.ones((5, 1)),
+                             d_grade=np.ones((5, 3)))
+        adam_step(net.params(), grads, state, rate=1e-3, weight_decay=4e-4)
+    assert state.plan is plan and state.work is work
+    assert state.first_moment["trunk.0.w"].any()
+
+
 def test_backward_requires_a_head_gradient():
     net = micro_network("gene-only", "survival")
     trace = net.forward(gene_x=np.zeros((2, 12)))

@@ -31,6 +31,12 @@
 #     one column of the masked gene layer sums 180 terms (the walkthrough
 #     graph's deepest column has 15);
 #   - a 3-epoch fused train for seed 1, followed by eval of final, on a
+#     copy of the data whose edges.tsv links every pair of the 200 genes,
+#     so gene.masked.values holds 40,000 values (200 self-loops and 39,800
+#     edge ends) and its stored gradient spans two Adam blocks of
+#     _ADAM_CHUNK = 32,768 elements (the walkthrough's holds 1,422 values,
+#     and no bias exceeds 1,000). The train takes about 2 s;
+#   - a 3-epoch fused train for seed 1, followed by eval of final, on a
 #     copy of the data whose edges.tsv is messy but means nearly the same
 #     graph: a "gene1 gene2" header, comments and blank lines, every edge
 #     twice (once space-separated, once reversed and tab-separated), a
@@ -182,6 +188,19 @@ run_tree() {
     step eval-fused-hub-final eval --config fused-hub.json \
         --model out-fused-hub/rep00/final --rep 0 \
         --out eval-fused-hub-final.json
+    mkdir -p data-complete
+    cp data/clinical.csv data/expression.csv data/embeddings.csv \
+        data/splits.json data-complete/
+    LC_ALL=C awk 'BEGIN { for (i = 1; i <= 200; i++)
+                              for (j = i + 1; j <= 200; j++)
+                                  printf "G%04d\tG%04d\n", i, j }' \
+        >data-complete/edges.tsv
+    config fused-complete.json fused alternate mmmt-default 1 \
+        out-fused-complete/ data-complete
+    step train-fused-complete train fused-complete.json --rep 0 --epochs 3
+    step eval-fused-complete-final eval --config fused-complete.json \
+        --model out-fused-complete/rep00/final --rep 0 \
+        --out eval-fused-complete-final.json
     mkdir -p data-messy
     cp data/clinical.csv data/expression.csv data/embeddings.csv \
         data/splits.json data-messy/
