@@ -37,7 +37,8 @@ from .datakit import (
     synth_gen,
 )
 from .errors import ConfigError, DataError, SurvfuseError
-from .genegraph import build_adjacency, intersect_features, parse_edge_list, serialize_graph
+from .genegraph import (build_adjacency, intersect_features, parse_edge_list,
+                        serialize_graph, write_json)
 from .netmodel import (HEAD_CHOICES, HEAD_TASKS, VARIANT_INPUTS, VARIANTS,
                        NetworkConfig, assemble, load_checkpoint)
 from .numcore import RngStream
@@ -295,12 +296,12 @@ def _aggregate_by_patient(cohort, ids, risks, times, events):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cohort, graph, _ = synth_gen(
         patients=args.patients, genes=args.genes, causal_genes=args.causal,
         censor_rate=args.censor, label_noise=args.noise, seed=args.seed,
         embedding_dim=args.embedding_dim)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_cohort(cohort, out / "clinical.csv", out / "expression.csv",
                 out / "embeddings.csv")
     serialize_graph(graph, out / "edges.tsv")
@@ -357,9 +358,7 @@ def _train_one_rep(cfg: RunConfig, run_cohort, mask, split_set: SplitSet,
         "best_epoch": history.best_epoch,
         "test_metrics": report,
     }
-    with open(rep_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(rep_dir / "summary.json", summary)
     if verbose:
         print(f"rep {rep}: trained {profile.epochs} epochs, "
               f"{len(history.records)} iterations", file=sys.stderr)
@@ -387,9 +386,7 @@ def cmd_train(args) -> int:
     out_root = Path(cfg.out)
     out_root.mkdir(parents=True, exist_ok=True)
     echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    with open(out_root / "run_config.json", "w", encoding="utf-8") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_root / "run_config.json", echo)
 
     reports = []
     for rep in reps:
@@ -415,9 +412,7 @@ def cmd_train(args) -> int:
             std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
             aggregate["metrics"][key] = {
                 "mean": mean, "std": std, "values": values}
-        with open(out_root / "aggregate.json", "w", encoding="utf-8") as fh:
-            json.dump(aggregate, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out_root / "aggregate.json", aggregate)
         print(f"aggregate over {n_reps} reps written to "
               f"{out_root / 'aggregate.json'}")
     return 0

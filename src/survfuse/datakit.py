@@ -23,11 +23,12 @@ field. Errors name the physical line a record starts on.
 
 The readers convert a whole expression or embedding row, or a whole
 clinical or risk column, with one ``np.array(tokens, dtype=...)`` call and
-one ``isfinite`` check, row by row so a file's tokens are never all held at
-once. numpy converts each Python ``str`` by calling ``float()`` (``int()``
-for integers) on it, so the values are bit-identical to a token-by-token
-parse. Only input that fails the vectorized conversion is walked token by
-token, to raise the error naming its file, line and token.
+one ``isfinite`` check; a clinical table's label rules (``_LABEL_RULES``)
+are checked over whole columns too. numpy converts each Python ``str`` by
+calling ``float()`` (``int()`` for integers) on it, so the values are
+bit-identical to a token-by-token parse. Only input that fails is walked
+token by token, in file order, to raise the first fault naming its file,
+line and token.
 
 Floats are written with repr() so every load/save round-trip is bit-exact.
 
@@ -62,7 +63,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .genegraph import GeneGraph, canonical_pairs, text_lines
+from .genegraph import (GeneGraph, canonical_pairs, file_sha256, text_lines,
+                        write_json)
 from .numcore import RngStream
 
 # Fixed stream ids so different random purposes never share a sequence.
@@ -85,16 +87,26 @@ class Sample:
     image_embedding: np.ndarray | None = None
 
 
-def _raise_first_failure(checks, n: int) -> None:
-    """Raise a DataError for the first of ``n`` rows that any ``(rows,
-    message)`` check flags, with the message of the first check flagging it;
-    ``rows`` is a boolean mask and ``message(i)`` describes row ``i``."""
-    bad = np.zeros(n, dtype=bool)
-    for rows, _ in checks:
-        bad |= rows
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DataError(next(message(i) for rows, message in checks if rows[i]))
+# The rules on a sample's labels, one ``(column, test, message)`` each, in
+# the order a sample's faults are reported: ``test`` flags a value, or each
+# value of an array, that breaks the rule, and ``message(value)`` describes
+# a flagged value.
+_LABEL_RULES = (
+    ("time_days", lambda t: t < 0, lambda t: f"negative time_days {t!r}"),
+    ("event", lambda e: (e != 0) & (e != 1),
+     lambda e: f"event {e} is not 0 or 1"),
+    ("grade", lambda g: (g < 0) | (g >= len(DEFAULT_GRADE_NAMES)),
+     lambda g: f"grade {g} outside [0, {len(DEFAULT_GRADE_NAMES)})"),
+)
+
+
+def _broken_rule(values: dict, rules) -> str | None:
+    """The message of the first of ``rules`` that ``values`` (column ->
+    scalar) breaks, or None."""
+    for column, test, message in rules:
+        if test(values[column]):
+            return message(values[column])
+    return None
 
 
 # How an error names each modality a sample can lack.
@@ -160,20 +172,20 @@ class Cohort:
         if len(index) != n:
             raise DataError("duplicate sample ids in cohort")
         put("_index", index)
-        p, k = len(self.gene_order), len(DEFAULT_GRADE_NAMES)
-        width = self.expression.shape[1]
-        # Report the first bad sample, and its first problem in this order.
-        _raise_first_failure((
-            (self.has_expression & (width != p),
-             lambda i: f"sample {ids[i]!r}: expression width {width} != "
-                       f"gene count {p}"),
-            ((self.grade < 0) | (self.grade >= k),
-             lambda i: f"sample {ids[i]!r}: grade {self.grade[i]} outside "
-                       f"[0, {k})"),
-            (self.time < 0, lambda i: f"sample {ids[i]!r}: negative time"),
-            ((self.event != 0) & (self.event != 1),
-             lambda i: f"sample {ids[i]!r}: event must be 0/1"),
-        ), n)
+        p, width = len(self.gene_order), self.expression.shape[1]
+        labels = dict(zip(("time_days", "event", "grade"),
+                          (self.time, self.event, self.grade)))
+        bad = self.has_expression & (width != p)
+        for column, test, _ in _LABEL_RULES:
+            bad |= test(labels[column])
+        if bad.any():
+            # The first bad sample, and its first problem.
+            i = int(np.argmax(bad))
+            sample = {column: v[i].item() for column, v in labels.items()}
+            problem = (f"expression width {width} != gene count {p}"
+                       if self.has_expression[i] and width != p
+                       else _broken_rule(sample, _LABEL_RULES))
+            raise DataError(f"sample {ids[i]!r}: {problem}")
 
     def __len__(self) -> int:
         return len(self.sample_ids)
@@ -266,6 +278,10 @@ def _parse_int(token: str, where: str) -> int:
     if not _INT64.min <= value <= _INT64.max:
         raise DataError(f"{where}: integer {token!r} out of range")
     return value
+
+
+# How a token of each numeric column type is parsed on its own.
+_PARSERS = {np.float64: _parse_float, np.int64: _parse_int}
 
 
 def _float_tokens(tokens, where) -> np.ndarray:
@@ -400,14 +416,6 @@ def _reader_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _content_sha256(table: _FeatureTable) -> str:
     digest = hashlib.sha256(
         json.dumps([table.columns, table.sample_ids]).encode())
@@ -455,7 +463,7 @@ def _store_entry(entry: Path, key: dict, table: _FeatureTable, path) -> None:
             fh.write(json.dumps(header).encode() + b"\n")
             fh.write(table.values)
         # Hashing again shows that the bytes parsed are the bytes keyed.
-        if _file_sha256(path) == key["csv_sha256"]:
+        if file_sha256(path) == key["csv_sha256"]:
             os.replace(tmp, entry)
             tmp = None
     except OSError:
@@ -471,7 +479,7 @@ def _cached_parse(path) -> _FeatureTable:
     it holds the parse of these exact bytes by this reader."""
     path = Path(path)
     entry = path.parent / _CACHE_DIR / f"{path.name}.bin"
-    key = {"format": _CACHE_FORMAT, "csv_sha256": _file_sha256(path),
+    key = {"format": _CACHE_FORMAT, "csv_sha256": file_sha256(path),
            "reader": _reader_fingerprint()}
     table = _load_entry(entry, key)
     if table is None:
@@ -512,92 +520,65 @@ class ClinicalTable(NamedTuple):
     grade: np.ndarray
 
 
-def _clinical_numbers(name: str, linenos, times, events, grades):
-    """Convert the three numeric clinical columns, one call each, and check
-    time_days >= 0, event 0 or 1 and grade in [0, len(DEFAULT_GRADE_NAMES)).
+def _read_table(path, columns, numbers, rules=()) -> list:
+    """Read a sample table whose header is ``columns``: one list of strings
+    per column, in file order, except that each column ``numbers`` names
+    (column -> np.float64 or np.int64) is one array, converted in one call,
+    finite, and within ``rules`` (see ``_LABEL_RULES``).
 
-    If a token fails to convert, the rows are walked in file order up to
-    it, so the error names the first bad line: a value out of range before
-    the bad token, else the token itself.
+    Any fault, be it a malformed row, a token that does not convert or is
+    not finite, or a broken rule, is raised for the first faulty row in
+    file order as ``NAME:LINE: ...``: a malformed row first, then the row's
+    numeric tokens left to right, then ``rules`` in order.
     """
-    error = None
+    reader = _sample_rows(path, columns)
+    next(reader)
+    # Every row's tokens end to end, a column being a strided slice: one
+    # list kept per row made a 12,000-row risk file slower to read.
+    tokens: list[str] = []
+    linenos: list[int] = []
+    width = len(columns)
+    fault = None
     try:
-        time = np.array(times, dtype=np.float64)
-        event = np.array(events, dtype=np.int64)
-        grade = np.array(grades, dtype=np.int64)
-        converted = bool(np.isfinite(time).all())
-    except (ValueError, OverflowError):
-        converted = False
-    if not converted:
-        parsed = []
-        try:
-            for lineno, t, e, g in zip(linenos, times, events, grades):
-                where = f"{name}:{lineno}"
-                parsed.append((_parse_float(t, where), _parse_int(e, where),
-                               _parse_int(g, where)))
-        except DataError as exc:
-            error = exc
-        time, event, grade = (np.array(column, dtype=dtype) for column, dtype in
-                              zip(_columns(parsed, 3),
-                                  (np.float64, np.int64, np.int64)))
-    k = len(DEFAULT_GRADE_NAMES)
-    _raise_first_failure((
-        (time < 0, lambda i: f"{name}:{linenos[i]}: negative time_days "
-                             f"{float(time[i])!r}"),
-        ((event != 0) & (event != 1),
-         lambda i: f"{name}:{linenos[i]}: event {event[i]} is not 0 or 1"),
-        ((grade < 0) | (grade >= k),
-         lambda i: f"{name}:{linenos[i]}: grade {grade[i]} outside [0, {k})"),
-    ), len(time))
-    if error is not None:
-        raise error
-    return time, event, grade
+        for lineno, row in reader:
+            tokens += row
+            linenos.append(lineno)
+        table = {column: tokens[j::width] for j, column in enumerate(columns)}
+        for column, dtype in numbers.items():
+            table[column] = np.array(table[column], dtype=dtype)
+        if (all(np.isfinite(table[column]).all() for column in numbers)
+                and not any(test(table[column]).any()
+                            for column, test, _ in rules)):
+            return list(table.values())
+    except (DataError, ValueError, OverflowError) as exc:
+        fault = exc
+    # The one failure path, which fails wherever the column checks did: the
+    # rows read, in file order, then the malformed row that ended the read.
+    name = Path(path).name
+    for k, lineno in enumerate(linenos):
+        row = tokens[k * width:(k + 1) * width]
+        where = f"{name}:{lineno}"
+        values = {column: _PARSERS[numbers[column]](token, where)
+                  for column, token in zip(columns, row) if column in numbers}
+        broken = _broken_rule(values, rules)
+        if broken is not None:
+            raise DataError(f"{where}: {broken}")
+    raise fault
 
 
 def read_clinical(path) -> ClinicalTable:
     """Parse a clinical table into columns, in file order."""
-    name = Path(path).name
-    reader = _sample_rows(path, _CLINICAL_COLUMNS)
-    next(reader)
-    rows: list[list[str]] = []
-    linenos: list[int] = []
-    try:
-        for lineno, row in reader:
-            rows.append(row)
-            linenos.append(lineno)
-    except DataError:
-        # A bad or out-of-range number on an earlier line is reported first.
-        _clinical_numbers(name, linenos, *_columns(rows, 5)[2:])
-        raise
-    sample_ids, patient_ids, times, events, grades = _columns(rows, 5)
-    return ClinicalTable(sample_ids, patient_ids,
-                         *_clinical_numbers(name, linenos, times, events, grades))
-
-
-def _columns(rows, width: int) -> list[list]:
-    """``rows`` transposed into ``width`` columns (empty ones for no rows)."""
-    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
+    return ClinicalTable(*_read_table(
+        path, _CLINICAL_COLUMNS,
+        {"time_days": np.float64, "event": np.int64, "grade": np.int64},
+        _LABEL_RULES))
 
 
 def read_risks(path) -> tuple[dict[str, int], np.ndarray]:
     """Parse a ``sample_id,risk`` file: sample id -> row, and the risks as
     one float64 array."""
-    name = Path(path).name
-    reader = _sample_rows(path, _RISK_COLUMNS)
-    next(reader)
-    row_of: dict[str, int] = {}
-    tokens: list[str] = []
-    linenos: list[int] = []
-    try:
-        for lineno, (sid, risk) in reader:
-            row_of[sid] = len(tokens)
-            tokens.append(risk)
-            linenos.append(lineno)
-    except DataError:
-        # A bad number on an earlier line is reported first.
-        _float_tokens(tokens, lambda i: f"{name}:{linenos[i]}")
-        raise
-    return row_of, _float_tokens(tokens, lambda i: f"{name}:{linenos[i]}")
+    ids, risks = _read_table(path, _RISK_COLUMNS, {"risk": np.float64})
+    return dict(zip(ids, range(len(ids)))), risks
 
 
 def load_cohort(clinical_path, expression_path=None, embedding_path=None) -> Cohort:
@@ -695,9 +676,7 @@ class SplitSet:
                 {"train": list(tr), "test": list(te)}
                 for tr, te in self.repetitions],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
     @classmethod
     def load(cls, path) -> "SplitSet":
@@ -707,20 +686,26 @@ class SplitSet:
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON in split file {path}: {exc}") from None
 
-        def ids(rep, side):
-            value = rep[side]
-            if not isinstance(value, list):
-                raise ValueError(f"{side} side {value!r} is not a list of "
-                                 "sample ids")
-            for sid in value:
-                if not isinstance(sid, str):
-                    raise ValueError(f"{side} side holds {sid!r}, not a "
-                                     "sample id string")
-            return tuple(value)
+        def sides(k, rep):
+            seen: set[str] = set()
+            for side in ("train", "test"):
+                value = rep[side]
+                if not isinstance(value, list):
+                    raise ValueError(f"{side} side {value!r} is not a list of "
+                                     "sample ids")
+                for sid in value:
+                    if not isinstance(sid, str):
+                        raise ValueError(f"{side} side holds {sid!r}, not a "
+                                         "sample id string")
+                    if sid in seen:
+                        raise ValueError(f"repetition {k}: sample {sid!r} is "
+                                         "listed twice")
+                    seen.add(sid)
+            return tuple(rep["train"]), tuple(rep["test"])
 
         try:
-            reps = tuple((ids(rep, "train"), ids(rep, "test"))
-                         for rep in payload["repetitions"])
+            reps = tuple(sides(k, rep)
+                         for k, rep in enumerate(payload["repetitions"]))
             return cls(repetitions=reps, seed=int(payload["seed"]),
                        train_frac=float(payload["train_frac"]),
                        grouping=str(payload["grouping"]))

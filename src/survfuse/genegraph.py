@@ -12,7 +12,9 @@ that restricts the first network layer to known gene-gene interactions.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,6 +96,23 @@ def text_lines(path, error):
     lines = io.StringIO(data.decode("utf-8") + "?", newline="").readlines()
     yield from lines[n:-1]
     raise error(f"{Path(path).name}:{len(lines)}: not UTF-8 text")
+
+
+def file_sha256(path) -> str:
+    """The sha256 of the bytes of the file at ``path``."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 18), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON indented by 2 with sorted keys,
+    and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def parse_edge_list(path) -> GeneGraph:

@@ -40,7 +40,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, UsageError
-from .genegraph import AdjacencyMask
+from .genegraph import AdjacencyMask, file_sha256
 from .numcore import (
     _ADAM_CHUNK,
     Array,
@@ -614,11 +614,7 @@ def save_checkpoint(network: Network, path, params_sha256: str | None = None,
     """
     path = Path(path)
     if params_saved:
-        digest = hashlib.sha256()
-        with open(path / _PARAMS_NAME, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 18), b""):
-                digest.update(block)
-        params_sha256 = digest.hexdigest()
+        params_sha256 = file_sha256(path / _PARAMS_NAME)
     else:
         save_params(network, path)
         params_sha256 = (params_sha256

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 
 Array = np.ndarray
 
@@ -37,11 +37,16 @@ class RngStream:
     Identical (seed, stream_id) always reproduce the same draws; distinct
     stream ids are statistically independent. ``generator`` accepts extra
     integer key parts so call sites can carve out sub-streams (per epoch,
-    per iteration, ...) without coordinating id ranges.
+    per iteration, ...) without coordinating id ranges. A negative seed is
+    a ConfigError.
     """
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def generator(self, *key: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed,

@@ -7,13 +7,13 @@ SHORTER expected survival.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, UndefinedResultError
+from .genegraph import write_json
 
 GROUP_NAMES = ("Low", "Mid", "High")
 # How c_index scores a pair of tied risks: 0.5 ("half") or 0 ("strict").
@@ -337,9 +337,7 @@ def build_metrics(risks=None, times=None, events=None,
 
 
 def save_metrics(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
 
 
 def km_export_csv(curves: dict[str, KMCurve], path) -> None:

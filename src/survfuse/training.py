@@ -57,6 +57,7 @@ class TrainingProfile:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
+        RngStream(self.seed)  # rejects a negative seed before any data is read
 
 
 _PRESETS = {

@@ -197,6 +197,49 @@ def csv_sample_rows(path, columns=None):
     return header, rows, None
 
 
+def sample_table_error(path, columns):
+    """The error reading a clinical table (``columns`` the five clinical
+    names) or a risk table (``sample_id,risk``), found by walking its
+    records in file order; None when the table is valid.
+
+    ``csv_sample_rows`` gives the records read before any malformed one. In
+    each record, every number is checked left to right: ``time_days`` and
+    ``risk`` are finite floats, ``event`` and ``grade`` integers that fit
+    int64. Then a clinical record's labels are checked, in this order:
+    time_days >= 0, event 0 or 1, grade 0, 1 or 2. The first record that
+    fails names the error; when none does, the malformed record, if any.
+    """
+    name = os.path.basename(path)
+    _, rows, error = csv_sample_rows(path, columns)
+    for line, record in rows:
+        where = f"{name}:{line}"
+        value = {}
+        for column, token in zip(columns, record):
+            if column in ("time_days", "risk"):
+                try:
+                    value[column] = float(token)
+                except ValueError:
+                    return f"{where}: unparseable number {token!r}"
+                if math.isnan(value[column]) or math.isinf(value[column]):
+                    return f"{where}: non-finite number {token!r}"
+            elif column in ("event", "grade"):
+                try:
+                    value[column] = int(token)
+                except ValueError:
+                    return f"{where}: unparseable integer {token!r}"
+                if not -2 ** 63 <= value[column] < 2 ** 63:
+                    return f"{where}: integer {token!r} out of range"
+        if "time_days" not in value:
+            continue
+        if value["time_days"] < 0:
+            return f"{where}: negative time_days {value['time_days']!r}"
+        if value["event"] not in (0, 1):
+            return f"{where}: event {value['event']} is not 0 or 1"
+        if value["grade"] not in (0, 1, 2):
+            return f"{where}: grade {value['grade']} outside [0, 3)"
+    return error
+
+
 def relu_scalar(v):
     return v if v > 0 else 0.0
 

@@ -467,6 +467,35 @@ def test_mistyped_config_value_exits_2_before_reading_data(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_train_negative_seed_exits_2_before_reading_or_writing(
+        data_dir, tmp_path, capsys, where):
+    """The splits path names no file, which would fail first (exit 1) if
+    any input were read before the seed is checked."""
+    config = write_config(tmp_path / "run.json", data_dir,
+                          tmp_path / "absent.json", tmp_path / "out",
+                          **({"seed": -1} if where == "file" else {}))
+    args = ["train", str(config)] + (["--seed", "-1"] if where == "flag"
+                                     else [])
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "splits"])
+def test_negative_seed_exits_2_and_writes_nothing(data_dir, tmp_path, capsys,
+                                                  command):
+    out = tmp_path / "out"
+    args = (["synth", "--patients", "10", "--genes", "6", "--causal", "2",
+             "--embedding-dim", "2", "--out", str(out)]
+            if command == "synth" else
+            ["splits", "--clinical", str(data_dir / "clinical.csv"),
+             "--out", str(out)])
+    assert main(args + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value,field", [
     ("--lr", "nan", "base_lr"), ("--lr", "inf", "base_lr"),
     ("--weight-decay", "nan", "weight_decay"),
@@ -778,6 +807,25 @@ def test_invalid_splits_json_names_the_file(trained, data_dir, splits_file,
         bad.write_text(body)
         assert main(args) == 1
         assert message in capsys.readouterr().err
+
+
+def test_split_file_listing_a_sample_twice_exits_1(data_dir, splits_file,
+                                                  tmp_path, capsys):
+    """A test side that repeats training ids would score the model on
+    samples it trained on; train refuses the file before it trains."""
+    payload = json.loads(splits_file.read_text())
+    rep0 = payload["repetitions"][0]
+    bad = tmp_path / "splits.json"
+    bad.write_text(json.dumps({**payload, "repetitions": [
+        {"train": rep0["train"] + rep0["train"][:3],
+         "test": rep0["test"] + rep0["train"][:5]}]}))
+    config = write_config(tmp_path / "run.json", data_dir, bad,
+                          tmp_path / "out")
+    assert main(["train", str(config), "--rep", "0"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed split file {bad}: repetition 0: sample "
+        f"{rep0['train'][0]!r} is listed twice\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -420,6 +420,84 @@ def test_sample_rows_match_csv_reader_oracle(header, ending, body,
             oracles.csv_sample_rows(path, columns)
 
 
+_CLINICAL_COLUMNS = ("sample_id", "patient_id", "time_days", "event",
+                     "grade")
+# Tokens that break a column's parse, and ones that break its label rule.
+_BAD_TOKENS = {
+    "time_days": ["x", "", "0x10", "nan", "-inf", "1e400"],
+    "risk": ["x", "", "0x10", "nan", "inf", "1e400"],
+    "event": ["x", "1.0", "1e3", "99999999999999999999"],
+    "grade": ["", "0.5", "-9999999999999999999"],
+}
+_OUT_OF_RANGE = {"time_days": ["-1.5", "-5e-324"], "event": ["2", "-1"],
+                 "grade": ["3", "-1", "7"]}
+
+
+def _table_csv(data, columns):
+    """A valid table with ``columns``, damaged by one to three faults (a
+    bad or out-of-range token, a wrong width, a repeated id), as CSV text
+    with blank lines and quoted fields, some spanning lines, around them."""
+    clinical = len(columns) == 5
+    rows = []
+    for i in range(data.draw(st.integers(1, 6))):
+        if clinical:
+            rows.append([f"S{i}", f"P{i // 2}", repr(data.draw(st.floats(
+                0.0, 1e6))), str(data.draw(st.integers(0, 1))),
+                str(data.draw(st.integers(0, 2)))])
+        else:
+            rows.append([f"S{i}", repr(data.draw(_finite))])
+    kinds = st.sampled_from(["token", "range", "width", "id"] if clinical
+                            else ["token", "width", "id"])
+    # Up to two faults a row and three in all, at least one; a row's width
+    # changes after its tokens do.
+    faults = [(row, kind) for row in rows
+              for kind in data.draw(st.lists(kinds, max_size=2))][:3] or [
+        (data.draw(st.sampled_from(rows)), data.draw(kinds))]
+    for row, fault in sorted(faults, key=lambda fault: fault[1] == "width"):
+        if fault in ("token", "range"):
+            j = data.draw(st.integers(len(columns) - (3 if clinical else 1),
+                                      len(columns) - 1))
+            tokens = _BAD_TOKENS if fault == "token" else _OUT_OF_RANGE
+            row[j] = data.draw(st.sampled_from(tokens[columns[j]]))
+        elif fault == "width":
+            if len(row) > 1 and data.draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("0")
+        else:
+            row[0] = data.draw(st.sampled_from(rows))[0]
+    lines = [",".join(columns)]
+    for row in rows:
+        lines += [""] * data.draw(st.integers(0, 1))
+        if data.draw(st.booleans()):
+            # Quote a field; a quoted id may hold a line break.
+            j = data.draw(st.integers(0, len(row) - 1))
+            if j == 0 and data.draw(st.booleans()):
+                row = [row[0][:1] + "\n" + row[0][1:], *row[1:]]
+            row = [f'"{v}"' if k == j else v for k, v in enumerate(row)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_fault_in_file_order_matches_oracle(data):
+    """Whatever faults a clinical or risk table holds, the error reading it
+    names the first one in file order, as a line-by-line walk finds it."""
+    columns, read = data.draw(st.sampled_from([
+        (_CLINICAL_COLUMNS, read_clinical), (("sample_id", "risk"),
+                                             read_risks)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text(_table_csv(data, columns), encoding="utf-8")
+        try:
+            read(path)
+            error = None
+        except DataError as exc:
+            error = str(exc)
+        assert error == oracles.sample_table_error(path, columns)
+
+
 def test_error_lines_count_physical_lines(tmp_path):
     path = tmp_path / "r2.csv"
     head = 'sample_id,risk\n"S\n1",0.5\n'
@@ -984,6 +1062,35 @@ def test_synth_causal_genes_are_connected():
                 seen.add(nb)
                 queue.append(nb)
     assert seen == causal
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        gen_splits(ten_patient_pairs(), reps=1, seed=-1)
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        synth_gen(patients=10, genes=5, causal_genes=2, censor_rate=0.2,
+                  label_noise=0.1, seed=-1)
+
+
+def test_split_file_listing_a_sample_twice_is_malformed(tmp_path):
+    """An id may appear once per repetition, on one side; gen_splits'
+    files always pass."""
+    path = tmp_path / "splits.json"
+    gen_splits(ten_patient_pairs(), reps=2, seed=3).save(path)
+    assert len(SplitSet.load(path).repetitions) == 2
+    payload = json.loads(path.read_text())
+    train, test = (payload["repetitions"][1][side] for side in ("train",
+                                                                 "test"))
+    for rep1, sid in (({"train": train, "test": test + train[1:3]}, train[1]),
+                      ({"train": train[:3] + train[2:], "test": test},
+                       train[2]),
+                      ({"train": train, "test": test[:1] * 2}, test[0])):
+        path.write_text(json.dumps(
+            {**payload, "repetitions": [payload["repetitions"][0], rep1]}))
+        with pytest.raises(DataError) as exc:
+            SplitSet.load(path)
+        assert str(exc.value) == (f"malformed split file {path}: repetition "
+                                  f"1: sample {sid!r} is listed twice")
 
 
 def test_synth_validation():

@@ -91,6 +91,8 @@ def test_profile_validation():
         micro_profile(0, dropout_p=1.0)
     with pytest.raises(ConfigError):
         micro_profile(0, schedule="roundrobin")
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        micro_profile(-1)
 
 
 def test_survival_labels_validation():

@@ -11,6 +11,12 @@
 #   - synth and splits with the README walkthrough settings;
 #   - eval --risks and km --svg on a risks file written from the synthetic
 #     clinical table by a fixed rule (risk = grade - time_days / 1000);
+#   - three commands that must fail, each on a damaged copy of an input
+#     with two faults, so the error names the first in file order: splits
+#     on a clinical.csv with grade 7 on line 5 and a short row on line 9;
+#     eval --risks on a risks file with nan on line 4 and line 6's id
+#     repeated on line 8; km on a risks file with a short row on line 3
+#     and a bad token on line 6;
 #   - the fused walkthrough train (mmmt-default, 30 epochs) for seeds 1 and
 #     7, each followed by eval of best, final, and final per patient; seed 1
 #     then evaluates final once more, which reads the parse cache the
@@ -126,6 +132,20 @@ run_tree() {
         --out eval-risks.json
     step km km --risks risks.csv --clinical data/clinical.csv --out km.csv \
         --svg km.svg
+    mkdir -p data-bad
+    LC_ALL=C awk -F, -v OFS=, 'NR == 5 { $5 = 7 }
+             NR == 9 { print $1, $2, $3, $4; next } { print }' \
+        data/clinical.csv >data-bad/clinical.csv
+    step splits-bad splits --clinical data-bad/clinical.csv --reps 5 \
+        --out data-bad/splits.json
+    LC_ALL=C awk -F, -v OFS=, 'NR == 4 { $2 = "nan" } NR == 6 { id = $1 }
+             NR == 8 { $1 = id } { print }' risks.csv >risks-nan.csv
+    step eval-risks-bad eval --risks risks-nan.csv \
+        --clinical data/clinical.csv --out eval-risks-bad.json
+    LC_ALL=C awk -F, -v OFS=, 'NR == 3 { print $1; next }
+             NR == 6 { $2 = "high" } { print }' risks.csv >risks-short.csv
+    step km-bad km --risks risks-short.csv --clinical data/clinical.csv \
+        --out km-bad.csv
     for seed in 1 7; do
         config "fused-$seed.json" fused alternate mmmt-default "$seed" \
             "out-fused-$seed/"
