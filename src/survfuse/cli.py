@@ -66,8 +66,8 @@ AGGREGATIONS = ("sample", "patient")
 
 @dataclass
 class RunConfig:
-    """Flat run description; every field can live in the JSON file, and the
-    ones ``override`` lists can also be set by flags."""
+    """Flat run description; every field can live in the JSON file, and a
+    command's flag of the same name overrides it."""
 
     variant: str = "fused"
     schedule: str = "alternate"
@@ -116,14 +116,11 @@ class RunConfig:
         return cls(**raw)
 
     def override(self, args: argparse.Namespace) -> "RunConfig":
-        updates = {}
-        for name in ("variant", "schedule", "heads", "preset", "epochs", "lr",
-                     "weight_decay", "batch", "dropout", "seed", "splits",
-                     "out", "tie_rule", "aggregation"):
-            value = getattr(args, name, None)
-            if value is not None:
-                updates[name] = value
-        return replace(self, **updates)
+        """The config with each field that ``args`` sets replaced; the
+        parser decides which fields have a flag."""
+        return replace(self, **{
+            f.name: getattr(args, f.name) for f in fields(self)
+            if getattr(args, f.name, None) is not None})
 
     def resolved_heads(self) -> str:
         """The heads given, else the choice that builds exactly the heads

@@ -92,6 +92,8 @@ class Sample:
 # value of an array, that breaks the rule, and ``message(value)`` describes
 # a flagged value.
 _LABEL_RULES = (
+    ("time_days", lambda t: ~np.isfinite(t),
+     lambda t: f"non-finite time_days {t!r}"),
     ("time_days", lambda t: t < 0, lambda t: f"negative time_days {t!r}"),
     ("event", lambda e: (e != 0) & (e != 1),
      lambda e: f"event {e} is not 0 or 1"),

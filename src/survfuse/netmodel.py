@@ -170,9 +170,9 @@ class MaskedSparseLayer:
             yt[s:s + hi - lo] += part
         return yt[self._slot].T
 
-    def gradient(self, x: Array, d_pre: Array, out: Array) -> None:
-        """Write each nonzero's weight gradient, the batch sum of
-        ``x[n, r] * d_pre[n, c]``, into ``out`` (aligned with ``weights``).
+    def gradient(self, x: Array, d_pre: Array) -> Array:
+        """Each nonzero's weight gradient, the batch sum of
+        ``x[n, r] * d_pre[n, c]``, aligned with ``weights``.
 
         Whole rows of ``x.T`` and ``d_pre.T`` are gathered into (k, batch)
         scratch, at most ``_ADAM_CHUNK`` elements each, and einsum reads
@@ -187,12 +187,14 @@ class MaskedSparseLayer:
         xt = np.ascontiguousarray(x.T)
         dt = np.ascontiguousarray(d_pre.T)
         scratch = np.empty((2, min(step, nnz), n))
+        out = np.empty(nnz)
         for lo in range(0, nnz, step):
             hi = min(lo + step, nnz)
             xs, ds = scratch[0, :hi - lo], scratch[1, :hi - lo]
             np.take(xt, self.mask.rows[lo:hi], axis=0, out=xs, mode="clip")
             np.take(dt, self.mask.cols[lo:hi], axis=0, out=ds, mode="clip")
             np.einsum("nk,nk->k", xs.T, ds.T, out=out[lo:hi])
+        return out
 
 
 @dataclass(frozen=True)
@@ -249,12 +251,14 @@ class NetworkConfig:
 
 @dataclass
 class LayerCache:
+    """What ``backward`` reads of one layer's forward pass: its input, its
+    activation output, and the dropout scale applied to that output (None
+    without dropout)."""
+
     layer: object
     x: Array
-    pre: Array
     act: Array
     drop_scale: Array | None
-    out: Array
 
 
 @dataclass
@@ -285,17 +289,16 @@ def _run_layers(x: Array, layers, mode: str, gen) -> tuple[Array, list[LayerCach
             else:
                 drop_scale = dropout_mask(act.shape, layer.dropout_p, gen)
                 out = act * drop_scale
-        caches.append(LayerCache(layer, x_in, pre, act, drop_scale, out))
+        caches.append(LayerCache(layer, x_in, act, drop_scale))
     return out, caches
 
 
 def _backward_layers(caches: list[LayerCache], upstream: Array,
                      grads: dict, dx_start: int = 0) -> Array | None:
-    """Backpropagate through one segment, writing the masked values' and
-    biases' gradients into their arrays in ``grads`` and setting each dense
-    weight's entry to its ``FactoredGradient``. Returns the gradient w.r.t.
-    the segment input's columns ``dx_start:``, or None when the caller needs
-    none."""
+    """Backpropagate through one segment, setting each of its parameters'
+    entries in ``grads``: a new array, or a dense weight's
+    ``FactoredGradient``. Returns the gradient w.r.t. the segment input's
+    columns ``dx_start:``, or None when the caller needs none."""
     d_out = upstream
     for i in reversed(range(len(caches))):
         cache = caches[i]
@@ -304,16 +307,16 @@ def _backward_layers(caches: list[LayerCache], upstream: Array,
         d_pre = activation_backward(
             layer.activation,
             d_out if cache.drop_scale is None else d_out * cache.drop_scale,
-            cache.pre, cache.act)
+            cache.act)
         if isinstance(layer, MaskedSparseLayer):
             # gene.masked is the first layer of the gene segment, and
             # nothing reads the gradient w.r.t. the raw gene input. Dropping
             # d_out first makes room for the gradient's transposed copies.
             d_out = None
-            layer.gradient(cache.x, d_pre, grads[f"{layer.name}.values"])
+            grads[f"{layer.name}.values"] = layer.gradient(cache.x, d_pre)
         else:
-            grads[f"{layer.name}.w"], d_out = dense_backward(
-                cache.x, layer.weights, d_pre, grads[f"{layer.name}.b"], start)
+            (grads[f"{layer.name}.b"], grads[f"{layer.name}.w"],
+             d_out) = dense_backward(cache.x, layer.weights, d_pre, start)
     return d_out
 
 
@@ -327,13 +330,10 @@ class Network:
     The constructor owns the parameter layout. It derives each layer's name,
     widths, activation and dropout from ``VARIANT_LAYOUT``, the config and
     the mask; allocates ``param_vector`` (every parameter, one contiguous
-    float64 vector in layer order) and ``grad_vector`` (the gradients that
-    ``backward`` stores: the masked values and the biases, in the same
-    order; a dense weight's gradient is never stored) once; and makes each
-    layer with its ``weights``/``bias`` as reshaped views into
-    ``param_vector``. Nothing rebinds them, and a network is not a
-    dataclass, so no layer can end up pointing into another network's
-    vector. A whole model is snapshotted or restored with one
+    float64 vector in layer order) once; and makes each layer with its
+    ``weights``/``bias`` as reshaped views into ``param_vector``. Nothing
+    rebinds them, and a network is not a dataclass, so no layer can end up
+    pointing into another network's vector. A whole model is snapshotted or restored with one
     ``np.copyto``. Parameters start at zero until ``assemble`` or
     ``load_checkpoint`` fills ``param_vector``.
     """
@@ -377,24 +377,17 @@ class Network:
                 specs += [(head, f"{head}.0", width, hidden, "relu", 0.0),
                           (head, f"{head}.1", hidden, d_out, act, 0.0)]
 
-        # Each parameter's name, shape and offset, recorded once, and the
-        # offset of each stored gradient: every one but a dense weight's.
-        layout, stored, offset, grad_offset = [], [], 0, 0
+        # Each parameter's name, shape and offset, recorded once.
+        layout, offset = [], 0
         for _, name, d_in, d_out, _, _ in specs:
             for part, shape in ((("values", (mask.nnz,)),)
                                 if name == "gene.masked" else
                                 (("w", (d_in, d_out)), ("b", (d_out,)))):
                 layout.append((f"{name}.{part}", shape, offset))
                 offset += math.prod(shape)
-                if part != "w":
-                    stored.append((f"{name}.{part}", shape, grad_offset))
-                    grad_offset += math.prod(shape)
         self._layout = tuple(layout)
         self.param_vector = np.zeros(offset)
-        self.grad_vector = np.zeros(grad_offset)
-
         self._params = params = named_views(self.param_vector, layout)
-        self._grads = named_views(self.grad_vector, stored)
         # Layers by segment, in parameter order.
         self._layers: dict[str, list] = {}
         for seg, name, _, _, act, p in specs:
@@ -472,24 +465,24 @@ class Network:
         order. Heads with no upstream contribute zeros, so the result
         always covers the full registry.
 
-        The masked values' and biases' gradients are written into
-        ``grad_vector`` and mapped as views into it, which the next
-        backward pass overwrites. A dense weight's gradient ``x.T @ d_pre``
-        is never formed: it is mapped to a ``FactoredGradient`` over the
-        layer input the trace holds and the ``d_pre`` computed here, which
+        The masked values' and biases' gradients are new arrays, owned by
+        the caller, so gradients from several passes over one trace can be
+        held together. A dense weight's gradient ``x.T @ d_pre`` is never
+        formed: it is mapped to a ``FactoredGradient`` over the layer input
+        the trace holds and the ``d_pre`` computed here, which
         ``adam_step`` expands block by block (``expand()`` forms it whole).
         An unused head's weights get factors with no batch rows.
         """
         if d_survival is None and d_grade is None:
             raise UsageError("backward needs at least one head gradient")
 
-        grads = {name: self._grads.get(name) for name, _, _ in self._layout}
+        grads = dict.fromkeys(self._params)  # fixes the layer order
         rep = trace.outputs["representation"]
         d_rep = np.zeros_like(rep)
         for head, upstream in (("survival", d_survival), ("grade", d_grade)):
             if upstream is None:
                 for layer in self._layers.get(head, ()):
-                    grads[f"{layer.name}.b"][...] = 0.0
+                    grads[f"{layer.name}.b"] = np.zeros(layer.dim_out)
                     grads[f"{layer.name}.w"] = FactoredGradient(
                         np.empty((0, layer.dim_in)),
                         np.empty((0, layer.dim_out)))

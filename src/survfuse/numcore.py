@@ -1,9 +1,10 @@
 """Float64 matrix primitives: activations, layer gradients, Adam, RNG streams.
 
-Activations, dropout and the dense-layer forward are pure functions of their
-arguments (plus an explicit random generator where randomness is involved).
-``dense_backward`` writes its bias gradient into a caller-owned array and
-returns its weight gradient unexpanded, as a ``FactoredGradient``. An
+Activations, dropout and the dense-layer forward and backward are pure
+functions of their arguments (plus an explicit random generator where
+randomness is involved) and write into no array they are given.
+``dense_backward`` returns its weight gradient unexpanded, as a
+``FactoredGradient`` over its arguments. An
 ``AdamState`` is built for one parameter mapping and must be stepped with
 it; ``adam_step`` updates parameters and moments in place, so one state
 must not be shared between concurrent updates. All arrays are C-contiguous
@@ -99,19 +100,22 @@ def activation(x: Array, kind: str) -> Array:
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
-def activation_backward(kind: str, upstream: Array, pre: Array, out: Array) -> Array:
-    """Gradient of ``activation`` w.r.t. its input.
+def activation_backward(kind: str, upstream: Array, out: Array) -> Array:
+    """Gradient of ``activation`` w.r.t. its input, given the output ``out``
+    of the matching forward pass.
 
-    ``pre`` is the pre-activation input and ``out`` the cached activation
-    output from the matching forward pass.
+    relu and selu take the input's sign from ``out``: ``out > 0`` exactly
+    where the input is > 0, also for NaN, signed zeros and subnormals. A
+    positive input x gives max(x, 0) = x or lambda*x with lambda > 1; any
+    other gives zero, NaN or lambda*alpha*expm1(x), none of them > 0.
     """
     if kind == "linear":
         return upstream.copy()
     if kind == "relu":
-        return upstream * (pre > 0)
+        return upstream * (out > 0)
     if kind == "selu":
         # d/dx = lambda for x>0, else lambda*alpha*e^x = out + lambda*alpha
-        return upstream * np.where(pre > 0, SELU_LAMBDA, out + SELU_LAMBDA * SELU_ALPHA)
+        return upstream * np.where(out > 0, SELU_LAMBDA, out + SELU_LAMBDA * SELU_ALPHA)
     if kind == "sigmoid":
         return upstream * out * (1.0 - out)
     if kind == "log_softmax_rows":
@@ -183,19 +187,18 @@ class FactoredGradient:
         return np.matmul(self.x[:, r0:r1].T, self.d_pre, out=out)
 
 
-def dense_backward(x: Array, w: Array, upstream_z: Array, db: Array,
-                   dx_start: int = 0) -> tuple[FactoredGradient, Array | None]:
-    """Gradients of z = x @ w + b given dL/dz.
+def dense_backward(x: Array, w: Array, upstream_z: Array, dx_start: int = 0
+                   ) -> tuple[Array, FactoredGradient, Array | None]:
+    """Gradients of z = x @ w + b given dL/dz: ``(db, dw, dx)``.
 
-    ``db`` receives the bias gradient in place. The weight gradient is
-    returned as its factors ``(x, dL/dz)``, never formed here, together
-    with dx. dx covers input columns ``dx_start:`` only, and is None when
-    that range is empty: columns whose gradient nobody reads are never
-    computed.
+    The weight gradient ``dw`` is returned as its factors ``(x, dL/dz)``,
+    never formed here. dx covers input columns ``dx_start:`` only, and is
+    None when that range is empty: columns whose gradient nobody reads are
+    never computed.
     """
-    np.sum(upstream_z, axis=0, out=db)
+    db = upstream_z.sum(axis=0)
     dx = upstream_z @ w[dx_start:].T if dx_start < w.shape[0] else None
-    return FactoredGradient(x, upstream_z), dx
+    return db, FactoredGradient(x, upstream_z), dx
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +232,15 @@ def named_views(vector: Array, layout) -> Mapping[str, Array]:
 class AdamState:
     """Adam's state for the one parameter mapping ``for_params`` was given,
     which every step must be given too. The moments ``m`` and ``v`` are flat
-    vectors laid out like it, mapped by name as ``first_moment`` and
-    ``second_moment``. ``plan`` holds each parameter's name, shape, offset
-    and ``_blocks``; ``work`` is two rows for the update and one for an
-    expanded gradient block, as wide as the widest block, so a step
-    allocates nothing that grows with the model."""
+    vectors laid out like it (``named_views(m, plan)`` maps them by name).
+    ``plan`` holds each parameter's name, shape, offset and ``_blocks``;
+    ``work`` is two rows for the update and one for an expanded gradient
+    block, as wide as the widest block, so a step allocates nothing that
+    grows with the model."""
 
     plan: tuple
     m: Array
     v: Array
-    first_moment: Mapping[str, Array]
-    second_moment: Mapping[str, Array]
     work: Array = field(repr=False)
     step_count: int = 0
 
@@ -255,9 +256,8 @@ class AdamState:
         # A lone last row's two-row expansion is never wider than a block.
         width = max((hi - lo for *_, blocks in plan for lo, hi, _, _ in blocks),
                     default=0)
-        m, v = np.zeros(offset), np.zeros(offset)
-        return cls(plan=tuple(plan), m=m, v=v, first_moment=named_views(m, plan),
-                   second_moment=named_views(v, plan), work=np.empty((3, width)))
+        return cls(plan=tuple(plan), m=np.zeros(offset), v=np.zeros(offset),
+                   work=np.empty((3, width)))
 
 
 def _blocks(shape: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:

@@ -98,6 +98,8 @@ class SurvivalBatchLabels:
         e = np.asarray(self.events, dtype=np.int64).reshape(-1)
         if len(t) != len(e):
             raise DataError("times and events must have equal lengths")
+        if not np.isfinite(t).all():
+            raise DataError("survival times must be finite")
         if np.any(t < 0):
             raise DataError("survival times must be non-negative")
         if not np.isin(e, (0, 1)).all():

@@ -12,7 +12,7 @@ import numpy as np
 from survfuse.errors import DimensionError
 from survfuse.genegraph import GeneGraph, build_adjacency, canonical_pairs
 from survfuse.netmodel import NetworkConfig, assemble
-from survfuse.numcore import FactoredGradient, RngStream
+from survfuse.numcore import FactoredGradient, RngStream, named_views
 
 VARIANT_HEAD_COMBOS = [
     (variant, heads)
@@ -113,9 +113,14 @@ def set_params(net, params):
 
 def expanded(grads):
     """``backward``'s gradients as plain arrays: each dense weight's
-    ``FactoredGradient`` formed whole, the stored ones copied."""
+    ``FactoredGradient`` formed whole, the other arrays copied."""
     return {name: g.expand() if isinstance(g, FactoredGradient) else g.copy()
             for name, g in grads.items()}
+
+
+def moments(state):
+    """An ``AdamState``'s first and second moments, each mapped by name."""
+    return named_views(state.m, state.plan), named_views(state.v, state.plan)
 
 
 def masked_from_dense(mask, dense_weights):

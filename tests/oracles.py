@@ -250,6 +250,17 @@ def selu_scalar(v):
     return SELU_SCALE * SELU_SHIFT * (math.exp(v) - 1.0)
 
 
+def relu_selu_backward_from_pre(kind, upstream, pre, out):
+    """The relu and selu backward rules with the input's sign read from the
+    pre-activation ``pre`` itself, not from the forward output ``out``."""
+    if kind == "relu":
+        return upstream * (pre > 0)
+    if kind == "selu":
+        return upstream * np.where(pre > 0, SELU_SCALE,
+                                   out + SELU_SCALE * SELU_SHIFT)
+    raise ValueError(f"no rule for {kind!r}")
+
+
 def sigmoid_scalar(v):
     if v >= 0:
         return 1.0 / (1.0 + math.exp(-v))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import helpers
 import survfuse
+from survfuse import cli
 from survfuse.cli import main
 from survfuse.datakit import SplitSet
 from survfuse.netmodel import load_checkpoint
@@ -325,8 +327,7 @@ def test_train_holds_one_expression_matrix_when_training(tmp_path,
     def stop_at_train(network, cohort, *args, **kwargs):
         held["matrix"] = cohort.expression.nbytes
         held["other"] = (tracemalloc.get_traced_memory()[0]
-                         - network.param_vector.nbytes
-                         - network.grad_vector.nbytes)
+                         - network.param_vector.nbytes)
         raise _StopAtTrain
 
     monkeypatch.setattr("survfuse.cli.train", stop_at_train)
@@ -389,6 +390,32 @@ def test_train_default_heads_follow_schedule(data_dir, splits_file, tmp_path,
     summary = json.loads((tmp_path / "out" / "rep00" / "summary.json")
                          .read_text())
     assert summary["heads"] == heads
+
+
+def test_override_takes_each_flag_named_like_a_config_field():
+    """A command's flags replace the config fields of the same name; unset
+    flags and fields without a flag keep the file's values."""
+    parser = cli._build_parser()
+    base = cli.RunConfig(seed=3, clinical="c.csv", expression="x.csv",
+                         embeddings="m.csv", edge_list="e.tsv")
+    assert base.override(parser.parse_args(["train", "run.json"])) == base
+    train = parser.parse_args([
+        "train", "run.json", "--variant", "gene-only", "--schedule",
+        "joint-add", "--heads", "both", "--preset", "smst-gene", "--epochs",
+        "4", "--lr", "0.5", "--weight-decay", "0.25", "--batch", "6",
+        "--dropout", "0.125", "--seed", "9", "--splits", "s.json", "--out",
+        "o/", "--rep", "2", "--verbose"])
+    assert base.override(train) == dataclasses.replace(
+        base, variant="gene-only", schedule="joint-add", heads="both",
+        preset="smst-gene", epochs=4, lr=0.5, weight_decay=0.25, batch=6,
+        dropout=0.125, seed=9, splits="s.json", out="o/")
+    evaluate = parser.parse_args([
+        "eval", "--config", "run.json", "--model", "m/", "--out", "k.json",
+        "--splits", "t.json", "--tie-rule", "strict", "--aggregation",
+        "patient"])
+    assert base.override(evaluate) == dataclasses.replace(
+        base, splits="t.json", out="k.json", tie_rule="strict",
+        aggregation="patient")
 
 
 @pytest.mark.parametrize("value,extra", [

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 import tracemalloc
 from collections import deque
@@ -110,6 +111,17 @@ def test_cohort_validation():
         small_cohort(time=[10.0, -1.0, 8.5], grade=[0, 1, 3])
     with pytest.raises(DataError, match="sample_patients"):
         small_cohort(sample_patients=("P1", "P2"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cohort_rejects_non_finite_times(bad):
+    # NaN and +inf pass the sign rule (t < 0 is False for them).
+    with pytest.raises(DataError,
+                       match=f"^sample 'S2': non-finite time_days {bad!r}$"):
+        small_cohort(time=[10.0, bad, 8.5])
+    # Finiteness is checked before the sign, and before the other labels.
+    with pytest.raises(DataError, match="'S1': non-finite time_days"):
+        small_cohort(time=[bad, -1.0, 8.5], grade=[3, 1, 2])
 
 
 def test_gene_subset_reorders_columns():

@@ -21,6 +21,7 @@ from helpers import (
     masked_from_dense,
     micro_config,
     micro_network,
+    moments,
     random_mask,
     randomize_params,
     set_params,
@@ -72,11 +73,12 @@ def fused_around(mask, values, compress_w, compress_b=None,
 
 
 def gene_branch_output(net, gene_x, image_x=None):
-    """Eval-mode forward; returns the gene branch output and the trace."""
+    """Eval-mode forward; returns the gene branch output (with no dropout,
+    the last gene layer's activation) and the trace."""
     if image_x is None:
         image_x = np.zeros((len(gene_x), net.config.image_dim))
     trace = net.forward(gene_x=gene_x, image_x=image_x)
-    return trace.caches["gene"][-1].out, trace
+    return trace.caches["gene"][-1].act, trace
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +166,12 @@ def test_fusion_concatenates_image_first():
     assert np.array_equal(first.x[:, :7], image_x)
     assert np.array_equal(first.x[:, 7:], z_gene)
     w, b = net.params()["trunk.0.w"], net.params()["trunk.0.b"]
-    expect = oracles.matmul_loops(first.x, w) + b
-    assert np.allclose(first.pre, expect, atol=1e-13)
+    assert first.layer.activation == "relu"
+    expect = np.maximum(oracles.matmul_loops(first.x, w) + b, 0.0)
+    assert np.allclose(first.act, expect, atol=1e-13)
     swapped = oracles.matmul_loops(
         np.concatenate([z_gene, image_x], axis=1), w) + b
-    assert not np.allclose(first.pre, swapped)
+    assert not np.allclose(first.act, np.maximum(swapped, 0.0))
 
 
 def test_fusion_row_mismatch():
@@ -204,7 +207,8 @@ def test_survival_head_outputs_in_unit_interval():
     out = trace.outputs["survival"]
     assert out.shape == (50, 1)
     assert np.all((out > 0.0) & (out < 1.0))
-    pre = trace.caches["survival"][-1].pre
+    last = trace.caches["survival"][-1]
+    pre = last.x @ last.layer.weights + last.layer.bias
     expect = np.vectorize(oracles.sigmoid_scalar)(pre)
     assert np.max(np.abs(out - expect)) < 1e-15
 
@@ -450,7 +454,7 @@ def _cache_arrays(trace):
     return [(seg, i, part, getattr(cache, part))
             for seg, caches in trace.caches.items()
             for i, cache in enumerate(caches)
-            for part in ("x", "pre", "act", "drop_scale", "out")]
+            for part in ("x", "act", "drop_scale")]
 
 
 @pytest.mark.parametrize("variant,heads", VARIANT_HEAD_COMBOS)
@@ -470,13 +474,9 @@ def test_backward_only_reads_the_trace(variant, heads):
     assert any(part == "drop_scale" and a is not None
                for _, _, part, a in before)
     first = expanded(net.backward(trace, **upstream))
-    first_stored = net.grad_vector.copy()
-    assert first_stored.any()
     assert all(first[layer.name + ".w"].any() for layer in net.all_layers()
                if layer.name != "gene.masked")
     second = expanded(net.backward(trace, **upstream))
-    assert np.array_equal(net.grad_vector.view(np.int64),
-                          first_stored.view(np.int64))
     assert list(second) == list(first) == list(net.params())
     for name, g in second.items():
         assert np.array_equal(g.view(np.int64), first[name].view(np.int64)), name
@@ -487,6 +487,42 @@ def test_backward_only_reads_the_trace(variant, heads):
             assert new is None, key
         else:
             assert np.array_equal(new.view(np.int64), old.view(np.int64)), key
+
+
+def _gradient_arrays(grads):
+    """The arrays a backward pass made: every gradient array, and each
+    factored gradient's ``d_pre`` (its ``x`` is the trace's)."""
+    return [g.d_pre if isinstance(g, FactoredGradient) else g
+            for g in grads.values()]
+
+
+@pytest.mark.parametrize("variant,heads", VARIANT_HEAD_COMBOS)
+def test_two_backward_passes_hold_their_own_gradients(variant, heads):
+    """Two backward passes over one trace, with different head gradients,
+    return arrays that share no memory: the first pass's gradients keep
+    their values after the second."""
+    gen = np.random.default_rng(8)
+    net = randomize_params(micro_network(variant, heads, dropout_p=0.25),
+                           seed=9)
+    gene_x, image_x = _inputs_for(variant, 5, gen)
+    trace = net.forward(gene_x=gene_x, image_x=image_x, mode="train",
+                        rng=RngStream(5, 22), key=(1,))
+    heads_present = [h for h in ("survival", "grade") if h in trace.outputs]
+    # With both heads, the first pass is on one task and the second on the
+    # other, so each leaves the other head's gradients at zero.
+    passes = ([[heads_present[0]], [heads_present[1]]]
+              if len(heads_present) == 2 else [heads_present] * 2)
+    first = net.backward(trace, **{f"d_{h}": gen.standard_normal(
+        trace.outputs[h].shape) for h in passes[0]})
+    kept = expanded(first)
+    second = net.backward(trace, **{f"d_{h}": gen.standard_normal(
+        trace.outputs[h].shape) for h in passes[1]})
+    for a in _gradient_arrays(first):
+        assert not any(np.shares_memory(a, b) for b in _gradient_arrays(second))
+    for name, g in expanded(first).items():
+        assert np.array_equal(g.view(np.int64), kept[name].view(np.int64)), name
+    assert any(not np.array_equal(g, kept[name])
+               for name, g in expanded(second).items())
 
 
 @pytest.mark.parametrize("variant,heads", VARIANT_HEAD_COMBOS)
@@ -501,20 +537,19 @@ def test_layers_are_views_of_their_own_network(variant, heads):
     for a in arrays:
         assert a.base is net.param_vector
         assert not np.shares_memory(a, other.param_vector)
-        assert not np.shares_memory(a, other.grad_vector)
 
 
-def test_grad_vector_stores_only_masked_values_and_biases():
-    """Dense weight gradients come back as their factors, never stored."""
+def test_backward_returns_dense_weight_gradients_as_factors():
+    """Dense weight gradients come back as their factors, never formed;
+    the masked values' and biases' gradients are arrays of their own."""
     net = randomize_params(micro_network("fused", "both"), seed=2)
     gene_x, image_x = _inputs_for("fused", 4, np.random.default_rng(2))
     trace = net.forward(gene_x=gene_x, image_x=image_x)
     grads = net.backward(trace, d_survival=np.ones((4, 1)))
-    stored = [name for name in net.params() if not name.endswith(".w")]
-    assert net.grad_vector.size == sum(net.params()[n].size for n in stored)
     for name, g in grads.items():
-        if name in stored:
-            assert g.base is net.grad_vector, name
+        if not name.endswith(".w"):
+            assert isinstance(g, np.ndarray) and g.base is None, name
+            assert g.shape == net.params()[name].shape, name
         else:
             assert isinstance(g, FactoredGradient), name
             assert g.shape == net.params()[name].shape
@@ -560,12 +595,11 @@ def test_adam_moments_are_laid_out_like_param_vector():
     net = micro_network("fused", "both", seed=3)
     state = AdamState.for_params(net.params())
     size = net.param_vector.size
-    for vector, moments in ((state.m, state.first_moment),
-                            (state.v, state.second_moment)):
+    for vector, by_name in zip((state.m, state.v), moments(state)):
         assert vector.shape == (size,)
         vector[:] = np.arange(size)
         for entry in netmodel._manifest_params(net):
-            view = moments[entry["name"]]
+            view = by_name[entry["name"]]
             assert view.base is vector and view.shape == tuple(entry["shape"])
             assert np.array_equal(view.ravel(), np.arange(
                 entry["offset"], entry["offset"] + view.size))
@@ -580,7 +614,7 @@ def test_adam_moments_are_laid_out_like_param_vector():
                              d_grade=np.ones((5, 3)))
         adam_step(net.params(), grads, state, rate=1e-3, weight_decay=4e-4)
     assert state.plan is plan and state.work is work
-    assert state.first_moment["trunk.0.w"].any()
+    assert moments(state)[0]["trunk.0.w"].any()
 
 
 def test_backward_requires_a_head_gradient():
@@ -676,8 +710,7 @@ def test_masked_gradient_row_gathers_equal_column_gathers(batch):
     layer = MaskedSparseLayer("gene.masked", mask, np.zeros(mask.nnz))
     x = _awkward_values(gen, (batch, dim))
     d_pre = gen.standard_normal((batch, dim))
-    got = np.empty(mask.nnz)
-    layer.gradient(x, d_pre, got)
+    got = layer.gradient(x, d_pre)
     want = oracles.masked_gradient_column_gathers(x, d_pre, mask,
                                                   netmodel._ADAM_CHUNK)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -138,7 +138,7 @@ def test_activation_backward_matches_fd():
     upstream = gen.standard_normal((4, 5))
     for kind in ("linear", "relu", "selu", "sigmoid", "log_softmax_rows"):
         out = activation(x, kind)
-        analytic = activation_backward(kind, upstream, x, out)
+        analytic = activation_backward(kind, upstream, out)
         fd = _fd_activation_gradient(kind, x, upstream)
         assert oracles.rel_err(analytic, fd) < 1e-6, kind
 
@@ -148,11 +148,29 @@ def test_selu_backward_uses_cached_output():
     # the cached output must change the reported gradient.
     x = np.array([[-1.0]])
     out = activation(x, "selu")
-    g1 = activation_backward("selu", np.ones_like(x), x, out)
-    g2 = activation_backward("selu", np.ones_like(x), x, out + 1.0)
+    g1 = activation_backward("selu", np.ones_like(x), out)
+    g2 = activation_backward("selu", np.ones_like(x), out + 1.0)
     assert g1[0, 0] != g2[0, 0]
     assert g1[0, 0] == pytest.approx(
         SELU_LAMBDA * SELU_ALPHA * math.exp(-1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["relu", "selu"])
+def test_activation_backward_sign_from_output_matches_sign_from_input(kind):
+    """Reading the input's sign from the output gives the bits the rule
+    that read it from the input gave, on every kind of float64 edge."""
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308,
+             -2.2250738585072014e-308, 1e-300, -1e-300, math.inf, -math.inf,
+             math.nan, -math.nan, 1.5, -1.5, 750.0, -750.0, 1e308, -1e308]
+    pre = np.array([edges] * 3)
+    upstream = np.random.default_rng(5).standard_normal(pre.shape)
+    upstream[1] = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0] * 3
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = activation(pre, kind)
+        got = activation_backward(kind, upstream, out)
+        want = oracles.relu_selu_backward_from_pre(kind, upstream, pre, out)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +253,7 @@ def test_dense_backward_matches_fd():
     w = gen.standard_normal((5, 3))
     b = gen.standard_normal(3)
     upstream = gen.standard_normal((4, 3))
-    db = np.empty_like(b)
-    factored, dx = dense_backward(x, w, upstream, db)
+    db, factored, dx = dense_backward(x, w, upstream)
     dw = factored.expand()
 
     fd_w = oracles.fd_array_gradient(
@@ -253,8 +270,7 @@ def test_dense_backward_matches_fd():
 def test_dense_backward_zero_upstream():
     x = np.ones((2, 3))
     w = np.ones((3, 2))
-    db = np.ones(2)
-    factored, dx = dense_backward(x, w, np.zeros((2, 2)), db)
+    db, factored, dx = dense_backward(x, w, np.zeros((2, 2)))
     dw = factored.expand()
     assert not dx.any() and not dw.any() and not db.any()
 
@@ -319,10 +335,11 @@ def test_adam_matches_array_oracle_bit_for_bit():
         adam_step(params, grads, state, rate=1e-3, weight_decay=4e-4)
         ref, moments = oracles.adam_arrays(ref, grads, moments, t, 1e-3,
                                            wd=4e-4)
+    first, second = helpers.moments(state)
     for k in shapes:
         assert np.array_equal(params[k], ref[k]), k
-        assert np.array_equal(state.first_moment[k], moments[k][0]), k
-        assert np.array_equal(state.second_moment[k], moments[k][1]), k
+        assert np.array_equal(first[k], moments[k][0]), k
+        assert np.array_equal(second[k], moments[k][1]), k
     assert state.step_count == 50
 
 
@@ -361,13 +378,13 @@ def test_adam_updates_in_place_and_leaves_grads_untouched():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([0.3])}
     state = AdamState.for_params(params)
-    w, m, v = params["w"], state.first_moment["w"], state.second_moment["w"]
+    w, m, v = params["w"], state.m, state.v
     returned = adam_step(params, grads, state, rate=0.01)
     assert returned[0] is params and returned[1] is state
     assert float(grads["w"][0]) == 0.3
     assert params["w"] is w and float(w[0]) < 1.0
-    assert state.first_moment["w"] is m and m[0] > 0.0
-    assert state.second_moment["w"] is v and v[0] > 0.0
+    assert state.m is m and m[0] > 0.0
+    assert state.v is v and v[0] > 0.0
     assert state.step_count == 1
 
 
@@ -379,7 +396,7 @@ def test_adam_rejected_step_changes_nothing():
         adam_step(params, {"a": np.array([0.1, 0.2]), "b": np.array([np.inf])},
                   state, rate=0.01)
     assert params["a"].tolist() == [1.0, 2.0] and params["b"][0] == 3.0
-    assert not state.first_moment["a"].any() and state.step_count == 0
+    assert not state.m.any() and state.step_count == 0
 
 
 def test_adam_nonfinite_grad_names_parameter():
@@ -421,13 +438,11 @@ def test_adam_rejected_setting_changes_nothing(rate, weight_decay, named):
     state = AdamState.for_params(params)
     adam_step(params, {"w": np.array([0.25])}, state, rate=0.01,
               weight_decay=0.1)
-    before = [a.tobytes() for a in (params["w"], state.first_moment["w"],
-                                    state.second_moment["w"])]
+    before = [a.tobytes() for a in (params["w"], state.m, state.v)]
     with pytest.raises(ValueError, match=f"^{named} "):
         adam_step(params, {"w": np.array([0.25])}, state, rate=rate,
                   weight_decay=weight_decay)
-    assert [a.tobytes() for a in (params["w"], state.first_moment["w"],
-                                  state.second_moment["w"])] == before
+    assert [a.tobytes() for a in (params["w"], state.m, state.v)] == before
     assert state.step_count == 1
 
 
@@ -477,8 +492,7 @@ def test_factored_step_equals_step_on_formed_gradient(batch, d_in, d_out):
     (p1, s1), (p2, s2) = _step_pair(factored, formed)
     for name in formed:
         assert _same_bytes(p1[name], p2[name]), name
-        assert _same_bytes(s1.first_moment[name], s2.first_moment[name]), name
-        assert _same_bytes(s1.second_moment[name], s2.second_moment[name]), name
+    assert _same_bytes(s1.m, s2.m) and _same_bytes(s1.v, s2.v)
     assert s1.step_count == s2.step_count == 3
 
 
@@ -488,8 +502,7 @@ def _assert_rejected(grads, bad):
     with pytest.raises(NumericError, match=f"'{bad}'"):
         adam_step(params, grads, state, rate=0.01)
     assert params["a"].tolist() == [1.0, 2.0] and (params[bad] == 1.0).all()
-    assert not state.first_moment["a"].any() and state.step_count == 0
-    assert not state.second_moment[bad].any()
+    assert not state.m.any() and not state.v.any() and state.step_count == 0
 
 
 @pytest.mark.parametrize("factor,value", [
@@ -521,7 +534,7 @@ def test_adam_steps_on_finite_factors_above_the_bound():
     (p1, s1), (p2, s2) = _step_pair({"w": FactoredGradient(x, d)},
                                     {"w": formed})
     assert _same_bytes(p1["w"], p2["w"])
-    assert _same_bytes(s1.second_moment["w"], s2.second_moment["w"])
+    assert _same_bytes(s1.v, s2.v)
     assert s1.step_count == 3
 
 

@@ -107,6 +107,12 @@ def test_survival_labels_validation():
     assert labels.n_events == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_survival_labels_reject_non_finite_times(bad):
+    with pytest.raises(DataError, match="^survival times must be finite$"):
+        SurvivalBatchLabels(times=np.array([1.0, bad]), events=np.array([1, 0]))
+
+
 # ---------------------------------------------------------------------------
 # Cox loss
 # ---------------------------------------------------------------------------

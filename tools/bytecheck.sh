@@ -55,7 +55,12 @@
 #     of 8, so every epoch forms weight gradients at two batch heights;
 #   - a 2-epoch fused train of all 5 repetitions (--all-reps) for seed 1,
 #     which trains every repetition but the last while the unstandardized
-#     cohort is still held, and writes aggregate.json.
+#     cohort is still held, and writes aggregate.json;
+#   - a 3-epoch fused --schedule joint-add train for seed 1, followed by
+#     eval of final, so every backward pass carries both heads' gradients;
+#   - a 3-epoch fused --schedule survival-only --heads both train for seed
+#     1, followed by eval of final, so the grade head is built but never
+#     trained: every backward pass gives it zero gradients.
 #
 # Every command's stdout, stderr and exit code is kept next to what it
 # wrote. The script ends with `diff -r` of the two directories, less the
@@ -252,6 +257,18 @@ run_tree() {
         --out eval-fused-ragged-final.json
     config fused-all.json fused alternate mmmt-default 1 out-fused-all/
     step train-fused-all train fused-all.json --all-reps --epochs 2
+    config fused-joint.json fused joint-add mmmt-default 1 out-fused-joint/
+    step train-fused-joint train fused-joint.json --rep 0 --epochs 3
+    step eval-fused-joint-final eval --config fused-joint.json \
+        --model out-fused-joint/rep00/final --rep 0 \
+        --out eval-fused-joint-final.json
+    config fused-untrained.json fused survival-only mmmt-default 1 \
+        out-fused-untrained/
+    step train-fused-untrained train fused-untrained.json --rep 0 \
+        --epochs 3 --heads both
+    step eval-fused-untrained-final eval --config fused-untrained.json \
+        --model out-fused-untrained/rep00/final --rep 0 \
+        --out eval-fused-untrained-final.json
 }
 
 for side in parent change; do
