@@ -192,8 +192,8 @@ def _warn(message: str) -> None:
 def _load_run_cohort(cfg: RunConfig, keep_genes: tuple[str, ...] | None = None):
     """Load the cohort for cfg.variant and wire the gene panel.
 
-    This is the one place that drops samples: those missing a modality the
-    variant needs go, with a warning.
+    Only the modality files the variant needs are read, so ``load_cohort``
+    drops the samples missing one of them; this warns with their count.
     Returns (cohort, mask). When ``keep_genes`` is given (evaluating an
     existing checkpoint) the panel is restricted to it instead of
     re-intersecting with the edge list.
@@ -205,15 +205,12 @@ def _load_run_cohort(cfg: RunConfig, keep_genes: tuple[str, ...] | None = None):
     embeddings = _require_file(cfg.embeddings, "embeddings") if needs_image else None
     cohort = load_cohort(clinical, expression_path=expression,
                          embedding_path=embeddings)
-    complete = ((cohort.has_expression | (not needs_gene))
-                & (cohort.has_embedding | (not needs_image)))
-    if not complete.all():
-        if not complete.any():
+    if cohort.dropped:
+        if not len(cohort):
             raise DataError(f"no sample has every modality the {cfg.variant} "
                             "variant needs")
-        _warn(f"dropped {int((~complete).sum())} samples missing a "
+        _warn(f"dropped {len(cohort.dropped)} samples missing a "
               f"modality the {cfg.variant} variant needs")
-        cohort = cohort.take(np.flatnonzero(complete))
     mask = None
     if needs_gene:
         if keep_genes is not None:
@@ -253,6 +250,14 @@ def _present_splits(split_set: SplitSet, cohort) -> SplitSet:
     return replace(split_set, repetitions=reps)
 
 
+def _require_test_sides(split_set: SplitSet, reps) -> None:
+    """A DataError for the first of ``reps`` whose test side is empty, raised
+    before anything trains or is scored."""
+    for rep in reps:
+        if not split_set.repetitions[rep][1]:
+            raise DataError(f"repetition {rep} has an empty test side")
+
+
 def _evaluate_to_report(network, cohort, ids, tie_rule: str,
                         aggregation: str) -> dict:
     gene_x, image_x = design_matrices(network, cohort, ids)
@@ -274,13 +279,17 @@ def _evaluate_to_report(network, cohort, ids, tie_rule: str,
 
 
 def _aggregate_by_patient(cohort, ids, risks, times, events):
-    """Collapse sample-level risks to one median risk per patient; survival
-    labels are shared within a patient so the first sample's are used."""
+    """Collapse sample-level risks to one median risk per patient. A
+    patient's samples must share their survival labels; a DataError names
+    the first patient whose samples do not."""
     by_patient: dict[str, list[int]] = {}
     for i, row in enumerate(cohort.rows(ids)):
         by_patient.setdefault(cohort.sample_patients[row], []).append(i)
     agg_risks, agg_times, agg_events = [], [], []
-    for rows in by_patient.values():
+    for patient, rows in by_patient.items():
+        if len({(times[i], events[i]) for i in rows}) > 1:
+            raise DataError(f"patient {patient!r}: samples disagree on "
+                            "time_days or event")
         agg_risks.append(float(np.median([risks[i] for i in rows])))
         agg_times.append(times[rows[0]])
         agg_events.append(events[rows[0]])
@@ -338,7 +347,7 @@ def _train_one_rep(cfg: RunConfig, run_cohort, mask, split_set: SplitSet,
 
     rep_dir = out_root / f"rep{rep:02d}"
     network, history = train(network, run_cohort, train_ids, profile,
-                             eval_ids=test_ids or None, out_dir=rep_dir)
+                             eval_ids=test_ids, out_dir=rep_dir)
     report = _evaluate_to_report(network, run_cohort, test_ids,
                                  cfg.tie_rule, cfg.aggregation)
     summary = {
@@ -379,6 +388,7 @@ def cmd_train(args) -> int:
     reps = range(n_reps) if args.all_reps else [args.rep]
     cohort, mask = _load_run_cohort(cfg)
     split_set = _present_splits(split_set, cohort)
+    _require_test_sides(split_set, reps)
 
     out_root = Path(cfg.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -447,9 +457,8 @@ def cmd_eval(args) -> int:
     split_set = _load_splits(cfg, args.rep)
     cohort, _ = _load_run_cohort(run_cfg, keep_genes=keep)
     split_set = _present_splits(split_set, cohort)
+    _require_test_sides(split_set, [args.rep])
     train_ids, test_ids = split_set.repetitions[args.rep]
-    if not test_ids:
-        raise DataError(f"repetition {args.rep} has an empty test side")
     if "gene" in network.config.inputs:
         cohort = standardize_expression(cohort, train_ids)
     report = _evaluate_to_report(network, cohort, test_ids, cfg.tie_rule,

@@ -8,10 +8,12 @@ File formats (all CSV, UTF-8):
 
 A ``Cohort`` is stored by column: sample ids with their patient ids, a
 float64 time array, int64 event and grade arrays, and one float64 matrix
-per modality with one row per sample plus a boolean presence mask. Rows
-without the modality are never handed out (the loaders leave zeros there).
-Gathering a design matrix is one row index, restricting the gene panel one
-column index, and standardizing one whole-matrix operation.
+per modality with one row per sample. A cohort holds only complete samples:
+``load_cohort`` keeps the clinical rows that every given modality file
+fills, and is the one place that drops the others (listed in
+``Cohort.dropped``). Gathering a design matrix is one row index, restricting
+the gene panel one column index, and standardizing one whole-matrix
+operation.
 
 Every sample-keyed file goes through one reader, ``_sample_rows``. Its header
 goes through ``csv.reader``. A body line with no ``"`` is split on commas,
@@ -111,21 +113,14 @@ def _broken_rule(values: dict, rules) -> str | None:
     return None
 
 
-# How an error names each modality a sample can lack.
-_MISSING = {"expression": "expression data", "embedding": "image embedding"}
-# Cohort fields that hold one entry per sample, in row order.
-_ROW_FIELDS = ("sample_ids", "sample_patients", "time", "event", "grade",
-               "expression", "has_expression", "embedding", "has_embedding")
-
-
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """Samples stored by column, one row per sample.
 
     ``expression`` is n x len(gene_order) and ``embedding`` n x width, both
-    float64; ``has_expression``/``has_embedding`` mark the rows that carry
-    the modality, and the other rows are never read. A matrix left out means
-    no sample has that modality; a mask left out means every sample has it.
+    float64, and every sample carries a row of each. A matrix left out is
+    n x 0: the cohort has no such modality. ``dropped`` lists the clinical
+    samples the loader left out for lacking a modality, in clinical order.
     """
 
     sample_ids: tuple[str, ...]
@@ -135,9 +130,8 @@ class Cohort:
     grade: np.ndarray
     gene_order: tuple[str, ...] = ()
     expression: np.ndarray | None = None
-    has_expression: np.ndarray | None = None
     embedding: np.ndarray | None = None
-    has_embedding: np.ndarray | None = None
+    dropped: tuple[str, ...] = ()
 
     def __post_init__(self):
         def put(name, value):
@@ -148,25 +142,19 @@ class Cohort:
         put("sample_ids", ids)
         put("sample_patients", tuple(self.sample_patients))
         put("gene_order", tuple(self.gene_order))
+        put("dropped", tuple(self.dropped))
         put("time", np.asarray(self.time, dtype=np.float64))
         put("event", np.asarray(self.event, dtype=np.int64))
         put("grade", np.asarray(self.grade, dtype=np.int64))
-        for name, mask_name, width in (
-                ("expression", "has_expression", len(self.gene_order)),
-                ("embedding", "has_embedding", 0)):
-            matrix, present = getattr(self, name), getattr(self, mask_name)
-            if matrix is None:
-                matrix, present = np.zeros((n, width)), np.zeros(n, dtype=bool)
-            elif present is None:
-                present = np.ones(n, dtype=bool)
-            matrix = np.asarray(matrix, dtype=np.float64)
+        for name in ("expression", "embedding"):
+            matrix = getattr(self, name)
+            matrix = (np.zeros((n, 0)) if matrix is None
+                      else np.asarray(matrix, dtype=np.float64))
             if matrix.ndim != 2 or matrix.shape[0] != n:
                 raise DataError(
                     f"{name} matrix of shape {matrix.shape} for {n} samples")
             put(name, matrix)
-            put(mask_name, np.asarray(present, dtype=bool))
-        for name in ("sample_patients", "time", "event", "grade",
-                     "has_expression", "has_embedding"):
+        for name in ("sample_patients", "time", "event", "grade"):
             if np.shape(getattr(self, name)) != (n,):
                 raise DataError(f"cohort column {name} does not have {n} rows")
 
@@ -175,19 +163,19 @@ class Cohort:
             raise DataError("duplicate sample ids in cohort")
         put("_index", index)
         p, width = len(self.gene_order), self.expression.shape[1]
+        if width != p:
+            raise DataError(f"expression width {width} != gene count {p}")
         labels = dict(zip(("time_days", "event", "grade"),
                           (self.time, self.event, self.grade)))
-        bad = self.has_expression & (width != p)
+        bad = np.zeros(n, dtype=bool)
         for column, test, _ in _LABEL_RULES:
             bad |= test(labels[column])
         if bad.any():
             # The first bad sample, and its first problem.
             i = int(np.argmax(bad))
             sample = {column: v[i].item() for column, v in labels.items()}
-            problem = (f"expression width {width} != gene count {p}"
-                       if self.has_expression[i] and width != p
-                       else _broken_rule(sample, _LABEL_RULES))
-            raise DataError(f"sample {ids[i]!r}: {problem}")
+            raise DataError(
+                f"sample {ids[i]!r}: {_broken_rule(sample, _LABEL_RULES)}")
 
     def __len__(self) -> int:
         return len(self.sample_ids)
@@ -195,35 +183,28 @@ class Cohort:
     @property
     def samples(self) -> tuple[Sample, ...]:
         """One ``Sample`` per row; its modality arrays are views of the
-        matrix rows, or None where the sample lacks the modality."""
+        matrix rows, or None where the cohort has no such modality."""
+        expression, embedding = (
+            matrix if matrix.shape[1] else itertools.repeat(None)
+            for matrix in (self.expression, self.embedding))
         return tuple(
             Sample(sample_id=sid, patient_id=pid, time=t, event=e, grade=g,
-                   expression=x if has_x else None,
-                   image_embedding=m if has_m else None)
-            for sid, pid, t, e, g, x, has_x, m, has_m in zip(
+                   expression=x, image_embedding=m)
+            for sid, pid, t, e, g, x, m in zip(
                 self.sample_ids, self.sample_patients, self.time.tolist(),
-                self.event.tolist(), self.grade.tolist(), self.expression,
-                self.has_expression.tolist(), self.embedding,
-                self.has_embedding.tolist()))
+                self.event.tolist(), self.grade.tolist(), expression,
+                embedding))
 
-    def rows(self, ids, *modalities: str) -> np.ndarray:
-        """Row positions of ``ids``, in the order given. For each of
-        ``modalities`` ("expression", "embedding"), in turn, a DataError
-        names the first id whose row lacks it."""
+    def rows(self, ids) -> np.ndarray:
+        """Row positions of ``ids``, in the order given."""
         index = self._index
         try:
-            rows = np.array([index[sid] for sid in ids], dtype=np.intp)
+            return np.array([index[sid] for sid in ids], dtype=np.intp)
         except KeyError as exc:
             raise DataError(f"unknown sample id {exc.args[0]!r}") from None
-        for modality in modalities:
-            missing = ~getattr(self, f"has_{modality}")[rows]
-            if missing.any():
-                sid = self.sample_ids[rows[np.argmax(missing)]]
-                raise DataError(f"sample {sid!r} has no {_MISSING[modality]}")
-        return rows
 
     def expression_matrix(self, ids) -> np.ndarray:
-        return self.expression[self.rows(ids, "expression")]
+        return self.expression[self.rows(ids)]
 
     def times(self, ids) -> np.ndarray:
         return self.time[self.rows(ids)]
@@ -233,14 +214,6 @@ class Cohort:
 
     def grades(self, ids) -> np.ndarray:
         return self.grade[self.rows(ids)]
-
-    def take(self, rows) -> "Cohort":
-        """The samples at positions ``rows``, in that order."""
-        rows = np.asarray(rows, dtype=np.intp)
-        columns = {name: getattr(self, name) for name in _ROW_FIELDS}
-        return replace(self, **{
-            name: [value[i] for i in rows] if isinstance(value, tuple)
-            else value[rows] for name, value in columns.items()})
 
     def gene_subset(self, keep) -> "Cohort":
         """Restrict expression columns to ``keep`` (in the given order)."""
@@ -491,25 +464,21 @@ def _cached_parse(path) -> _FeatureTable:
 
 
 def _read_feature_csv(path, row_of: dict[str, int]):
-    """An expression/embedding file joined onto the clinical rows.
+    """An expression/embedding file matched to the clinical rows.
 
-    Returns the feature names, a float64 matrix with one row per entry of
-    ``row_of`` (sample id -> row) and the mask of rows the file filled; the
-    other rows hold zeros. A file whose rows are the clinical rows, in
-    order, hands over its parsed matrix uncopied.
+    Returns the feature names, the parsed float64 matrix in file order, and
+    for each clinical row (``row_of`` maps sample id -> row) the file row
+    that holds it, or -1. A file row whose sample is not in the clinical
+    table raises.
     """
     columns, ids, values = _cached_parse(path)
-    if ids == list(row_of):
-        return tuple(columns), values, np.ones(len(ids), dtype=bool)
     rows = [row_of.get(sid) for sid in ids]
     if None in rows:
         raise DataError(f"{Path(path).name}: sample {ids[rows.index(None)]!r} "
                         "not in clinical table")
-    matrix = np.zeros((len(row_of), len(columns)))
-    matrix[rows] = values
-    present = np.zeros(len(row_of), dtype=bool)
-    present[rows] = True
-    return tuple(columns), matrix, present
+    file_row = np.full(len(row_of), -1, dtype=np.intp)
+    file_row[rows] = np.arange(len(ids))
+    return tuple(columns), values, file_row
 
 
 class ClinicalTable(NamedTuple):
@@ -586,26 +555,34 @@ def read_risks(path) -> tuple[dict[str, int], np.ndarray]:
 def load_cohort(clinical_path, expression_path=None, embedding_path=None) -> Cohort:
     """Join the clinical table with whichever modality files are given.
 
-    Modality rows must reference known sample ids. Every clinical row is
-    kept, also one that no modality file fills: the accessors refuse a
-    modality its row lacks, and a run drops the samples its variant cannot
-    use (``cli._load_run_cohort``).
+    Modality rows must reference known sample ids. The clinical rows that
+    every given file fills are kept, in clinical order; the others go to
+    ``Cohort.dropped``, also in clinical order. This is the one place that
+    drops a sample for a missing modality. A file whose rows are the kept
+    rows, in order, hands over its parsed matrix uncopied.
     """
     table = read_clinical(clinical_path)
     row_of = {sid: i for i, sid in enumerate(table.sample_ids)}
-    genes: tuple[str, ...] = ()
-    expression = has_expression = embedding = has_embedding = None
-    if expression_path is not None:
-        genes, expression, has_expression = _read_feature_csv(
-            expression_path, row_of)
-    if embedding_path is not None:
-        _, embedding, has_embedding = _read_feature_csv(embedding_path, row_of)
-
-    return Cohort(sample_ids=table.sample_ids,
-                  sample_patients=table.patient_ids, time=table.time,
-                  event=table.event, grade=table.grade, gene_order=genes,
-                  expression=expression, has_expression=has_expression,
-                  embedding=embedding, has_embedding=has_embedding)
+    files = {name: _read_feature_csv(path, row_of)
+             for name, path in (("expression", expression_path),
+                                ("embedding", embedding_path))
+             if path is not None}
+    keep = np.ones(len(row_of), dtype=bool)
+    for _, _, file_row in files.values():
+        keep &= file_row >= 0
+    matrices = {}
+    for name, (_, values, file_row) in files.items():
+        rows = file_row[keep]
+        matrices[name] = (values if np.array_equal(rows, np.arange(len(values)))
+                          else values[rows])
+    genes = files["expression"][0] if "expression" in files else ()
+    kept = np.flatnonzero(keep)
+    return Cohort(sample_ids=[table.sample_ids[i] for i in kept],
+                  sample_patients=[table.patient_ids[i] for i in kept],
+                  time=table.time[kept], event=table.event[kept],
+                  grade=table.grade[kept], gene_order=genes,
+                  dropped=[table.sample_ids[i] for i in np.flatnonzero(~keep)],
+                  **matrices)
 
 
 def save_cohort(cohort: Cohort, clinical_path, expression_path=None,
@@ -616,20 +593,17 @@ def save_cohort(cohort: Cohort, clinical_path, expression_path=None,
         writer.writerows(zip(cohort.sample_ids, cohort.sample_patients,
                              map(repr, cohort.time.tolist()),
                              cohort.event.tolist(), cohort.grade.tolist()))
-    width = cohort.embedding.shape[1] if cohort.has_embedding.any() else 0
-    for path, features, matrix, present in (
-            (expression_path, cohort.gene_order, cohort.expression,
-             cohort.has_expression),
-            (embedding_path, map(str, range(width)), cohort.embedding,
-             cohort.has_embedding)):
+    for path, features, matrix in (
+            (expression_path, cohort.gene_order, cohort.expression),
+            (embedding_path, map(str, range(cohort.embedding.shape[1])),
+             cohort.embedding)):
         if path is None:
             continue
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample_id", *features])
-            for sid, values, has in zip(cohort.sample_ids, matrix, present):
-                if has:
-                    writer.writerow([sid, *map(repr, values.tolist())])
+            for sid, values in zip(cohort.sample_ids, matrix):
+                writer.writerow([sid, *map(repr, values.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +626,6 @@ def standardize_expression(cohort: Cohort, train_ids) -> Cohort:
     z = cohort.expression - mean
     z /= np.where(live, std, 1.0)
     z[:, ~live] = 0.0
-    z[~cohort.has_expression] = 0.0
     return replace(cohort, expression=z)
 
 

@@ -229,19 +229,16 @@ class TrainingHistory:
 # Training loop
 # ---------------------------------------------------------------------------
 
-# The cohort matrix each network input reads, in the order checked.
+# The cohort matrix each network input reads.
 _INPUT_MATRICES = (("gene", "expression"), ("image", "embedding"))
 
 
 def _input_sources(network: Network, cohort, ids):
     """Row positions of ``ids`` and the cohort's own (gene, image) matrices,
-    None for an input the variant does not read. A DataError names the
-    first id that lacks a modality the variant needs."""
-    needed = [matrix for name, matrix in _INPUT_MATRICES
-              if name in network.config.inputs]
-    rows = cohort.rows(ids, *needed)
-    return rows, [getattr(cohort, matrix) if matrix in needed else None
-                  for _, matrix in _INPUT_MATRICES]
+    None for an input the variant does not read."""
+    return cohort.rows(ids), [
+        getattr(cohort, matrix) if name in network.config.inputs else None
+        for name, matrix in _INPUT_MATRICES]
 
 
 def design_matrices(network: Network, cohort, ids):

@@ -622,6 +622,43 @@ def test_eval_matches_training_report(trained, tmp_path):
     assert report == summary["test_metrics"]
 
 
+def test_patient_aggregation_rejects_samples_that_disagree(
+        trained, data_dir, splits_file, tmp_path, capsys):
+    """Two test samples given one patient: eval per patient fails naming
+    the patient while their survival labels differ, and scores once they
+    agree."""
+    first, second = SplitSet.load(splits_file).repetitions[0][1][:2]
+    rows = read_rows(data_dir / "clinical.csv")
+    by_id = {row[0]: row for row in rows[1:]}
+    patient = by_id[first][1]
+    by_id[second][1] = patient
+    assert by_id[first][2:4] != by_id[second][2:4]
+    clinical = tmp_path / "clinical.csv"
+
+    def write_clinical():
+        with open(clinical, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    write_clinical()
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", clinical=str(clinical),
+                          aggregation="patient")
+    out = tmp_path / "metrics.json"
+    args = ["eval", "--config", str(config), "--model",
+            str(trained["out"] / "rep00" / "final"), "--rep", "0",
+            "--out", str(out)]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: patient {patient!r}: samples disagree on time_days or "
+        "event\n")
+    assert not out.exists()
+    by_id[second][2:4] = by_id[first][2:4]
+    write_clinical()
+    assert main(args) == 0
+    assert out.is_file()
+
+
 def test_eval_require_matches_heads(trained, data_dir, splits_file, tmp_path,
                                     capsys):
     out = tmp_path / "metrics.json"
@@ -877,6 +914,47 @@ def test_split_file_is_checked_before_any_data_is_read(
     assert main(args + ["--rep", "9"]) == 2
     assert "error: --rep 9 outside [0, 2) repetitions" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["given", "emptied"])
+@pytest.mark.parametrize("rep_args, empty_rep", [
+    (["--rep", "1"], 1), (["--all-reps"], 1)], ids=["rep", "all-reps"])
+def test_train_empty_test_side_fails_before_training(
+        data_dir, splits_file, tmp_path, capsys, how, rep_args, empty_rep):
+    """A test side left empty, as given or once the ids the cohort lacks
+    are dropped, fails before any repetition trains; under --all-reps the
+    empty side of a later repetition does too."""
+    payload = json.loads(splits_file.read_text())
+    payload["repetitions"][empty_rep]["test"] = (
+        [] if how == "given" else ["absent-1", "absent-2"])
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps(payload))
+    config = write_config(tmp_path / "run.json", data_dir, splits,
+                          tmp_path / "out")
+    capsys.readouterr()
+    assert main(["train", str(config), *rep_args]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"error: repetition {empty_rep} has an empty test side"
+    assert not (tmp_path / "out" / "rep00").exists()
+    assert not (tmp_path / "out" / f"rep{empty_rep:02d}").exists()
+
+
+def test_eval_empty_test_side_exits_1(trained, data_dir, splits_file,
+                                      tmp_path, capsys):
+    payload = json.loads(splits_file.read_text())
+    payload["repetitions"][0]["test"] = ["absent-1"]
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps(payload))
+    config = write_config(tmp_path / "run.json", data_dir, splits,
+                          tmp_path / "out")
+    out = tmp_path / "metrics.json"
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config), "--model",
+                 str(trained["out"] / "rep00" / "final"), "--rep", "0",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: repetition 0 has an empty test side"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

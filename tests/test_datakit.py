@@ -53,7 +53,7 @@ def test_cohort_basic_accessors():
     assert cohort.sample_ids == ("S1", "S2", "S3")
     assert cohort.sample_patients == ("P1", "P1", "P2")
     assert cohort.expression_matrix(["S3", "S1"]).shape == (2, 2)
-    assert cohort.embedding[cohort.rows(["S1"], "embedding")].tolist() == [[1.0, 2.0, 3.0]]
+    assert cohort.embedding[cohort.rows(["S1"])].tolist() == [[1.0, 2.0, 3.0]]
     assert cohort.times(["S2", "S3"]).tolist() == [5.0, 8.5]
     assert cohort.events(["S1", "S2"]).tolist() == [1, 0]
     assert cohort.grades(["S1", "S2", "S3"]).tolist() == [0, 1, 2]
@@ -67,35 +67,31 @@ def test_cohort_basic_accessors():
 
 
 def test_cohort_missing_modality_rows():
-    cohort = small_cohort(has_expression=[True, False, True],
-                          has_embedding=[True, True, False])
-    assert cohort.samples[1].expression is None
-    assert cohort.samples[2].image_embedding is None
+    # A matrix left out is n x 0: no sample carries the modality, and every
+    # sample carries the others.
+    cohort = small_cohort(embedding=None)
+    assert cohort.embedding.shape == (3, 0)
+    assert [s.image_embedding for s in cohort.samples] == [None] * 3
+    assert [s.expression.tolist() for s in cohort.samples] == [[0.1, 0.2]] * 3
     assert cohort.expression_matrix(["S3", "S1"]).shape == (2, 2)
-    with pytest.raises(DataError, match="'S2' has no expression"):
-        cohort.expression_matrix(["S1", "S2"])
-    with pytest.raises(DataError, match="'S3' has no image embedding"):
-        cohort.rows(["S3"], "embedding")
-    sub = cohort.take([2, 0])
-    assert sub.sample_ids == ("S3", "S1")
-    assert sub.has_embedding.tolist() == [False, True]
-    assert sub.times(["S1", "S3"]).tolist() == [10.0, 8.5]
+    assert cohort.times(["S1", "S3"]).tolist() == [10.0, 8.5]
+    assert cohort.dropped == ()
+    bare = small_cohort(gene_order=(), expression=None)
+    assert bare.expression.shape == (3, 0)
+    assert [s.expression for s in bare.samples] == [None] * 3
+    assert bare.samples[2].image_embedding.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_cohort_validation():
     assert len(small_cohort()) == 3
     with pytest.raises(DataError, match="duplicate sample"):
         small_cohort(sample_ids=("S1", "S1", "S3"))
-    # A row with no modality is kept; the accessors refuse it.
-    bare = small_cohort(has_expression=[True, False, True],
-                        has_embedding=[True, False, True])
-    assert bare.sample_ids == ("S1", "S2", "S3")
-    with pytest.raises(DataError, match="'S2' has no expression"):
-        bare.expression_matrix(["S1", "S2"])
-    with pytest.raises(DataError, match="'S2' has no image embedding"):
-        bare.rows(["S2"], "embedding")
     with pytest.raises(DataError, match="expression width"):
         small_cohort(expression=np.ones((3, 1)))
+    # Every sample carries each modality the cohort has: a gene panel with
+    # no expression matrix is one no sample fills.
+    with pytest.raises(DataError, match="expression width 0 != gene count 2"):
+        small_cohort(expression=None)
     # One matrix holds every embedding, so widths cannot differ by sample;
     # what can go wrong is the row count.
     with pytest.raises(DataError, match="embedding matrix"):
@@ -197,18 +193,107 @@ def test_load_cohort_keeps_modality_free_rows(tmp_path, recwarn):
         "S1,P1,10.0,1,0\n"
         "S2,P2,5.0,0,1\n")
     expr.write_text("sample_id,GA\nS1,0.5\n")
+    # A row the expression file lacks is dropped, without a warning.
     cohort = load_cohort(clinical, expr)
     assert not recwarn.list
-    assert cohort.sample_ids == ("S1", "S2")
-    assert cohort.has_expression.tolist() == [True, False]
-    assert cohort.times(["S2"]).tolist() == [5.0]
-    with pytest.raises(DataError, match="'S2' has no expression"):
-        cohort.expression_matrix(["S2"])
+    assert cohort.sample_ids == ("S1",)
+    assert cohort.dropped == ("S2",)
+    assert cohort.expression_matrix(["S1"]).tolist() == [[0.5]]
+    with pytest.raises(DataError, match="unknown sample id 'S2'"):
+        cohort.times(["S2"])
     # With no modality file, every row is kept and none has a modality.
     bare = load_cohort(clinical)
     assert bare.sample_ids == ("S1", "S2")
-    with pytest.raises(DataError, match="'S1' has no image embedding"):
-        bare.rows(["S1"], "embedding")
+    assert bare.dropped == ()
+    assert bare.times(["S2"]).tolist() == [5.0]
+    assert [(s.expression, s.image_embedding) for s in bare.samples] == \
+        [(None, None)] * 2
+
+
+def _keep_rows(path, order):
+    """Rewrite the sample-keyed CSV at ``path`` to hold its body rows at
+    positions ``order``, in that order."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(rows[i] for i in order))
+
+
+# How a modality file's rows are laid out relative to the clinical rows:
+# ``gap`` makes each file lack a different set of rows.
+_LAYOUTS = {
+    "clinical-order": lambda rows, gap: rows,
+    "missing": lambda rows, gap: [r for r in rows if r % gap],
+    "reversed": lambda rows, gap: rows[::-1],
+    "missing-reversed": lambda rows, gap: [r for r in rows if r % gap][::-1],
+}
+
+
+@pytest.mark.parametrize("emb_layout", _LAYOUTS)
+@pytest.mark.parametrize("expr_layout", _LAYOUTS)
+def test_load_cohort_keeps_the_rows_every_file_fills(tmp_path, expr_layout,
+                                                     emb_layout):
+    cohort, _, _ = synth_gen(patients=12, genes=5, causal_genes=2,
+                             censor_rate=0.4, label_noise=0.2, seed=3,
+                             embedding_dim=4)
+    clinical, expr, emb = paths(tmp_path)
+    save_cohort(cohort, clinical, expr, emb)
+    filled = set(range(12))
+    for path, layout, gap in ((expr, expr_layout, 3), (emb, emb_layout, 4)):
+        order = _LAYOUTS[layout](list(range(12)), gap)
+        _keep_rows(path, order)
+        filled &= set(order)
+    kept = [i for i in range(12) if i in filled]
+    loaded = load_cohort(clinical, expr, emb)
+    assert loaded.sample_ids == tuple(cohort.sample_ids[i] for i in kept)
+    assert loaded.sample_patients == tuple(cohort.sample_patients[i]
+                                           for i in kept)
+    assert loaded.dropped == tuple(sid for i, sid in enumerate(
+        cohort.sample_ids) if i not in filled)
+    assert loaded.gene_order == cohort.gene_order
+    for name in ("time", "event", "grade", "expression", "embedding"):
+        value = getattr(loaded, name)
+        assert value.tobytes() == getattr(cohort, name)[kept].tobytes(), name
+        assert value.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("emb_layout, shared", [
+    ("clinical-order", True), ("reversed", True), ("missing", False)])
+def test_load_cohort_hands_over_a_parse_in_kept_order(tmp_path, monkeypatch,
+                                                      emb_layout, shared):
+    """A file whose rows are the kept rows, in order, is the cohort's
+    matrix uncopied. The expression file holds every clinical row, so it
+    is only while the embedding file lacks none."""
+    cohort, _, _ = synth_gen(patients=12, genes=5, causal_genes=2,
+                             censor_rate=0.4, label_noise=0.2, seed=3,
+                             embedding_dim=4)
+    clinical, expr, emb = paths(tmp_path)
+    save_cohort(cohort, clinical, expr, emb)
+    _keep_rows(emb, _LAYOUTS[emb_layout](list(range(12)), 5))
+    parses = {}
+    cached_parse = datakit._cached_parse
+
+    def recorded(path):
+        parses[Path(path).name] = table = cached_parse(path)
+        return table
+
+    monkeypatch.setattr(datakit, "_cached_parse", recorded)
+    loaded = load_cohort(clinical, expr, emb)
+    assert np.shares_memory(loaded.expression, parses["expr.csv"].values) \
+        == shared
+    assert np.shares_memory(loaded.embedding, parses["emb.csv"].values) \
+        == (emb_layout != "reversed")
+    assert len(loaded) == (9 if emb_layout == "missing" else 12)
+
+
+def test_load_cohort_may_drop_every_row(tmp_path):
+    clinical, expr, emb = paths(tmp_path)
+    save_cohort(small_cohort(), clinical, expr, emb)
+    _keep_rows(expr, [0, 1])
+    _keep_rows(emb, [2])
+    loaded = load_cohort(clinical, expr, emb)
+    assert len(loaded) == 0
+    assert loaded.dropped == ("S1", "S2", "S3")
+    assert loaded.expression.shape == (0, 2)
+    assert loaded.embedding.shape == (0, 3)
 
 
 def test_load_cohort_error_reports(tmp_path):
@@ -327,13 +412,7 @@ def test_save_load_round_trip_keeps_every_bit(data):
         edges = np.tile(_EDGE_FLOATS, (n, 1))
         return np.hstack([np.reshape(drawn, (n, width)), edges])
 
-    # Sample 0 has no expression and sample 1 no embedding; rows without
-    # the modality hold zeros.
-    has_expression = np.arange(n) != 0
-    has_embedding = np.arange(n) != 1
     expression, embedding = matrix(p), matrix(d)
-    expression[~has_expression] = 0.0
-    embedding[~has_embedding] = 0.0
     cohort = Cohort(
         sample_ids=[f"S{i}" for i in range(n)],
         sample_patients=[f"P{i // 2}" for i in range(n)],
@@ -342,8 +421,7 @@ def test_save_load_round_trip_keeps_every_bit(data):
         event=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
         grade=data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
         gene_order=[f"G{j}" for j in range(expression.shape[1])],
-        expression=expression, has_expression=has_expression,
-        embedding=embedding, has_embedding=has_embedding)
+        expression=expression, embedding=embedding)
     with tempfile.TemporaryDirectory() as tmp:
         files = paths(Path(tmp))
         save_cohort(cohort, *files)
@@ -354,8 +432,7 @@ def test_save_load_round_trip_keeps_every_bit(data):
     assert np.array_equal(loaded.time.view(np.int64), cohort.time.view(np.int64))
     assert np.array_equal(loaded.event, cohort.event)
     assert np.array_equal(loaded.grade, cohort.grade)
-    assert np.array_equal(loaded.has_expression, has_expression)
-    assert np.array_equal(loaded.has_embedding, has_embedding)
+    assert loaded.dropped == ()
     assert np.array_equal(loaded.expression.view(np.int64),
                           expression.view(np.int64))
     assert np.array_equal(loaded.embedding.view(np.int64),
@@ -633,8 +710,7 @@ def _cohort_bits(cohort):
             else (value.dtype, value.shape, value.tobytes())
             for value in (getattr(cohort, name) for name in (
                 "sample_ids", "sample_patients", "gene_order", "time",
-                "event", "grade", "expression", "has_expression",
-                "embedding", "has_embedding"))]
+                "event", "grade", "expression", "embedding", "dropped"))]
 
 
 def _count_parses(monkeypatch):
@@ -662,10 +738,9 @@ def _cached_files(tmp_path, layout="clinical-order"):
     clinical, expr, emb = paths(tmp_path)
     save_cohort(cohort, clinical, expr, emb)
     if layout != "clinical-order":
+        order = range(11, -1, -1) if layout == "reversed" else range(0, 12, 2)
         for path in (expr, emb):
-            header, *rows = path.read_text().splitlines(keepends=True)
-            rows = rows[::-1] if layout == "reversed" else rows[::2]
-            path.write_text(header + "".join(rows))
+            _keep_rows(path, order)
     return cohort, load_cohort(clinical, expr, emb), (clinical, expr, emb)
 
 
@@ -681,12 +756,13 @@ def test_warm_load_parses_nothing_and_equals_cold_load(tmp_path, monkeypatch,
     monkeypatch.setattr(datakit, "_float_tokens", refuse)
     warm = load_cohort(*files)
     assert _cohort_bits(warm) == _cohort_bits(cold)
-    assert cold.has_expression.tolist() == [
-        layout != "subset" or i % 2 == 0 for i in range(12)]
-    present = cold.has_expression
-    assert cold.expression[present].tobytes() == \
-        cohort.expression[present].tobytes()
-    assert not cold.expression[~present].any()
+    kept = slice(None, None, 2 if layout == "subset" else 1)
+    assert cold.sample_ids == cohort.sample_ids[kept]
+    assert cold.dropped == (cohort.sample_ids[1::2] if layout == "subset"
+                            else ())
+    for name in ("time", "expression", "embedding"):
+        assert getattr(cold, name).tobytes() == \
+            getattr(cohort, name)[kept].tobytes()
 
 
 def test_changed_byte_forces_a_reparse(tmp_path, monkeypatch):
@@ -1005,8 +1081,7 @@ def test_synth_ids_and_shapes():
     assert cohort.gene_order == graph.genes
     assert len(graph.genes) == 7
     assert cohort.expression_matrix(cohort.sample_ids).shape == (5, 7)
-    assert cohort.embedding[cohort.rows(cohort.sample_ids,
-                                        "embedding")].shape == (5, 6)
+    assert cohort.embedding[cohort.rows(cohort.sample_ids)].shape == (5, 6)
     assert truth.beta.shape == (7,)
     assert np.count_nonzero(truth.beta) == 2
 

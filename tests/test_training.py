@@ -580,24 +580,6 @@ def test_train_makes_no_copy_of_the_training_rows():
     assert peak < 0.2 * matrix_bytes
 
 
-@pytest.mark.parametrize("modality, what", [("expression", "expression data"),
-                                            ("embedding", "image embedding")])
-def test_train_checks_modalities_before_any_iteration(monkeypatch, modality,
-                                                      what):
-    cohort, mask = micro_cohort(25)
-    ids = list(cohort.sample_ids)
-    present = np.ones(len(ids), dtype=bool)
-    present[5] = False
-    cohort = dataclasses.replace(cohort, **{f"has_{modality}": present})
-
-    def no_iteration(c, schedule):
-        raise AssertionError("an iteration started")
-
-    monkeypatch.setattr("survfuse.training.select_task", no_iteration)
-    with pytest.raises(DataError, match=f"sample '{ids[5]}' has no {what}"):
-        train(micro_net(mask, 25), cohort, ids[:32], micro_profile(25))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation helpers
 # ---------------------------------------------------------------------------

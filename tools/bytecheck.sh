@@ -60,7 +60,14 @@
 #     eval of final, so every backward pass carries both heads' gradients;
 #   - a 3-epoch fused --schedule survival-only --heads both train for seed
 #     1, followed by eval of final, so the grade head is built but never
-#     trained: every backward pass gives it zero gradients.
+#     trained: every backward pass gives it zero gradients;
+#   - on a copy of the data whose expression.csv lacks every 7th sample
+#     row, and whose embeddings.csv lacks every 11th and holds the rest in
+#     reverse order, a 3-epoch fused train for seed 1 followed by eval of
+#     final, then 2-epoch gene-only (smst-gene) and image-only (smst-image)
+#     trains. Each drops the samples missing a modality it reads (88, 57
+#     and 36 of 400), warns, and gathers the embedding rows it keeps into
+#     clinical order.
 #
 # Every command's stdout, stderr and exit code is kept next to what it
 # wrote. The script ends with `diff -r` of the two directories, less the
@@ -269,6 +276,28 @@ run_tree() {
     step eval-fused-untrained-final eval --config fused-untrained.json \
         --model out-fused-untrained/rep00/final --rep 0 \
         --out eval-fused-untrained-final.json
+    mkdir -p data-incomplete
+    cp data/clinical.csv data/edges.tsv data/splits.json data-incomplete/
+    awk 'NR == 1 || (NR - 1) % 7' data/expression.csv \
+        >data-incomplete/expression.csv
+    {
+        head -n 1 data/embeddings.csv
+        tail -n +2 data/embeddings.csv | awk 'NR % 11' | tac
+    } >data-incomplete/embeddings.csv
+    config fused-incomplete.json fused alternate mmmt-default 1 \
+        out-fused-incomplete/ data-incomplete
+    step train-fused-incomplete train fused-incomplete.json --rep 0 \
+        --epochs 3
+    step eval-fused-incomplete-final eval --config fused-incomplete.json \
+        --model out-fused-incomplete/rep00/final --rep 0 \
+        --out eval-fused-incomplete-final.json
+    for run in gene-only:smst-gene image-only:smst-image; do
+        local variant=${run%%:*} preset=${run#*:}
+        config "$preset-incomplete.json" "$variant" survival-only "$preset" \
+            1 "out-$preset-incomplete/" data-incomplete
+        step "train-$preset-incomplete" train "$preset-incomplete.json" \
+            --rep 0 --epochs 2
+    done
 }
 
 for side in parent change; do
