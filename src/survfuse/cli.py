@@ -52,8 +52,8 @@ from .surveval import (
     risk_tertiles,
     save_metrics,
 )
-from .training import (SCHEDULE_TASKS, SCHEDULES, check_heads, design_matrices,
-                       preset_names, profile_preset, train)
+from .training import (SCHEDULE_TASKS, SCHEDULES, check_heads, evaluate_network,
+                       patient_groups, preset_names, profile_preset, train)
 
 _STREAM_INIT = 31
 # What the survival metrics score: each sample, or each patient's median risk.
@@ -250,51 +250,16 @@ def _present_splits(split_set: SplitSet, cohort) -> SplitSet:
     return replace(split_set, repetitions=reps)
 
 
-def _require_test_sides(split_set: SplitSet, reps) -> None:
-    """A DataError for the first of ``reps`` whose test side is empty, raised
-    before anything trains or is scored."""
+def _require_trainable(split_set: SplitSet, reps, cohort,
+                       aggregation: str) -> None:
+    """A DataError for the first of ``reps`` with an empty side or, under
+    patient aggregation, a test-side patient whose samples' labels differ."""
     for rep in reps:
-        if not split_set.repetitions[rep][1]:
-            raise DataError(f"repetition {rep} has an empty test side")
-
-
-def _evaluate_to_report(network, cohort, ids, tie_rule: str,
-                        aggregation: str) -> dict:
-    gene_x, image_x = design_matrices(network, cohort, ids)
-    outputs = network.predict(gene_x=gene_x, image_x=image_x)
-    kwargs: dict = {}
-    if "survival" in outputs:
-        risks = outputs["survival"].reshape(-1)
-        times = cohort.times(ids)
-        events = cohort.events(ids)
+        for side, ids in zip(("train", "test"), split_set.repetitions[rep]):
+            if not ids:
+                raise DataError(f"repetition {rep} has an empty {side} side")
         if aggregation == "patient":
-            risks, times, events = _aggregate_by_patient(
-                cohort, ids, risks, times, events)
-        kwargs.update(risks=risks, times=times, events=events)
-    if "grade" in outputs:
-        kwargs.update(log_probs=outputs["grade"],
-                      true_grades=cohort.grades(ids),
-                      k=len(DEFAULT_GRADE_NAMES))
-    return build_metrics(tie_rule=tie_rule, **kwargs)
-
-
-def _aggregate_by_patient(cohort, ids, risks, times, events):
-    """Collapse sample-level risks to one median risk per patient. A
-    patient's samples must share their survival labels; a DataError names
-    the first patient whose samples do not."""
-    by_patient: dict[str, list[int]] = {}
-    for i, row in enumerate(cohort.rows(ids)):
-        by_patient.setdefault(cohort.sample_patients[row], []).append(i)
-    agg_risks, agg_times, agg_events = [], [], []
-    for patient, rows in by_patient.items():
-        if len({(times[i], events[i]) for i in rows}) > 1:
-            raise DataError(f"patient {patient!r}: samples disagree on "
-                            "time_days or event")
-        agg_risks.append(float(np.median([risks[i] for i in rows])))
-        agg_times.append(times[rows[0]])
-        agg_events.append(events[rows[0]])
-    return (np.asarray(agg_risks), np.asarray(agg_times),
-            np.asarray(agg_events, dtype=np.int64))
+            patient_groups(cohort, split_set.repetitions[rep][1])
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +312,12 @@ def _train_one_rep(cfg: RunConfig, run_cohort, mask, split_set: SplitSet,
 
     rep_dir = out_root / f"rep{rep:02d}"
     network, history = train(network, run_cohort, train_ids, profile,
-                             eval_ids=test_ids, out_dir=rep_dir)
-    report = _evaluate_to_report(network, run_cohort, test_ids,
-                                 cfg.tie_rule, cfg.aggregation)
+                             eval_ids=test_ids, out_dir=rep_dir,
+                             tie_rule=cfg.tie_rule, aggregation=cfg.aggregation)
+    # The last epoch's evaluation is the summary's; a 0-epoch run has none.
+    report = (history.snapshots[-1].report if history.snapshots else
+              evaluate_network(network, run_cohort, test_ids, cfg.tie_rule,
+                               cfg.aggregation))
     summary = {
         "variant": cfg.variant,
         "schedule": profile.schedule,
@@ -388,7 +356,7 @@ def cmd_train(args) -> int:
     reps = range(n_reps) if args.all_reps else [args.rep]
     cohort, mask = _load_run_cohort(cfg)
     split_set = _present_splits(split_set, cohort)
-    _require_test_sides(split_set, reps)
+    _require_trainable(split_set, reps, cohort, cfg.aggregation)
 
     out_root = Path(cfg.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -457,12 +425,12 @@ def cmd_eval(args) -> int:
     split_set = _load_splits(cfg, args.rep)
     cohort, _ = _load_run_cohort(run_cfg, keep_genes=keep)
     split_set = _present_splits(split_set, cohort)
-    _require_test_sides(split_set, [args.rep])
+    _require_trainable(split_set, [args.rep], cohort, cfg.aggregation)
     train_ids, test_ids = split_set.repetitions[args.rep]
     if "gene" in network.config.inputs:
         cohort = standardize_expression(cohort, train_ids)
-    report = _evaluate_to_report(network, cohort, test_ids, cfg.tie_rule,
-                                 cfg.aggregation)
+    report = evaluate_network(network, cohort, test_ids, cfg.tie_rule,
+                              cfg.aggregation)
     save_metrics(report, args.out)
     print(f"wrote metrics for {len(test_ids)} test samples to {args.out}")
     return 0

@@ -16,16 +16,19 @@ from pathlib import Path
 import numpy as np
 
 from .datakit import DEFAULT_GRADE_NAMES
-from .errors import ConfigError, DataError, NumericError, UndefinedResultError
+from .errors import ConfigError, DataError, NumericError
 from .netmodel import HEAD_TASKS, Network, save_checkpoint, save_params
 from .numcore import AdamState, RngStream, adam_step
-from .surveval import accuracy_and_micro_f1, c_index, confusion, predicted_classes
+# c_index is unused here; perfbench/shim.py rebinds it until ROADMAP item 7.
+from .surveval import build_metrics, c_index  # noqa: F401
 
 # Which tasks each schedule trains (alternate takes them in turn).
 SCHEDULE_TASKS = {"alternate": ("survival", "grade"),
                   "joint-add": ("survival", "grade"),
                   "survival-only": ("survival",), "grade-only": ("grade",)}
 SCHEDULES = tuple(SCHEDULE_TASKS)
+# The report entry that scores each task when train picks its best epoch.
+_TASK_METRICS = (("survival", "c_index"), ("grade", "micro_f1"))
 
 _STREAM_SHUFFLE = 21
 _STREAM_DROPOUT = 22
@@ -204,10 +207,9 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class EpochSnapshot:
+    """An epoch's evaluate_network report and the score train ranks it by."""
     epoch: int
-    c_index: float | None
-    accuracy: float | None
-    micro_f1: float | None
+    report: dict
     score: float | None
 
 
@@ -248,33 +250,50 @@ def design_matrices(network: Network, cohort, ids):
     return gene_x, image_x
 
 
-def evaluate_network(network: Network, cohort, ids,
-                     tasks: tuple[str, ...] = HEAD_TASKS["both"]) -> EpochSnapshot:
-    """Evaluation-mode metrics on one id set. ``tasks`` limits which heads
-    are scored; the summary score averages whatever is available."""
+def patient_groups(cohort, ids) -> list[list[int]]:
+    """Positions in ``ids`` of each patient's samples, patients in the order
+    they first appear. A patient's samples must share their survival labels;
+    a DataError names the first patient whose samples do not."""
+    times, events = cohort.times(ids), cohort.events(ids)
+    by_patient: dict[str, list[int]] = {}
+    for i, row in enumerate(cohort.rows(ids)):
+        by_patient.setdefault(cohort.sample_patients[row], []).append(i)
+    for patient, group in by_patient.items():
+        if len({(times[i], events[i]) for i in group}) > 1:
+            raise DataError(f"patient {patient!r}: samples disagree on "
+                            "time_days or event")
+    return list(by_patient.values())
+
+
+def evaluate_network(network: Network, cohort, ids, tie_rule: str = "half",
+                     aggregation: str = "sample") -> dict:
+    """The ``build_metrics`` report of ``network`` on ``ids`` for each head
+    it carries; under patient ``aggregation`` the survival block scores each
+    patient's median risk. train's epoch scores and eval's metrics both
+    come from here."""
     gene_x, image_x = design_matrices(network, cohort, ids)
     outputs = network.predict(gene_x=gene_x, image_x=image_x)
-    ci = None
-    accuracy = None
-    micro_f1 = None
-    if "survival" in tasks and "survival" in outputs:
-        try:
-            ci = c_index(outputs["survival"].reshape(-1),
-                         cohort.times(ids), cohort.events(ids))
-        except UndefinedResultError:
-            ci = None
-    if "grade" in tasks and "grade" in outputs:
-        pred = predicted_classes(outputs["grade"])
-        cm = confusion(pred, cohort.grades(ids), len(DEFAULT_GRADE_NAMES))
-        accuracy, micro_f1 = accuracy_and_micro_f1(cm)
-    parts = [v for v in (ci, micro_f1) if v is not None]
-    score = float(np.mean(parts)) if parts else None
-    return EpochSnapshot(epoch=-1, c_index=ci, accuracy=accuracy,
-                         micro_f1=micro_f1, score=score)
+    kwargs: dict = {}
+    if "survival" in outputs:
+        risks = outputs["survival"].reshape(-1)
+        times = cohort.times(ids)
+        events = cohort.events(ids)
+        if aggregation == "patient":
+            groups = patient_groups(cohort, ids)
+            firsts = [group[0] for group in groups]
+            risks = np.array([np.median(risks[group]) for group in groups])
+            times, events = times[firsts], events[firsts]
+        kwargs.update(risks=risks, times=times, events=events)
+    if "grade" in outputs:
+        kwargs.update(log_probs=outputs["grade"],
+                      true_grades=cohort.grades(ids),
+                      k=len(DEFAULT_GRADE_NAMES))
+    return build_metrics(tie_rule=tie_rule, **kwargs)
 
 
 def train(network: Network, cohort, train_ids, profile: TrainingProfile,
-          eval_ids=None, out_dir=None) -> tuple[Network, TrainingHistory]:
+          eval_ids=None, out_dir=None, *, tie_rule: str = "half",
+          aggregation: str = "sample") -> tuple[Network, TrainingHistory]:
     """Run the batched loop and return the trained network plus history.
 
     Each epoch reshuffles the training ids with an epoch-keyed stream and
@@ -284,9 +303,14 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     survival-only iteration whose batch has no observed events records a
     zero loss and skips the parameter update.
 
+    With ``eval_ids`` set, every epoch ends with ``evaluate_network`` on
+    them, under ``tie_rule`` and ``aggregation``, and its report is kept in
+    ``history.snapshots``. The epoch's score is the mean of the report's
+    c-index and micro-F1 over the tasks the schedule trains, and
+    ``history.best_epoch`` is the first epoch with the highest score.
+
     With ``out_dir`` set, checkpoints land in out_dir/final and
-    out_dir/best (best by the score over ``eval_ids``, which the command
-    line sets to the test split; final when no evaluation is possible)
+    out_dir/best (the best epoch's parameters; final when no epoch scored)
     along with history.csv. No copy of the parameters is held: an epoch
     that improves the score, unless it is the last, writes them to
     best/params.bin at once, and makes best/ unloadable until the run
@@ -356,11 +380,14 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
             adam_step(params, grads, state, rate,
                       weight_decay=profile.weight_decay)
         if eval_ids is not None:
-            snap = evaluate_network(network, cohort, eval_ids, tasks_needed)
-            snap = replace(snap, epoch=epoch)
-            history.snapshots.append(snap)
-            if snap.score is not None and snap.score > best_score:
-                best_score = snap.score
+            report = evaluate_network(network, cohort, eval_ids, tie_rule,
+                                      aggregation)
+            parts = [report[key] for task, key in _TASK_METRICS
+                     if task in tasks_needed and report[key] is not None]
+            score = float(np.mean(parts)) if parts else None
+            history.snapshots.append(EpochSnapshot(epoch, report, score))
+            if score is not None and score > best_score:
+                best_score = score
                 history.best_epoch = epoch
                 if best_dir is not None and epoch < profile.epochs - 1:
                     save_params(network, best_dir)

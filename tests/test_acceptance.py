@@ -308,8 +308,8 @@ def _synth_run(job):
         image_dim=1000, grade_classes=3, dropout_p=profile.dropout_p)
     net = assemble(config, mask, RngStream(profile.seed, 31))
     net, _ = train(net, std, train_ids, profile)
-    snap = evaluate_network(net, std, test_ids)
-    return snap.c_index, snap.micro_f1, time.perf_counter() - start
+    report = evaluate_network(net, std, test_ids)
+    return report["c_index"], report["micro_f1"], time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")

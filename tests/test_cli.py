@@ -957,6 +957,105 @@ def test_eval_empty_test_side_exits_1(trained, data_dir, splits_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["fused", "image-only"])
+@pytest.mark.parametrize("how", ["given", "emptied"])
+@pytest.mark.parametrize("rep_args", [["--rep", "1"], ["--all-reps"]],
+                         ids=["rep", "all-reps"])
+def test_train_empty_train_side_fails_before_training(
+        data_dir, splits_file, tmp_path, capsys, variant, how, rep_args):
+    """A train side left empty in repetition 1 is a data fault (exit 1)
+    found before anything trains: under --all-reps repetition 0 is not
+    trained first."""
+    payload = json.loads(splits_file.read_text())
+    payload["repetitions"][1]["train"] = (
+        [] if how == "given" else ["absent-1", "absent-2"])
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps(payload))
+    config = write_config(tmp_path / "run.json", data_dir, splits,
+                          tmp_path / "out", variant=variant)
+    capsys.readouterr()
+    assert main(["train", str(config), *rep_args]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: repetition 1 has an empty train side"
+    assert not list((tmp_path / "out").glob("rep*"))
+
+
+def test_eval_empty_train_side_exits_1(trained, data_dir, splits_file,
+                                       tmp_path, capsys):
+    payload = json.loads(splits_file.read_text())
+    payload["repetitions"][0]["train"] = []
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps(payload))
+    config = write_config(tmp_path / "run.json", data_dir, splits,
+                          tmp_path / "out")
+    out = tmp_path / "metrics.json"
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config), "--model",
+                 str(trained["out"] / "rep00" / "final"), "--rep", "0",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: repetition 0 has an empty train side"
+    assert not out.exists()
+
+
+def _clinical_copy(data_dir, path, edit):
+    """Write clinical.csv to ``path`` with ``edit`` applied to its rows
+    (a dict from sample id to its row, header excluded)."""
+    rows = read_rows(data_dir / "clinical.csv")
+    edit({row[0]: row for row in rows[1:]})
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+@pytest.mark.parametrize("rep_args", [["--rep", "1"], ["--all-reps"]],
+                         ids=["rep", "all-reps"])
+def test_train_patient_labels_disagree_fails_before_training(
+        data_dir, splits_file, tmp_path, capsys, rep_args):
+    """Under patient aggregation, two test samples of repetition 1 given
+    one patient but different labels fail the run before any repetition
+    trains or writes a checkpoint."""
+    first, second = SplitSet.load(splits_file).repetitions[1][1][:2]
+    patient = None
+
+    def join(by_id):
+        nonlocal patient
+        patient = by_id[second][1] = by_id[first][1]
+        assert by_id[first][2:4] != by_id[second][2:4]
+
+    clinical = _clinical_copy(data_dir, tmp_path / "clinical.csv", join)
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", clinical=str(clinical),
+                          aggregation="patient")
+    capsys.readouterr()
+    assert main(["train", str(config), *rep_args]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: patient {patient!r}: samples disagree on time_days or "
+        "event")
+    assert not list((tmp_path / "out").glob("rep*"))
+
+
+def test_train_without_comparable_pairs_fails_before_any_checkpoint(
+        data_dir, splits_file, tmp_path, capsys):
+    """Every test sample censored leaves no pair to score concordance on:
+    the first epoch's evaluation fails, before best/ or final/ is
+    written."""
+    test_ids = SplitSet.load(splits_file).repetitions[0][1]
+
+    def censor(by_id):
+        for sid in test_ids:
+            by_id[sid][3] = "0"
+
+    clinical = _clinical_copy(data_dir, tmp_path / "clinical.csv", censor)
+    config = write_config(tmp_path / "run.json", data_dir, splits_file,
+                          tmp_path / "out", clinical=str(clinical))
+    capsys.readouterr()
+    assert main(["train", str(config), "--rep", "0"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: no comparable pairs for concordance"
+    assert not (tmp_path / "out" / "rep00").exists()
+
+
 # ---------------------------------------------------------------------------
 # km
 # ---------------------------------------------------------------------------

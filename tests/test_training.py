@@ -36,6 +36,16 @@ def micro_cohort(seed, patients=40):
     return cohort, build_adjacency(graph)
 
 
+def paired_cohort(seed, patients=80):
+    """micro_cohort with every odd sample moved to the previous sample's
+    patient and survival labels, so each patient holds two samples."""
+    cohort, mask = micro_cohort(seed, patients)
+    first = [i - i % 2 for i in range(len(cohort))]
+    return dataclasses.replace(
+        cohort, sample_patients=[cohort.sample_patients[i] for i in first],
+        time=cohort.time[first], event=cohort.event[first]), mask
+
+
 def micro_net(mask, seed, heads="both", dropout_p=0.1):
     cfg = NetworkConfig(variant="fused", heads=heads, gene_dim=12,
                         image_dim=7, grade_classes=3, gene_branch_dim=5,
@@ -451,23 +461,78 @@ def test_best_checkpoint_holds_best_epoch_not_final(tmp_path):
     assert best_epoch is not None and best_epoch < len(history.snapshots) - 1
     best = load_checkpoint(tmp_path / "run" / "best")
     final = load_checkpoint(tmp_path / "run" / "final")
-    assert evaluate_network(best, cohort, ids[32:]).score == \
-        history.snapshots[best_epoch].score
-    assert evaluate_network(final, cohort, ids[32:]).score == \
-        history.snapshots[-1].score != history.snapshots[best_epoch].score
+    assert evaluate_network(best, cohort, ids[32:]) == \
+        history.snapshots[best_epoch].report
+    assert evaluate_network(final, cohort, ids[32:]) == \
+        history.snapshots[-1].report
+    assert history.snapshots[-1].score != history.snapshots[best_epoch].score
     assert not np.array_equal(best.param_vector, final.param_vector)
     assert np.array_equal(net.param_vector, final.param_vector)
 
 
+@pytest.mark.parametrize("tie_rule", ["half", "strict"])
+def test_best_follows_the_score_the_run_reports(tmp_path, monkeypatch,
+                                                tie_rule):
+    """Under patient aggregation best_epoch is the first epoch with the
+    highest patient-level score, and best/ scored with the run's settings
+    gives that epoch's report back. On this seed the per-sample score with
+    half-credit ties would have picked another epoch."""
+    cohort, mask = paired_cohort(33)
+    ids = list(cohort.sample_ids)
+    per_sample = []
+
+    def also_per_sample(network, cohort, ids, *settings):
+        report = evaluate_network(network, cohort, ids)
+        per_sample.append(np.mean([report["c_index"], report["micro_f1"]]))
+        return evaluate_network(network, cohort, ids, *settings)
+
+    monkeypatch.setattr("survfuse.training.evaluate_network", also_per_sample)
+    _, history = train(micro_net(mask, 33), cohort, ids[:56],
+                       micro_profile(33, epochs=8), eval_ids=ids[56:],
+                       out_dir=tmp_path / "run", tie_rule=tie_rule,
+                       aggregation="patient")
+    scores = [snap.score for snap in history.snapshots]
+    best_epoch = history.best_epoch
+    assert best_epoch == scores.index(max(scores)) < len(scores) - 1
+    assert best_epoch != per_sample.index(max(per_sample))
+    report = evaluate_network(load_checkpoint(tmp_path / "run" / "best"),
+                              cohort, ids[56:], tie_rule, "patient")
+    assert report == history.snapshots[best_epoch].report
+    assert report["n_events"] == int(cohort.events(ids[56:])[::2].sum())
+    assert float(np.mean([report["c_index"], report["micro_f1"]])) == \
+        history.snapshots[best_epoch].score
+
+
+@pytest.mark.parametrize("schedule, scored", [
+    ("alternate", ("c_index", "micro_f1")),
+    ("survival-only", ("c_index",)),
+    ("grade-only", ("micro_f1",)),
+])
+def test_epoch_score_averages_the_tasks_the_schedule_trains(schedule, scored):
+    """With both heads built, the epoch score reads only the metrics of the
+    tasks the schedule trains, though the report holds both."""
+    cohort, mask = micro_cohort(11)
+    ids = list(cohort.sample_ids)
+    _, history = train(micro_net(mask, 11), cohort, ids[:32],
+                       micro_profile(11, epochs=2, schedule=schedule),
+                       eval_ids=ids[32:])
+    assert [snap.epoch for snap in history.snapshots] == [0, 1]
+    for snap in history.snapshots:
+        assert None not in (snap.report["c_index"], snap.report["micro_f1"])
+        assert snap.score == float(np.mean([snap.report[k] for k in scored]))
+
+
 def _scripted_scores(monkeypatch, scores):
-    """Make epoch e score ``scores[e]`` and return the list that collects
-    a copy of ``param_vector`` as each epoch's evaluation sees it."""
+    """Make epoch e score ``scores[e]``: its report's c-index and micro-F1
+    both read it. Returns the list that collects a copy of
+    ``param_vector`` as each epoch's evaluation sees it."""
     seen = []
 
-    def scripted(network, cohort, ids, tasks):
+    def scripted(network, cohort, ids, *settings):
         seen.append(network.param_vector.copy())
-        snap = evaluate_network(network, cohort, ids, tasks)
-        return dataclasses.replace(snap, score=scores[len(seen) - 1])
+        score = scores[len(seen) - 1]
+        return {**evaluate_network(network, cohort, ids, *settings),
+                "c_index": score, "micro_f1": score}
 
     monkeypatch.setattr("survfuse.training.evaluate_network", scripted)
     return seen
@@ -603,12 +668,31 @@ def test_design_matrices_follow_variant():
 def test_evaluate_network_reports_available_heads():
     cohort, mask = micro_cohort(11)
     ids = list(cohort.sample_ids)
-    snap = evaluate_network(micro_net(mask, 11), cohort, ids)
-    assert snap.c_index is not None and 0.0 <= snap.c_index <= 1.0
-    assert snap.accuracy is not None and snap.micro_f1 is not None
-    assert snap.score == pytest.approx(
-        (snap.c_index + snap.micro_f1) / 2.0, rel=1e-12)
+    both = evaluate_network(micro_net(mask, 11), cohort, ids)
+    assert both["c_index"] is not None and 0.0 <= both["c_index"] <= 1.0
+    assert both["accuracy"] is not None and both["micro_f1"] is not None
+    assert both["n_samples"] == len(ids)
+    assert both["n_events"] == int(cohort.event.sum())
     grade_only = evaluate_network(micro_net(mask, 11, heads="grade"),
                                   cohort, ids)
-    assert grade_only.c_index is None
-    assert grade_only.score == pytest.approx(grade_only.micro_f1, rel=1e-12)
+    assert grade_only["c_index"] is None and grade_only["n_events"] is None
+    assert grade_only["micro_f1"] is not None
+
+
+def test_patient_aggregation_scores_each_patient_once():
+    """Under patient aggregation the survival block scores each patient's
+    median risk against its labels; the grade block stays per sample."""
+    cohort, mask = paired_cohort(12)
+    ids = list(cohort.sample_ids)[40:]
+    net = micro_net(mask, 12)
+    gene_x, image_x = design_matrices(net, cohort, ids)
+    risks = net.predict(gene_x=gene_x, image_x=image_x)["survival"]
+    medians = np.median(risks.reshape(-1, 2), axis=1)
+    for tie_rule in ("half", "strict"):
+        report = evaluate_network(net, cohort, ids, tie_rule, "patient")
+        assert report["n_events"] == int(cohort.events(ids)[::2].sum())
+        assert report["c_index"] == oracles.cindex_pairs(
+            medians, cohort.times(ids)[::2], cohort.events(ids)[::2],
+            tie_rule)
+        assert report["micro_f1"] == evaluate_network(
+            net, cohort, ids)["micro_f1"]

@@ -67,7 +67,14 @@
 #     final, then 2-epoch gene-only (smst-gene) and image-only (smst-image)
 #     trains. Each drops the samples missing a modality it reads (88, 57
 #     and 36 of 400), warns, and gathers the embedding rows it keeps into
-#     clinical order.
+#     clinical order;
+#   - on a copy of the data in which every second clinical row takes the
+#     previous row's patient_id, time_days and event (so 200 patients hold
+#     two samples each, with shared labels), with its splits regenerated
+#     with --group patient, a 10-epoch fused train for seed 1 with
+#     "aggregation": "patient" and "tie_rule": "strict", followed by eval
+#     of best and final, so the score that picks best/ and the reported
+#     metrics both take the non-default settings.
 #
 # Every command's stdout, stderr and exit code is kept next to what it
 # wrote. The script ends with `diff -r` of the two directories, less the
@@ -297,6 +304,23 @@ run_tree() {
             1 "out-$preset-incomplete/" data-incomplete
         step "train-$preset-incomplete" train "$preset-incomplete.json" \
             --rep 0 --epochs 2
+    done
+    mkdir -p data-paired
+    cp data/expression.csv data/embeddings.csv data/edges.tsv data-paired/
+    LC_ALL=C awk -F, -v OFS=, 'NR > 1 && NR % 2 == 1 { $2 = p; $3 = t; $4 = e }
+             { p = $2; t = $3; e = $4; print }' \
+        data/clinical.csv >data-paired/clinical.csv
+    step splits-paired splits --clinical data-paired/clinical.csv --reps 5 \
+        --train-frac 0.8 --group patient --seed 1 --out data-paired/splits.json
+    config fused-paired.json fused alternate mmmt-default 1 out-fused-paired/ \
+        data-paired
+    sed -i '1a\  "aggregation": "patient",\n  "tie_rule": "strict",' \
+        fused-paired.json
+    step train-fused-paired train fused-paired.json --rep 0 --epochs 10
+    for which in best final; do
+        step "eval-fused-paired-$which" eval --config fused-paired.json \
+            --model "out-fused-paired/rep00/$which" --rep 0 \
+            --out "eval-fused-paired-$which.json"
     done
 }
 
