@@ -234,32 +234,29 @@ def _load_splits(cfg: RunConfig, rep: int | None) -> SplitSet:
     return split_set
 
 
-def _present_splits(split_set: SplitSet, cohort) -> SplitSet:
+def _fit_splits(split_set: SplitSet, reps, cohort,
+                aggregation: str) -> SplitSet:
     """``split_set`` less any sample id the cohort does not hold (warned
-    with the count)."""
+    with the count of distinct ids), with a DataError for the first of
+    ``reps`` that has an empty side or, under patient aggregation, a
+    test-side patient whose samples' labels differ."""
     present = set(cohort.sample_ids)
-    listed = {sid for reps in split_set.repetitions for side in reps
-              for sid in side}
-    absent = listed - present
-    if not absent:
-        return split_set
-    _warn(f"dropped {len(absent)} split sample ids not in the loaded cohort")
-    reps = tuple(tuple(tuple(sid for sid in side if sid in present)
-                       for side in sides)
-                 for sides in split_set.repetitions)
-    return replace(split_set, repetitions=reps)
-
-
-def _require_trainable(split_set: SplitSet, reps, cohort,
-                       aggregation: str) -> None:
-    """A DataError for the first of ``reps`` with an empty side or, under
-    patient aggregation, a test-side patient whose samples' labels differ."""
+    absent = {sid for sides in split_set.repetitions for side in sides
+              for sid in side} - present
+    if absent:
+        _warn(f"dropped {len(absent)} split sample ids not in the loaded "
+              "cohort")
+        split_set = replace(split_set, repetitions=tuple(
+            tuple(tuple(sid for sid in side if sid in present)
+                  for side in sides)
+            for sides in split_set.repetitions))
     for rep in reps:
         for side, ids in zip(("train", "test"), split_set.repetitions[rep]):
             if not ids:
                 raise DataError(f"repetition {rep} has an empty {side} side")
         if aggregation == "patient":
             patient_groups(cohort, split_set.repetitions[rep][1])
+    return split_set
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +352,7 @@ def cmd_train(args) -> int:
     n_reps = len(split_set.repetitions)
     reps = range(n_reps) if args.all_reps else [args.rep]
     cohort, mask = _load_run_cohort(cfg)
-    split_set = _present_splits(split_set, cohort)
-    _require_trainable(split_set, reps, cohort, cfg.aggregation)
+    split_set = _fit_splits(split_set, reps, cohort, cfg.aggregation)
 
     out_root = Path(cfg.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -365,10 +361,8 @@ def cmd_train(args) -> int:
 
     reports = []
     for rep in reps:
-        run_cohort = cohort
-        if "gene" in VARIANT_INPUTS[cfg.variant]:
-            run_cohort = standardize_expression(
-                cohort, split_set.repetitions[rep][0])
+        run_cohort = standardize_expression(cohort,
+                                            split_set.repetitions[rep][0])
         if rep == reps[-1]:
             # Nothing reads the unstandardized matrix again, so the last
             # repetition trains with one expression matrix alive.
@@ -424,11 +418,9 @@ def cmd_eval(args) -> int:
     run_cfg = replace(cfg, variant=network.config.variant)
     split_set = _load_splits(cfg, args.rep)
     cohort, _ = _load_run_cohort(run_cfg, keep_genes=keep)
-    split_set = _present_splits(split_set, cohort)
-    _require_trainable(split_set, [args.rep], cohort, cfg.aggregation)
+    split_set = _fit_splits(split_set, [args.rep], cohort, cfg.aggregation)
     train_ids, test_ids = split_set.repetitions[args.rep]
-    if "gene" in network.config.inputs:
-        cohort = standardize_expression(cohort, train_ids)
+    cohort = standardize_expression(cohort, train_ids)
     report = evaluate_network(network, cohort, test_ids, cfg.tie_rule,
                               cfg.aggregation)
     save_metrics(report, args.out)

@@ -121,6 +121,8 @@ class Cohort:
     float64, and every sample carries a row of each. A matrix left out is
     n x 0: the cohort has no such modality. ``dropped`` lists the clinical
     samples the loader left out for lacking a modality, in clinical order.
+    ``rows(ids)`` is the one map from sample ids to row positions: a caller
+    takes it once and indexes each column it needs with it.
     """
 
     sample_ids: tuple[str, ...]
@@ -202,18 +204,6 @@ class Cohort:
             return np.array([index[sid] for sid in ids], dtype=np.intp)
         except KeyError as exc:
             raise DataError(f"unknown sample id {exc.args[0]!r}") from None
-
-    def expression_matrix(self, ids) -> np.ndarray:
-        return self.expression[self.rows(ids)]
-
-    def times(self, ids) -> np.ndarray:
-        return self.time[self.rows(ids)]
-
-    def events(self, ids) -> np.ndarray:
-        return self.event[self.rows(ids)]
-
-    def grades(self, ids) -> np.ndarray:
-        return self.grade[self.rows(ids)]
 
     def gene_subset(self, keep) -> "Cohort":
         """Restrict expression columns to ``keep`` (in the given order)."""
@@ -612,14 +602,16 @@ def save_cohort(cohort: Cohort, clinical_path, expression_path=None,
 
 def standardize_expression(cohort: Cohort, train_ids) -> Cohort:
     """Per-gene z-score fitted on the training samples only and applied to
-    every sample; zero-variance genes map to 0 everywhere."""
+    every sample; zero-variance genes map to 0 everywhere. A cohort without
+    expression holds an n x 0 matrix, which this leaves as it is, so every
+    variant's run is standardized the same way."""
     train_ids = list(train_ids)
     if not train_ids:
         raise ConfigError("standardization needs non-empty training ids")
     # The moments are taken over a C-contiguous copy of the training rows,
     # and the transform is elementwise, so every bit matches a per-sample
     # z-score.
-    x = cohort.expression_matrix(train_ids)
+    x = cohort.expression[cohort.rows(train_ids)]
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     live = std > 0

@@ -235,28 +235,21 @@ class TrainingHistory:
 _INPUT_MATRICES = (("gene", "expression"), ("image", "embedding"))
 
 
-def _input_sources(network: Network, cohort, ids):
-    """Row positions of ``ids`` and the cohort's own (gene, image) matrices,
-    None for an input the variant does not read."""
-    return cohort.rows(ids), [
-        getattr(cohort, matrix) if name in network.config.inputs else None
-        for name, matrix in _INPUT_MATRICES]
-
-
-def design_matrices(network: Network, cohort, ids):
-    """Modality matrices the variant needs, None for the unused ones."""
-    rows, sources = _input_sources(network, cohort, ids)
-    gene_x, image_x = (None if m is None else m[rows] for m in sources)
-    return gene_x, image_x
+def _input_sources(network: Network, cohort):
+    """The cohort's own (gene, image) matrices, None for an input the
+    variant does not read."""
+    return [getattr(cohort, matrix) if name in network.config.inputs else None
+            for name, matrix in _INPUT_MATRICES]
 
 
 def patient_groups(cohort, ids) -> list[list[int]]:
     """Positions in ``ids`` of each patient's samples, patients in the order
     they first appear. A patient's samples must share their survival labels;
     a DataError names the first patient whose samples do not."""
-    times, events = cohort.times(ids), cohort.events(ids)
+    rows = cohort.rows(ids)
+    times, events = cohort.time[rows], cohort.event[rows]
     by_patient: dict[str, list[int]] = {}
-    for i, row in enumerate(cohort.rows(ids)):
+    for i, row in enumerate(rows):
         by_patient.setdefault(cohort.sample_patients[row], []).append(i)
     for patient, group in by_patient.items():
         if len({(times[i], events[i]) for i in group}) > 1:
@@ -270,14 +263,16 @@ def evaluate_network(network: Network, cohort, ids, tie_rule: str = "half",
     """The ``build_metrics`` report of ``network`` on ``ids`` for each head
     it carries; under patient ``aggregation`` the survival block scores each
     patient's median risk. train's epoch scores and eval's metrics both
-    come from here."""
-    gene_x, image_x = design_matrices(network, cohort, ids)
+    come from here. The network reads the rows of ``ids`` from the cohort
+    matrices its variant takes; a matrix it does not take may be n x 0."""
+    rows = cohort.rows(ids)
+    gene_x, image_x = (None if m is None else m[rows]
+                       for m in _input_sources(network, cohort))
     outputs = network.predict(gene_x=gene_x, image_x=image_x)
     kwargs: dict = {}
     if "survival" in outputs:
         risks = outputs["survival"].reshape(-1)
-        times = cohort.times(ids)
-        events = cohort.events(ids)
+        times, events = cohort.time[rows], cohort.event[rows]
         if aggregation == "patient":
             groups = patient_groups(cohort, ids)
             firsts = [group[0] for group in groups]
@@ -286,7 +281,7 @@ def evaluate_network(network: Network, cohort, ids, tie_rule: str = "half",
         kwargs.update(risks=risks, times=times, events=events)
     if "grade" in outputs:
         kwargs.update(log_probs=outputs["grade"],
-                      true_grades=cohort.grades(ids),
+                      true_grades=cohort.grade[rows],
                       k=len(DEFAULT_GRADE_NAMES))
     return build_metrics(tie_rule=tie_rule, **kwargs)
 
@@ -297,7 +292,8 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     """Run the batched loop and return the trained network plus history.
 
     Each epoch reshuffles the training ids with an epoch-keyed stream and
-    walks them in batches (last one may be short). Per iteration: forward
+    walks them in batches (last one may be short), each gathered from the
+    cohort matrices the variant takes by the ids' rows. Per iteration: forward
     with live dropout, the scheduled loss(es), backprop, and one Adam step
     with decoupled weight decay at the linearly decayed epoch rate. A
     survival-only iteration whose batch has no observed events records a
@@ -324,10 +320,10 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
         raise ConfigError("empty training id list")
     # Each batch is gathered from the cohort's matrices; no copy of the
     # training rows is made.
-    rows, (gene_x, image_x) = _input_sources(network, cohort, train_ids)
-    times = cohort.times(train_ids)
-    events = cohort.events(train_ids)
-    grades = cohort.grades(train_ids) if "grade" in tasks_needed else None
+    rows = cohort.rows(train_ids)
+    gene_x, image_x = _input_sources(network, cohort)
+    times, events = cohort.time[rows], cohort.event[rows]
+    grades = cohort.grade[rows] if "grade" in tasks_needed else None
 
     history = TrainingHistory()
     params = network.params()

@@ -52,13 +52,13 @@ def test_cohort_basic_accessors():
     assert len(cohort) == 3
     assert cohort.sample_ids == ("S1", "S2", "S3")
     assert cohort.sample_patients == ("P1", "P1", "P2")
-    assert cohort.expression_matrix(["S3", "S1"]).shape == (2, 2)
+    assert cohort.expression[cohort.rows(["S3", "S1"])].shape == (2, 2)
     assert cohort.embedding[cohort.rows(["S1"])].tolist() == [[1.0, 2.0, 3.0]]
-    assert cohort.times(["S2", "S3"]).tolist() == [5.0, 8.5]
-    assert cohort.events(["S1", "S2"]).tolist() == [1, 0]
-    assert cohort.grades(["S1", "S2", "S3"]).tolist() == [0, 1, 2]
+    assert cohort.time[cohort.rows(["S2", "S3"])].tolist() == [5.0, 8.5]
+    assert cohort.event[cohort.rows(["S1", "S2"])].tolist() == [1, 0]
+    assert cohort.grade[cohort.rows(["S1", "S2", "S3"])].tolist() == [0, 1, 2]
     with pytest.raises(DataError, match="unknown sample"):
-        cohort.times(["S9"])
+        cohort.rows(["S9"])
     assert [s.sample_id for s in cohort.samples] == ["S1", "S2", "S3"]
     first = cohort.samples[0]
     assert (first.patient_id, first.time, first.event, first.grade) == \
@@ -73,8 +73,8 @@ def test_cohort_missing_modality_rows():
     assert cohort.embedding.shape == (3, 0)
     assert [s.image_embedding for s in cohort.samples] == [None] * 3
     assert [s.expression.tolist() for s in cohort.samples] == [[0.1, 0.2]] * 3
-    assert cohort.expression_matrix(["S3", "S1"]).shape == (2, 2)
-    assert cohort.times(["S1", "S3"]).tolist() == [10.0, 8.5]
+    assert cohort.expression[cohort.rows(["S3", "S1"])].shape == (2, 2)
+    assert cohort.time[cohort.rows(["S1", "S3"])].tolist() == [10.0, 8.5]
     assert cohort.dropped == ()
     bare = small_cohort(gene_order=(), expression=None)
     assert bare.expression.shape == (3, 0)
@@ -124,9 +124,9 @@ def test_gene_subset_reorders_columns():
     cohort = small_cohort()
     sub = cohort.gene_subset(["GB"])
     assert sub.gene_order == ("GB",)
-    assert sub.expression_matrix(["S1"]).tolist() == [[0.2]]
+    assert sub.expression[sub.rows(["S1"])].tolist() == [[0.2]]
     swapped = cohort.gene_subset(["GB", "GA"])
-    assert swapped.expression_matrix(["S1"]).tolist() == [[0.2, 0.1]]
+    assert swapped.expression[swapped.rows(["S1"])].tolist() == [[0.2, 0.1]]
     with pytest.raises(DataError, match="not in cohort"):
         cohort.gene_subset(["GZ"])
 
@@ -198,14 +198,14 @@ def test_load_cohort_keeps_modality_free_rows(tmp_path, recwarn):
     assert not recwarn.list
     assert cohort.sample_ids == ("S1",)
     assert cohort.dropped == ("S2",)
-    assert cohort.expression_matrix(["S1"]).tolist() == [[0.5]]
+    assert cohort.expression[cohort.rows(["S1"])].tolist() == [[0.5]]
     with pytest.raises(DataError, match="unknown sample id 'S2'"):
-        cohort.times(["S2"])
+        cohort.rows(["S2"])
     # With no modality file, every row is kept and none has a modality.
     bare = load_cohort(clinical)
     assert bare.sample_ids == ("S1", "S2")
     assert bare.dropped == ()
-    assert bare.times(["S2"]).tolist() == [5.0]
+    assert bare.time[bare.rows(["S2"])].tolist() == [5.0]
     assert [(s.expression, s.image_embedding) for s in bare.samples] == \
         [(None, None)] * 2
 
@@ -872,7 +872,7 @@ def test_standardize_train_moments():
                              embedding_dim=3)
     train_ids = list(cohort.sample_ids)[:12]
     out = standardize_expression(cohort, train_ids)
-    x = out.expression_matrix(train_ids)
+    x = out.expression[out.rows(train_ids)]
     assert np.allclose(x.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(x.std(axis=0), 1.0, atol=1e-12)
     assert out.expression.shape == cohort.expression.shape
@@ -887,7 +887,7 @@ def test_standardize_constant_gene_maps_to_zero():
         expression=[[5.0, float(i)] for i in range(4)],
         embedding=np.tile([1.0, 2.0, 3.0], (4, 1)))
     out = standardize_expression(cohort, ["S0", "S1", "S2", "S3"])
-    assert not out.expression_matrix(list(cohort.sample_ids))[:, 0].any()
+    assert not out.expression[out.rows(list(cohort.sample_ids))][:, 0].any()
 
 
 def test_standardize_matches_two_pass_oracle():
@@ -898,9 +898,9 @@ def test_standardize_matches_two_pass_oracle():
     train_ids, test_ids = ids[:9], ids[9:]
     out = standardize_expression(cohort, train_ids)
     expect = oracles.standardize_two_pass(
-        cohort.expression_matrix(train_ids).tolist(),
-        cohort.expression_matrix(test_ids).tolist())
-    assert np.allclose(out.expression_matrix(test_ids), expect, atol=1e-12)
+        cohort.expression[cohort.rows(train_ids)].tolist(),
+        cohort.expression[cohort.rows(test_ids)].tolist())
+    assert np.allclose(out.expression[out.rows(test_ids)], expect, atol=1e-12)
 
 
 def test_standardize_equals_per_sample_oracle_bit_for_bit():
@@ -918,7 +918,7 @@ def test_standardize_equals_per_sample_oracle_bit_for_bit():
     rows = {s.sample_id: s.expression for s in cohort.samples}
     expect, _, _ = oracles.standardize_per_sample(
         [rows[sid] for sid in train_ids], [rows[sid] for sid in ids])
-    assert np.array_equal(out.expression_matrix(ids), np.stack(expect))
+    assert np.array_equal(out.expression[out.rows(ids)], np.stack(expect))
     assert not out.expression[:, 4].any()
 
 
@@ -1066,8 +1066,8 @@ def test_synth_deterministic_per_seed():
     c = synth_gen(patients=10, genes=8, causal_genes=3, censor_rate=0.3,
                   label_noise=0.1, seed=7, embedding_dim=4)
     assert np.array_equal(a[1].pairs, b[1].pairs)
-    assert np.array_equal(a[0].expression_matrix(a[0].sample_ids),
-                          b[0].expression_matrix(b[0].sample_ids))
+    assert np.array_equal(a[0].expression[a[0].rows(a[0].sample_ids)],
+                          b[0].expression[b[0].rows(b[0].sample_ids)])
     assert np.array_equal(a[2].risk, b[2].risk)
     assert not np.array_equal(a[2].risk, c[2].risk)
 
@@ -1080,7 +1080,7 @@ def test_synth_ids_and_shapes():
     assert cohort.sample_patients == tuple(f"P{i:04d}" for i in range(1, 6))
     assert cohort.gene_order == graph.genes
     assert len(graph.genes) == 7
-    assert cohort.expression_matrix(cohort.sample_ids).shape == (5, 7)
+    assert cohort.expression[cohort.rows(cohort.sample_ids)].shape == (5, 7)
     assert cohort.embedding[cohort.rows(cohort.sample_ids)].shape == (5, 6)
     assert truth.beta.shape == (7,)
     assert np.count_nonzero(truth.beta) == 2
@@ -1090,14 +1090,14 @@ def test_synth_zero_censoring_observes_every_event():
     cohort, _, _ = synth_gen(patients=30, genes=5, causal_genes=2,
                              censor_rate=0.0, label_noise=0.0, seed=2,
                              embedding_dim=3)
-    assert cohort.events(cohort.sample_ids).min() == 1
+    assert cohort.event[cohort.rows(cohort.sample_ids)].min() == 1
 
 
 def test_synth_censor_rate_roughly_hit():
     cohort, _, _ = synth_gen(patients=400, genes=20, causal_genes=5,
                              censor_rate=0.3, label_noise=0.0, seed=3,
                              embedding_dim=3)
-    frac = 1.0 - cohort.events(cohort.sample_ids).mean()
+    frac = 1.0 - cohort.event[cohort.rows(cohort.sample_ids)].mean()
     assert abs(frac - 0.3) < 0.1
 
 
@@ -1108,7 +1108,7 @@ def test_synth_noise_free_grades_follow_risk_tertiles():
     p33, p66 = np.percentile(truth.risk, 33), np.percentile(truth.risk, 66)
     expect = np.where(truth.risk <= p33, 0,
                       np.where(truth.risk <= p66, 1, 2))
-    assert np.array_equal(cohort.grades(cohort.sample_ids), expect)
+    assert np.array_equal(cohort.grade[cohort.rows(cohort.sample_ids)], expect)
     counts = np.bincount(expect, minlength=3)
     assert counts.min() >= 15
 
@@ -1120,8 +1120,8 @@ def test_synth_label_noise_corrupts_some_grades():
     noisy, _, _ = synth_gen(patients=200, genes=10, causal_genes=3,
                             censor_rate=0.2, label_noise=0.3, seed=5,
                             embedding_dim=3)
-    flips = (clean.grades(clean.sample_ids) !=
-             noisy.grades(noisy.sample_ids)).mean()
+    flips = (clean.grade[clean.rows(clean.sample_ids)] !=
+             noisy.grade[noisy.rows(noisy.sample_ids)]).mean()
     assert 0.15 < flips < 0.45
 
 
@@ -1129,8 +1129,8 @@ def test_synth_planted_risk_is_strong():
     cohort, _, truth = synth_gen(patients=400, genes=200, causal_genes=20,
                                  censor_rate=0.3, label_noise=0.1, seed=11,
                                  embedding_dim=5)
-    ids = cohort.sample_ids
-    ci = c_index(truth.risk, cohort.times(ids), cohort.events(ids))
+    rows = cohort.rows(cohort.sample_ids)
+    ci = c_index(truth.risk, cohort.time[rows], cohort.event[rows])
     assert ci >= 0.95
 
 

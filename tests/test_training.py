@@ -19,7 +19,6 @@ from survfuse.training import (
     SurvivalBatchLabels,
     TrainingProfile,
     cox_loss,
-    design_matrices,
     evaluate_network,
     nll_loss,
     preset_names,
@@ -498,7 +497,8 @@ def test_best_follows_the_score_the_run_reports(tmp_path, monkeypatch,
     report = evaluate_network(load_checkpoint(tmp_path / "run" / "best"),
                               cohort, ids[56:], tie_rule, "patient")
     assert report == history.snapshots[best_epoch].report
-    assert report["n_events"] == int(cohort.events(ids[56:])[::2].sum())
+    assert report["n_events"] == \
+        int(cohort.event[cohort.rows(ids[56:])][::2].sum())
     assert float(np.mean([report["c_index"], report["micro_f1"]])) == \
         history.snapshots[best_epoch].score
 
@@ -650,19 +650,18 @@ def test_train_makes_no_copy_of_the_training_rows():
 # ---------------------------------------------------------------------------
 
 
-def test_design_matrices_follow_variant():
-    cohort, mask = micro_cohort(10)
-    ids = list(cohort.sample_ids)[:4]
-    fused = micro_net(mask, 10)
-    gene_x, image_x = design_matrices(fused, cohort, ids)
-    assert gene_x.shape == (4, 12)
-    assert image_x.shape == (4, 7)
-    img_cfg = NetworkConfig(variant="image-only", heads="survival",
-                            image_dim=7, trunk_dims=(8, 4), head_hidden_dim=3)
+def test_image_only_network_reads_no_expression():
+    """An image-only network scores the same report on a cohort with and
+    without its expression matrix."""
+    cohort, _ = micro_cohort(10)
+    ids = list(cohort.sample_ids)
+    img_cfg = NetworkConfig(variant="image-only", heads="both", image_dim=7,
+                            trunk_dims=(8, 4), head_hidden_dim=3)
     img_net = assemble(img_cfg, None, RngStream(0, 31))
-    gene_x, image_x = design_matrices(img_net, cohort, ids)
-    assert gene_x is None
-    assert image_x.shape == (4, 7)
+    bare = dataclasses.replace(cohort, gene_order=(), expression=None)
+    assert bare.expression.shape == (len(ids), 0)
+    assert evaluate_network(img_net, bare, ids) == \
+        evaluate_network(img_net, cohort, ids)
 
 
 def test_evaluate_network_reports_available_heads():
@@ -684,15 +683,16 @@ def test_patient_aggregation_scores_each_patient_once():
     median risk against its labels; the grade block stays per sample."""
     cohort, mask = paired_cohort(12)
     ids = list(cohort.sample_ids)[40:]
+    rows = cohort.rows(ids)
     net = micro_net(mask, 12)
-    gene_x, image_x = design_matrices(net, cohort, ids)
-    risks = net.predict(gene_x=gene_x, image_x=image_x)["survival"]
+    risks = net.predict(gene_x=cohort.expression[rows],
+                        image_x=cohort.embedding[rows])["survival"]
     medians = np.median(risks.reshape(-1, 2), axis=1)
+    times, events = cohort.time[rows][::2], cohort.event[rows][::2]
     for tie_rule in ("half", "strict"):
         report = evaluate_network(net, cohort, ids, tie_rule, "patient")
-        assert report["n_events"] == int(cohort.events(ids)[::2].sum())
+        assert report["n_events"] == int(events.sum())
         assert report["c_index"] == oracles.cindex_pairs(
-            medians, cohort.times(ids)[::2], cohort.events(ids)[::2],
-            tie_rule)
+            medians, times, events, tie_rule)
         assert report["micro_f1"] == evaluate_network(
             net, cohort, ids)["micro_f1"]
