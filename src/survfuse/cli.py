@@ -396,7 +396,10 @@ def cmd_eval(args) -> int:
             raise ConfigError("--risks bypass and --model are mutually exclusive")
         if args.clinical is None:
             raise ConfigError("eval --risks needs --clinical")
-        _require_out_dirs(args.out)
+    elif args.config is None or args.model is None:
+        raise ConfigError("eval needs --config and --model (or --risks bypass)")
+    _require_out_dirs(args.out)
+    if args.risks is not None:
         risks, times, events = _scored_samples(args)
         report = build_metrics(risks=risks, times=times, events=events,
                                tie_rule=args.tie_rule or "half")
@@ -404,11 +407,11 @@ def cmd_eval(args) -> int:
         print(f"wrote metrics for {len(risks)} samples to {args.out}")
         return 0
 
-    if args.config is None or args.model is None:
-        raise ConfigError("eval needs --config and --model (or --risks bypass)")
+    # Inputs are read in this order, so the first bad one is reported: run
+    # config, split file and --rep, checkpoint, data.
     cfg = RunConfig.from_file(_require_file(args.config, "run config"))
     cfg = cfg.override(args)
-    _require_out_dirs(args.out)
+    split_set = _load_splits(cfg, args.rep)
     network = load_checkpoint(Path(args.model))
     for task in HEAD_TASKS[args.require] if args.require else ():
         if task not in HEAD_TASKS[network.config.heads]:
@@ -416,7 +419,6 @@ def cmd_eval(args) -> int:
                               f"without a {task} head")
     keep = network.mask.genes if network.mask is not None else None
     run_cfg = replace(cfg, variant=network.config.variant)
-    split_set = _load_splits(cfg, args.rep)
     cohort, _ = _load_run_cohort(run_cfg, keep_genes=keep)
     split_set = _fit_splits(split_set, [args.rep], cohort, cfg.aggregation)
     train_ids, test_ids = split_set.repetitions[args.rep]

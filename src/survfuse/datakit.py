@@ -673,6 +673,8 @@ class SplitSet:
         try:
             reps = tuple(sides(k, rep)
                          for k, rep in enumerate(payload["repetitions"]))
+            if not reps:
+                raise ValueError("no repetitions")
             return cls(repetitions=reps, seed=int(payload["seed"]),
                        train_frac=float(payload["train_frac"]),
                        grouping=str(payload["grouping"]))

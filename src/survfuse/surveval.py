@@ -301,7 +301,9 @@ def build_metrics(risks=None, times=None, events=None,
                   log_probs=None, true_grades=None, k: int | None = None,
                   tie_rule: str = "half") -> dict:
     """Assemble the standard metrics dictionary; task blocks whose inputs
-    are absent come back as nulls so the report schema is stable."""
+    are absent come back as nulls so the report schema is stable.
+    ``n_samples`` counts what the survival block scores (patients, when the
+    caller passes one risk per patient), else the graded samples."""
     report: dict = {
         "c_index": None,
         "micro_auc": None,
@@ -331,8 +333,9 @@ def build_metrics(risks=None, times=None, events=None,
             micro_auc=auc, micro_ap=ap, micro_f1=micro_f1, accuracy=accuracy,
             f1_per_class=[per_class_f1(cm, c) for c in range(k)],
             confusion_matrix=cm.counts.tolist(),
-            n_samples=len(y),
         )
+        if risks is None:
+            report["n_samples"] = len(y)
     return report
 
 

@@ -916,6 +916,49 @@ def test_split_file_is_checked_before_any_data_is_read(
         capsys.readouterr().err
 
 
+def test_eval_checks_rep_before_reading_the_checkpoint(trained, tmp_path,
+                                                       capsys):
+    """An out-of-range --rep is reported ahead of a checkpoint that does
+    not exist."""
+    rc = main(["eval", "--config", str(trained["config"]),
+               "--model", str(tmp_path / "nowhere"), "--rep", "99",
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: --rep 99 outside [0, 2) repetitions\n"
+
+
+def test_eval_checks_out_directory_before_reading_the_run_config(
+        trained, tmp_path, capsys):
+    out = tmp_path / "nodir" / "m.json"
+    rc = main(["eval", "--config", str(tmp_path / "nope.json"),
+               "--model", str(trained["out"] / "rep00" / "final"),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {out.parent} of {out} does not exist\n")
+
+
+@pytest.mark.parametrize("command", ["train-all-reps", "train-rep", "eval"])
+def test_split_file_without_repetitions_exits_1(trained, data_dir, tmp_path,
+                                                capsys, command):
+    bad = tmp_path / "splits.json"
+    bad.write_text(json.dumps({"seed": 0, "train_frac": 0.8,
+                               "grouping": "patient", "repetitions": []}))
+    config = write_config(tmp_path / "run.json", data_dir, bad,
+                          tmp_path / "out")
+    out = tmp_path / "m.json"
+    args = {"train-all-reps": ["train", str(config), "--all-reps"],
+            "train-rep": ["train", str(config), "--rep", "0"],
+            "eval": ["eval", "--config", str(config), "--model",
+                     str(trained["out"] / "rep00" / "final"),
+                     "--out", str(out)]}[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err == \
+        f"error: malformed split file {bad}: no repetitions\n"
+    assert not (tmp_path / "out").exists() and not out.exists()
+
+
 @pytest.mark.parametrize("how", ["given", "emptied"])
 @pytest.mark.parametrize("rep_args, empty_rep", [
     (["--rep", "1"], 1), (["--all-reps"], 1)], ids=["rep", "all-reps"])

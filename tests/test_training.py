@@ -680,7 +680,8 @@ def test_evaluate_network_reports_available_heads():
 
 def test_patient_aggregation_scores_each_patient_once():
     """Under patient aggregation the survival block scores each patient's
-    median risk against its labels; the grade block stays per sample."""
+    median risk against its labels, and its counts are of patients whatever
+    the heads; the grade block stays per sample."""
     cohort, mask = paired_cohort(12)
     ids = list(cohort.sample_ids)[40:]
     rows = cohort.rows(ids)
@@ -696,3 +697,8 @@ def test_patient_aggregation_scores_each_patient_once():
             medians, times, events, tie_rule)
         assert report["micro_f1"] == evaluate_network(
             net, cohort, ids)["micro_f1"]
+    for heads in ("both", "survival"):
+        report = evaluate_network(micro_net(mask, 12, heads=heads), cohort,
+                                  ids, "half", "patient")
+        assert (report["n_samples"], report["n_events"]) == \
+            (len(ids) // 2, int(events.sum()))
