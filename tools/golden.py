@@ -85,9 +85,10 @@ def _openblas() -> tuple[str, str]:
         name = getattr(lib, "scipy_openblas_get_corename64_", None)
         count = getattr(lib, "scipy_openblas_get_num_threads64_", None)
         if name is not None:
-            name.restype = ctypes.c_char_p
+            name.argtypes, name.restype = [], ctypes.c_char_p
             core = name().decode()
         if count is not None:
+            count.argtypes, count.restype = [], ctypes.c_int
             threads = str(count())
         break
     return core, threads
