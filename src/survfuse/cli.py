@@ -50,7 +50,6 @@ from .surveval import (
     km_export_csv,
     km_export_svg,
     risk_tertiles,
-    save_metrics,
 )
 from .training import (SCHEDULE_TASKS, SCHEDULES, check_heads, evaluate_network,
                        patient_groups, preset_names, profile_preset, train)
@@ -403,7 +402,7 @@ def cmd_eval(args) -> int:
         risks, times, events = _scored_samples(args)
         report = build_metrics(risks=risks, times=times, events=events,
                                tie_rule=args.tie_rule or "half")
-        save_metrics(report, args.out)
+        write_json(args.out, report)
         print(f"wrote metrics for {len(risks)} samples to {args.out}")
         return 0
 
@@ -425,7 +424,7 @@ def cmd_eval(args) -> int:
     cohort = standardize_expression(cohort, train_ids)
     report = evaluate_network(network, cohort, test_ids, cfg.tie_rule,
                               cfg.aggregation)
-    save_metrics(report, args.out)
+    write_json(args.out, report)
     print(f"wrote metrics for {len(test_ids)} test samples to {args.out}")
     return 0
 

@@ -1,8 +1,9 @@
 """Survival and classification metrics plus their report/plot exports.
 
-Everything in here is a pure function of arrays; nothing touches the
-network types. Risk scores follow the convention that HIGHER risk means
-SHORTER expected survival.
+Everything in here is a pure function of plain arrays; nothing touches
+the network types. A confusion matrix is the int64 (k, k) count array that
+``confusion`` returns. Risk scores follow the convention that HIGHER risk
+means SHORTER expected survival.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UndefinedResultError
-from .genegraph import write_json
 
 GROUP_NAMES = ("Low", "Mid", "High")
 # How c_index scores a pair of tied risks: 0.5 ("half") or 0 ("strict").
@@ -160,30 +160,9 @@ def risk_tertiles(risks) -> tuple[str, ...]:
 # Classification metrics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Integer counts, rows = true class, columns = predicted class."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DataError(f"confusion matrix must be square, got {c.shape}")
-        if np.any(c < 0):
-            raise DataError("confusion matrix counts must be non-negative")
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(pred_classes, true_classes, k: int) -> ConfusionMatrix:
+def confusion(pred_classes, true_classes, k: int) -> np.ndarray:
+    """int64 (k, k) counts, rows = true class, columns = predicted class.
+    Every class must lie in [0, k); the first one outside names its sample."""
     p = np.asarray(pred_classes, dtype=np.int64).reshape(-1)
     t = np.asarray(true_classes, dtype=np.int64).reshape(-1)
     if len(p) != len(t):
@@ -196,7 +175,7 @@ def confusion(pred_classes, true_classes, k: int) -> ConfusionMatrix:
                 f"at sample index {bad[0]}")
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
-    return ConfusionMatrix(counts=counts)
+    return counts
 
 
 def predicted_classes(log_probs) -> np.ndarray:
@@ -205,26 +184,26 @@ def predicted_classes(log_probs) -> np.ndarray:
     return lp.argmax(axis=1)
 
 
-def accuracy_and_micro_f1(cm: ConfusionMatrix) -> tuple[float, float]:
+def accuracy_and_micro_f1(c: np.ndarray) -> tuple[float, float]:
     """Accuracy = trace/total; micro-F1 pools TP/FP/FN over classes. For
     single-label multi-class input the two coincide exactly."""
-    if cm.total == 0:
+    total = c.sum()
+    if total == 0:
         raise UndefinedResultError("empty confusion matrix")
-    c = cm.counts
     tp = np.diag(c).sum()
     fp = c.sum(axis=0).sum() - tp
     fn = c.sum(axis=1).sum() - tp
-    accuracy = float(tp / cm.total)
-    micro_f1 = float(2 * tp / (2 * tp + fp + fn)) if tp + fp + fn else 0.0
+    accuracy = float(tp / total)
+    micro_f1 = float(2 * tp / (2 * tp + fp + fn))
     return accuracy, micro_f1
 
 
-def per_class_f1(cm: ConfusionMatrix, class_index: int) -> float:
+def per_class_f1(c: np.ndarray, class_index: int) -> float:
     """Harmonic mean of one class's precision and recall; 0 when the class
     never appears in truth or predictions."""
-    if not 0 <= class_index < cm.k:
-        raise ValueError(f"class index {class_index} out of range [0, {cm.k})")
-    c = cm.counts
+    if not 0 <= class_index < len(c):
+        raise ValueError(
+            f"class index {class_index} out of range [0, {len(c)})")
     tp = int(c[class_index, class_index])
     pred = int(c[:, class_index].sum())
     true = int(c[class_index, :].sum())
@@ -300,10 +279,12 @@ def micro_auc_ap(scores, true_classes) -> tuple[float, float]:
 def build_metrics(risks=None, times=None, events=None,
                   log_probs=None, true_grades=None, k: int | None = None,
                   tie_rule: str = "half") -> dict:
-    """Assemble the standard metrics dictionary; task blocks whose inputs
-    are absent come back as nulls so the report schema is stable.
-    ``n_samples`` counts what the survival block scores (patients, when the
-    caller passes one risk per patient), else the graded samples."""
+    """Assemble the standard metrics dictionary from plain arrays; task
+    blocks whose inputs are absent come back as nulls so the report schema
+    is stable. ``confusion_matrix`` is ``confusion``'s counts as nested
+    lists. ``n_samples`` counts what the survival block scores (patients,
+    when the caller passes one risk per patient), else the graded samples.
+    The caller writes the report with ``genegraph.write_json``."""
     report: dict = {
         "c_index": None,
         "micro_auc": None,
@@ -332,15 +313,11 @@ def build_metrics(risks=None, times=None, events=None,
         report.update(
             micro_auc=auc, micro_ap=ap, micro_f1=micro_f1, accuracy=accuracy,
             f1_per_class=[per_class_f1(cm, c) for c in range(k)],
-            confusion_matrix=cm.counts.tolist(),
+            confusion_matrix=cm.tolist(),
         )
         if risks is None:
             report["n_samples"] = len(y)
     return report
-
-
-def save_metrics(report: dict, path) -> None:
-    write_json(path, report)
 
 
 def km_export_csv(curves: dict[str, KMCurve], path) -> None:

@@ -91,49 +91,28 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
-@dataclass(frozen=True)
-class SurvivalBatchLabels:
-    times: np.ndarray
-    events: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64).reshape(-1)
-        e = np.asarray(self.events, dtype=np.int64).reshape(-1)
-        if len(t) != len(e):
-            raise DataError("times and events must have equal lengths")
-        if not np.isfinite(t).all():
-            raise DataError("survival times must be finite")
-        if np.any(t < 0):
-            raise DataError("survival times must be non-negative")
-        if not np.isin(e, (0, 1)).all():
-            raise DataError("event indicators must be 0 or 1")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "events", e)
-
-    @property
-    def n_events(self) -> int:
-        return int(self.events.sum())
-
-
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
 
-def cox_loss(risks, labels: SurvivalBatchLabels) -> tuple[float, np.ndarray]:
+def cox_loss(risks, times, events) -> tuple[float, np.ndarray]:
     """Negative Cox partial log-likelihood over the mini-batch, averaged per
     observed event, with its analytic gradient.
 
-    The risk set for an event at time t_i is every batch member with
-    t_j >= t_i (ties included). The log-sum-exp is max-shifted. A batch
-    with no events contributes loss 0 and a zero gradient.
+    ``times`` and ``events`` are a batch's rows of a cohort's columns, whose
+    rules ``datakit._LABEL_RULES`` owns. The risk set for an event at time
+    t_i is every batch member with t_j >= t_i (ties included). The
+    log-sum-exp is max-shifted. A batch with no events contributes loss 0
+    and a zero gradient.
     """
     y_in = np.asarray(risks, dtype=np.float64)
     y = y_in.reshape(-1)
-    t, d = labels.times, labels.events
+    t = np.asarray(times, dtype=np.float64).reshape(-1)
+    d = np.asarray(events, dtype=np.int64).reshape(-1)
     if len(y) != len(t):
         raise DataError(
             f"{len(y)} risks for {len(t)} survival labels")
-    n_events = labels.n_events
+    n_events = int(d.sum())
     if n_events == 0:
         return 0.0, np.zeros_like(y_in)
     # in_set[i, j]: j belongs to the risk set of i
@@ -353,9 +332,9 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
             d_grade = None
             zero_events = False
             if "survival" in tasks:
-                labels = SurvivalBatchLabels(times=times[idx], events=events[idx])
-                zero_events = labels.n_events == 0
-                loss_s, d_survival = cox_loss(trace.outputs["survival"], labels)
+                zero_events = not events[idx].any()
+                loss_s, d_survival = cox_loss(trace.outputs["survival"],
+                                              times[idx], events[idx])
                 total += loss_s
             if "grade" in tasks:
                 loss_g, d_grade = nll_loss(trace.outputs["grade"], grades[idx])

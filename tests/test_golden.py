@@ -5,6 +5,7 @@ moves a byte on purpose rewrites golden.json with ``tools/golden.py
 --write`` and says why.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -36,3 +37,13 @@ def test_tiny_runs_write_the_golden_bytes():
     moved = sorted(key for key in expect.keys() | found["digests"].keys()
                    if expect.get(key) != found["digests"].get(key))
     assert not moved, f"bytes moved in {', '.join(moved)}"
+
+
+def test_suite_runs_at_one_blas_thread():
+    """conftest.py sets the thread count before numpy loads, so this process
+    reads one thread; "unknown" where numpy bundles no OpenBLAS."""
+    spec = importlib.util.spec_from_file_location("golden_tool", _TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.envelope().rsplit(", ", 1)[1] in ("BLAS threads 1",
+                                                  "BLAS threads unknown")

@@ -39,7 +39,7 @@ from survfuse.netmodel import (
     save_params,
 )
 from survfuse.numcore import AdamState, FactoredGradient, RngStream, adam_step
-from survfuse.training import SurvivalBatchLabels, cox_loss, nll_loss
+from survfuse.training import cox_loss, nll_loss
 
 
 def scatter_dense(mask, values, junk=None):
@@ -653,15 +653,15 @@ def test_backward_matches_fd_on_joint_loss():
     gen = np.random.default_rng(60)
     net = randomize_params(micro_network("fused", "both"), seed=61)
     gene_x, image_x = _inputs_for("fused", 6, gen)
-    labels = SurvivalBatchLabels(times=np.array([3.0, 1.0, 4.0, 2.0, 5.0, 2.5]),
-                                 events=np.array([1, 1, 0, 1, 1, 0]))
+    times = np.array([3.0, 1.0, 4.0, 2.0, 5.0, 2.5])
+    events = np.array([1, 1, 0, 1, 1, 0])
     grades = np.array([0, 2, 1, 1, 0, 2])
     stream = RngStream(7, 22)
 
     def loss_and_trace():
         trace = net.forward(gene_x=gene_x, image_x=image_x, mode="train",
                             rng=stream, key=(1,))
-        ls, ds = cox_loss(trace.outputs["survival"], labels)
+        ls, ds = cox_loss(trace.outputs["survival"], times, events)
         lg, dg = nll_loss(trace.outputs["grade"], grades)
         return ls + lg, trace, ds, dg
 

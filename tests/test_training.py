@@ -16,7 +16,6 @@ from survfuse.genegraph import build_adjacency
 from survfuse.netmodel import NetworkConfig, assemble, load_checkpoint
 from survfuse.numcore import RngStream
 from survfuse.training import (
-    SurvivalBatchLabels,
     TrainingProfile,
     cox_loss,
     evaluate_network,
@@ -104,42 +103,19 @@ def test_profile_validation():
         micro_profile(-1)
 
 
-def test_survival_labels_validation():
-    with pytest.raises(DataError):
-        SurvivalBatchLabels(times=np.array([1.0]), events=np.array([1, 0]))
-    with pytest.raises(DataError):
-        SurvivalBatchLabels(times=np.array([-1.0]), events=np.array([1]))
-    with pytest.raises(DataError):
-        SurvivalBatchLabels(times=np.array([1.0]), events=np.array([2]))
-    labels = SurvivalBatchLabels(times=np.array([1.0, 2.0]),
-                                 events=np.array([1, 0]))
-    assert labels.n_events == 1
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_survival_labels_reject_non_finite_times(bad):
-    with pytest.raises(DataError, match="^survival times must be finite$"):
-        SurvivalBatchLabels(times=np.array([1.0, bad]), events=np.array([1, 0]))
-
-
 # ---------------------------------------------------------------------------
 # Cox loss
 # ---------------------------------------------------------------------------
 
 
-def _labels(times, events):
-    return SurvivalBatchLabels(times=np.asarray(times, dtype=float),
-                               events=np.asarray(events))
-
-
 def test_cox_single_event_is_zero():
-    loss, grad = cox_loss(np.array([0.7]), _labels([3.0], [1]))
+    loss, grad = cox_loss(np.array([0.7]), [3.0], [1])
     assert loss == 0.0
     assert np.allclose(grad, 0.0, atol=1e-15)
 
 
 def test_cox_no_events_flagged_as_zero():
-    loss, grad = cox_loss(np.array([[0.5], [0.1]]), _labels([1.0, 2.0], [0, 0]))
+    loss, grad = cox_loss(np.array([[0.5], [0.1]]), [1.0, 2.0], [0, 0])
     assert loss == 0.0
     assert grad.shape == (2, 1)
     assert not grad.any()
@@ -148,7 +124,7 @@ def test_cox_no_events_flagged_as_zero():
 def test_cox_two_sample_fixture():
     """t=[2,5], d=[1,1], y=[0.8,0.2]: only the first event has a non-trivial
     risk set, giving (log(e^0.8 + e^0.2) - 0.8) / 2."""
-    loss, _ = cox_loss(np.array([0.8, 0.2]), _labels([2.0, 5.0], [1, 1]))
+    loss, _ = cox_loss(np.array([0.8, 0.2]), [2.0, 5.0], [1, 1])
     assert loss == pytest.approx(0.21878, abs=5e-5)
     expect = (math.log(math.exp(0.8) + math.exp(0.2)) - 0.8) / 2.0
     assert loss == pytest.approx(expect, rel=1e-14)
@@ -161,7 +137,7 @@ def test_cox_matches_scalar_oracle_with_ties():
         times = gen.choice([1.0, 2.0, 3.0, 5.0, 8.0], size=n)
         events = gen.integers(0, 2, size=n)
         risks = gen.standard_normal(n)
-        loss, _ = cox_loss(risks, _labels(times, events))
+        loss, _ = cox_loss(risks, times, events)
         expect = oracles.cox_scalar(list(risks), list(times), list(events))
         assert abs(loss - expect) < 1e-12
 
@@ -172,9 +148,9 @@ def test_cox_permutation_invariance():
     times = gen.choice([1.0, 2.0, 4.0], size=8)
     events = gen.integers(0, 2, size=8)
     events[0] = 1
-    loss, grad = cox_loss(risks, _labels(times, events))
+    loss, grad = cox_loss(risks, times, events)
     perm = gen.permutation(8)
-    loss_p, grad_p = cox_loss(risks[perm], _labels(times[perm], events[perm]))
+    loss_p, grad_p = cox_loss(risks[perm], times[perm], events[perm])
     assert loss_p == pytest.approx(loss, rel=1e-13)
     assert np.allclose(grad_p, grad[perm], atol=1e-13)
 
@@ -182,9 +158,10 @@ def test_cox_permutation_invariance():
 def test_cox_shift_invariance():
     gen = np.random.default_rng(92)
     risks = gen.standard_normal(6)
-    labels = _labels([1.0, 3.0, 2.0, 5.0, 4.0, 2.0], [1, 0, 1, 1, 0, 1])
-    loss, grad = cox_loss(risks, labels)
-    loss_s, grad_s = cox_loss(risks + 37.5, labels)
+    times = [1.0, 3.0, 2.0, 5.0, 4.0, 2.0]
+    events = [1, 0, 1, 1, 0, 1]
+    loss, grad = cox_loss(risks, times, events)
+    loss_s, grad_s = cox_loss(risks + 37.5, times, events)
     assert loss_s == pytest.approx(loss, rel=1e-12)
     assert np.allclose(grad_s, grad, atol=1e-12)
 
@@ -199,29 +176,30 @@ def test_cox_gradient_sums_to_zero(seed):
     events = gen.integers(0, 2, size=n)
     if events.sum() == 0:
         events[0] = 1
-    _, grad = cox_loss(risks, _labels(times, events))
+    _, grad = cox_loss(risks, times, events)
     assert abs(float(grad.sum())) < 1e-12
 
 
 def test_cox_gradient_matches_fd():
     gen = np.random.default_rng(93)
     risks = gen.standard_normal(7)
-    labels = _labels(np.round(gen.exponential(2.0, size=7), 1) + 0.1,
-                     [1, 0, 1, 1, 0, 1, 1])
-    _, grad = cox_loss(risks, labels)
-    fd = oracles.fd_array_gradient(lambda v: cox_loss(v, labels)[0], risks)
+    times = np.round(gen.exponential(2.0, size=7), 1) + 0.1
+    events = [1, 0, 1, 1, 0, 1, 1]
+    _, grad = cox_loss(risks, times, events)
+    fd = oracles.fd_array_gradient(lambda v: cox_loss(v, times, events)[0],
+                                   risks)
     assert oracles.rel_err(grad, fd) < 1e-6
 
 
 def test_cox_preserves_column_shape():
     risks = np.array([[0.3], [0.1], [0.5]])
-    _, grad = cox_loss(risks, _labels([1.0, 2.0, 3.0], [1, 1, 0]))
+    _, grad = cox_loss(risks, [1.0, 2.0, 3.0], [1, 1, 0])
     assert grad.shape == (3, 1)
 
 
 def test_cox_length_mismatch():
     with pytest.raises(DataError):
-        cox_loss(np.zeros(3), _labels([1.0, 2.0], [1, 0]))
+        cox_loss(np.zeros(3), [1.0, 2.0], [1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +385,7 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
     cohort, mask = micro_cohort(7)
     net = micro_net(mask, 7)
 
-    def bad_cox(risks, labels):
+    def bad_cox(risks, times, events):
         return math.inf, np.zeros_like(np.asarray(risks, dtype=float))
 
     monkeypatch.setattr("survfuse.training.cox_loss", bad_cox)
@@ -577,12 +555,12 @@ def test_failed_run_leaves_best_unloadable(tmp_path, monkeypatch,
     _scripted_scores(monkeypatch, [0.5, 0.4, 0.3])
     calls = 0
 
-    def cox_fails_in_epoch_1(risks, labels):
+    def cox_fails_in_epoch_1(risks, times, events):
         nonlocal calls
         calls += 1
         if calls > 2:  # 32 samples in batches of 8: 2 survival steps an epoch
             return math.inf, np.zeros_like(np.asarray(risks, dtype=float))
-        return cox_loss(risks, labels)
+        return cox_loss(risks, times, events)
 
     monkeypatch.setattr("survfuse.training.cox_loss", cox_fails_in_epoch_1)
     with pytest.raises(NumericError, match="epoch 1"):
