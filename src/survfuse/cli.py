@@ -38,7 +38,7 @@ from .datakit import (
 )
 from .errors import ConfigError, DataError, SurvfuseError
 from .genegraph import (build_adjacency, intersect_features, parse_edge_list,
-                        serialize_graph, write_json)
+                        read_text, serialize_graph, write_json)
 from .netmodel import (HEAD_CHOICES, HEAD_TASKS, VARIANT_INPUTS, VARIANTS,
                        NetworkConfig, assemble, load_checkpoint)
 from .numcore import RngStream
@@ -90,8 +90,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = json.loads(read_text(path, ConfigError))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
         if not isinstance(raw, dict):
@@ -170,11 +169,20 @@ def _require_file(path, what: str) -> Path:
 
 
 def _scored_samples(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Risks, times and events of every clinical row, in clinical order."""
-    row_of, risks = read_risks(_require_file(args.risks, "risks"))
+    """Risks, times and events of every clinical row, in clinical order. The
+    risks file must hold exactly the clinical samples: its first row for
+    another sample is reported first, then the first clinical sample it
+    lacks."""
+    risks_path = _require_file(args.risks, "risks")
+    row_of, risks = read_risks(risks_path)
     table = read_clinical(_require_file(args.clinical, "clinical"))
     rows = [row_of.get(sid) for sid in table.sample_ids]
-    if None in rows:
+    if len(row_of) != len(rows) or None in rows:
+        clinical = set(table.sample_ids)
+        for sid in row_of:
+            if sid not in clinical:
+                raise DataError(f"{risks_path.name}: sample {sid!r} not in "
+                                "clinical table")
         raise DataError(
             f"risks file missing sample {table.sample_ids[rows.index(None)]!r}")
     return risks[rows], table.time, table.event
@@ -300,7 +308,7 @@ def _train_one_rep(cfg: RunConfig, run_cohort, mask, split_set: SplitSet,
     net_config = NetworkConfig(
         variant=cfg.variant,
         heads=cfg.resolved_heads(),
-        gene_dim=len(run_cohort.gene_order) if mask is not None else 0,
+        gene_dim=len(run_cohort.gene_order),
         image_dim=run_cohort.embedding.shape[1] if "image" in inputs else 1000,
         grade_classes=len(DEFAULT_GRADE_NAMES),
         dropout_p=profile.dropout_p)
@@ -393,6 +401,10 @@ def cmd_eval(args) -> int:
     if args.risks is not None:
         if args.model is not None:
             raise ConfigError("--risks bypass and --model are mutually exclusive")
+        for key in ("config", "splits", "rep", "aggregation"):
+            if getattr(args, key) is not None:
+                raise ConfigError(f"eval --{key} is only read with --model; "
+                                  "--risks scores the risks file as given")
         if args.clinical is None:
             raise ConfigError("eval --risks needs --clinical")
     elif args.config is None or args.model is None:
@@ -401,7 +413,7 @@ def cmd_eval(args) -> int:
     if args.risks is not None:
         risks, times, events = _scored_samples(args)
         report = build_metrics(risks=risks, times=times, events=events,
-                               tie_rule=args.tie_rule or "half")
+                               tie_rule=args.tie_rule or RunConfig.tie_rule)
         write_json(args.out, report)
         print(f"wrote metrics for {len(risks)} samples to {args.out}")
         return 0
@@ -410,7 +422,8 @@ def cmd_eval(args) -> int:
     # config, split file and --rep, checkpoint, data.
     cfg = RunConfig.from_file(_require_file(args.config, "run config"))
     cfg = cfg.override(args)
-    split_set = _load_splits(cfg, args.rep)
+    rep = 0 if args.rep is None else args.rep
+    split_set = _load_splits(cfg, rep)
     network = load_checkpoint(Path(args.model))
     for task in HEAD_TASKS[args.require] if args.require else ():
         if task not in HEAD_TASKS[network.config.heads]:
@@ -419,8 +432,8 @@ def cmd_eval(args) -> int:
     keep = network.mask.genes if network.mask is not None else None
     run_cfg = replace(cfg, variant=network.config.variant)
     cohort, _ = _load_run_cohort(run_cfg, keep_genes=keep)
-    split_set = _fit_splits(split_set, [args.rep], cohort, cfg.aggregation)
-    train_ids, test_ids = split_set.repetitions[args.rep]
+    split_set = _fit_splits(split_set, [rep], cohort, cfg.aggregation)
+    train_ids, test_ids = split_set.repetitions[rep]
     cohort = standardize_expression(cohort, train_ids)
     report = evaluate_network(network, cohort, test_ids, cfg.tie_rule,
                               cfg.aggregation)
@@ -449,6 +462,15 @@ def cmd_km(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _add_key_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """``--<key>`` (``-`` for ``_``) for each run.json key, storing under the
+    key with the type and choices ``_CONFIG_TYPES`` and ``_CHOICES`` give."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=_CONFIG_TYPES[key][0],
+                            choices=_CHOICES.get(key))
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -481,32 +503,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--all-reps", action="store_true",
                    help="train every repetition and write an aggregate")
-    p.add_argument("--variant", choices=_CHOICES["variant"])
-    p.add_argument("--schedule", choices=_CHOICES["schedule"])
-    p.add_argument("--heads", choices=_CHOICES["heads"])
-    p.add_argument("--preset", choices=_CHOICES["preset"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--splits")
-    p.add_argument("--out")
+    _add_key_flags(p, "variant", "schedule", "heads", "preset", "epochs", "lr",
+                   "weight_decay", "batch", "dropout", "seed", "splits", "out")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
     p.add_argument("--config", help="JSON run config (for data paths)")
     p.add_argument("--model", help="checkpoint directory")
-    p.add_argument("--rep", type=int, default=0)
+    p.add_argument("--rep", type=int)
     p.add_argument("--out", required=True, help="metrics JSON output")
     p.add_argument("--risks",
                    help="bypass: score a sample_id,risk CSV instead of a model")
     p.add_argument("--clinical", help="clinical CSV (with --risks)")
-    p.add_argument("--splits")
-    p.add_argument("--tie-rule", choices=_CHOICES["tie_rule"], dest="tie_rule")
-    p.add_argument("--aggregation", choices=_CHOICES["aggregation"])
+    _add_key_flags(p, "splits", "tie_rule", "aggregation")
     p.add_argument("--require", choices=_CHOICES["heads"],
                    help="fail unless the model carries these heads")
     p.set_defaults(func=cmd_eval)

@@ -65,8 +65,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .genegraph import (GeneGraph, canonical_pairs, file_sha256, text_lines,
-                        write_json)
+from .genegraph import (GeneGraph, canonical_pairs, file_sha256, read_text,
+                        text_lines, write_json)
 from .numcore import RngStream
 
 # Fixed stream ids so different random purposes never share a sequence.
@@ -648,8 +648,7 @@ class SplitSet:
     @classmethod
     def load(cls, path) -> "SplitSet":
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
+            payload = json.loads(read_text(path, DataError))
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON in split file {path}: {exc}") from None
 

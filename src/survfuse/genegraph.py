@@ -98,6 +98,18 @@ def text_lines(path, error):
     raise error(f"{Path(path).name}:{len(lines)}: not UTF-8 text")
 
 
+def read_text(path, error) -> str:
+    """The text of ``path``, every line ending made LF; a byte that is not
+    UTF-8 raises ``error`` (an exception class) naming its line, as in
+    ``text_lines``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        for _ in text_lines(path, error):
+            pass
+        raise
+
+
 def file_sha256(path) -> str:
     """The sha256 of the bytes of the file at ``path``."""
     digest = hashlib.sha256()

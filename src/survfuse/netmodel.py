@@ -40,7 +40,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, UsageError
-from .genegraph import AdjacencyMask, file_sha256
+from .genegraph import AdjacencyMask, file_sha256, read_text
 from .numcore import (
     _ADAM_CHUNK,
     Array,
@@ -411,7 +411,8 @@ class Network:
                 mode: str = "eval", rng: RngStream | None = None,
                 key: tuple[int, ...] = ()) -> ForwardTrace:
         """Full forward pass; in train mode ``rng``/``key`` seed the dropout
-        draws so a repeated call with the same key is bit-identical."""
+        draws so a repeated call with the same key is bit-identical. An
+        input the variant does not read is skipped, whatever its shape."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         cfg = self.config
@@ -642,7 +643,7 @@ def _read_checksums(path: Path) -> dict[str, str]:
     if not checksum_file.is_file():
         raise DataError(f"missing {_CHECKSUM_NAME} in {path}")
     digests: dict[str, str] = {}
-    lines = checksum_file.read_text(encoding="utf-8").splitlines()
+    lines = read_text(checksum_file, DataError).splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

@@ -210,17 +210,6 @@ class TrainingHistory:
 # Training loop
 # ---------------------------------------------------------------------------
 
-# The cohort matrix each network input reads.
-_INPUT_MATRICES = (("gene", "expression"), ("image", "embedding"))
-
-
-def _input_sources(network: Network, cohort):
-    """The cohort's own (gene, image) matrices, None for an input the
-    variant does not read."""
-    return [getattr(cohort, matrix) if name in network.config.inputs else None
-            for name, matrix in _INPUT_MATRICES]
-
-
 def patient_groups(cohort, ids) -> list[list[int]]:
     """Positions in ``ids`` of each patient's samples, patients in the order
     they first appear. A patient's samples must share their survival labels;
@@ -242,12 +231,11 @@ def evaluate_network(network: Network, cohort, ids, tie_rule: str = "half",
     """The ``build_metrics`` report of ``network`` on ``ids`` for each head
     it carries; under patient ``aggregation`` the survival block scores each
     patient's median risk. train's epoch scores and eval's metrics both
-    come from here. The network reads the rows of ``ids`` from the cohort
-    matrices its variant takes; a matrix it does not take may be n x 0."""
+    come from here. Both cohort matrices are gathered at the rows of ``ids``;
+    ``Network.forward`` skips the one the variant does not read."""
     rows = cohort.rows(ids)
-    gene_x, image_x = (None if m is None else m[rows]
-                       for m in _input_sources(network, cohort))
-    outputs = network.predict(gene_x=gene_x, image_x=image_x)
+    outputs = network.predict(gene_x=cohort.expression[rows],
+                              image_x=cohort.embedding[rows])
     kwargs: dict = {}
     if "survival" in outputs:
         risks = outputs["survival"].reshape(-1)
@@ -271,12 +259,12 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     """Run the batched loop and return the trained network plus history.
 
     Each epoch reshuffles the training ids with an epoch-keyed stream and
-    walks them in batches (last one may be short), each gathered from the
-    cohort matrices the variant takes by the ids' rows. Per iteration: forward
-    with live dropout, the scheduled loss(es), backprop, and one Adam step
-    with decoupled weight decay at the linearly decayed epoch rate. A
-    survival-only iteration whose batch has no observed events records a
-    zero loss and skips the parameter update.
+    walks them in batches (last one may be short), each gathered from both
+    cohort matrices by the ids' rows; forward skips the one the variant
+    does not read. Per iteration: forward with live dropout, the scheduled
+    loss(es), backprop, and one Adam step with decoupled weight decay at
+    the linearly decayed epoch rate. A survival-only iteration whose batch
+    has no observed events records a zero loss and skips the update.
 
     With ``eval_ids`` set, every epoch ends with ``evaluate_network`` on
     them, under ``tie_rule`` and ``aggregation``, and its report is kept in
@@ -300,7 +288,6 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     # Each batch is gathered from the cohort's matrices; no copy of the
     # training rows is made.
     rows = cohort.rows(train_ids)
-    gene_x, image_x = _input_sources(network, cohort)
     times, events = cohort.time[rows], cohort.event[rows]
     grades = cohort.grade[rows] if "grade" in tasks_needed else None
 
@@ -324,8 +311,8 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
             c += 1
             tasks = select_task(c, profile.schedule)
             trace = network.forward(
-                gene_x=None if gene_x is None else gene_x[batch],
-                image_x=None if image_x is None else image_x[batch],
+                gene_x=cohort.expression[batch],
+                image_x=cohort.embedding[batch],
                 mode="train", rng=dropout_stream, key=(c,))
             total = 0.0
             d_survival = None

@@ -458,6 +458,10 @@ def test_unknown_model_choice_in_config_exits_2_before_reading_data(
      ("alternate", "joint-add", "survival-only", "grade-only")),
     (["train", "run.json", "--heads"], ("survival", "grade", "both")),
     (["eval", "--out", "m.json", "--require"], ("survival", "grade", "both")),
+    (["train", "run.json", "--preset"],
+     ("mmmt-default", "smst-gene", "smst-image")),
+    (["eval", "--out", "m.json", "--tie-rule"], ("half", "strict")),
+    (["eval", "--out", "m.json", "--aggregation"], ("sample", "patient")),
 ])
 def test_choice_flags_list_every_table_key(capsys, argv, choices):
     with pytest.raises(SystemExit) as exc:
@@ -465,6 +469,17 @@ def test_choice_flags_list_every_table_key(capsys, argv, choices):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert all(choice in err for choice in choices)
+
+
+@pytest.mark.parametrize("flag, value, type_name", [
+    ("--epochs", "1.5", "int"), ("--lr", "abc", "float")])
+def test_number_flags_take_their_config_type(capsys, flag, value, type_name):
+    """A key flag parses its value as the key's JSON type."""
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "run.json", flag, value])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: invalid {type_name} value: {value!r}"
+            in capsys.readouterr().err)
 
 
 def test_train_rep_out_of_range_exits_2(data_dir, splits_file, tmp_path):
@@ -711,6 +726,46 @@ def test_eval_risks_and_model_conflict(trained, tmp_path):
     rc = main(["eval", "--risks", str(tmp_path / "r.csv"),
                "--model", "somewhere", "--out", str(tmp_path / "m.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--config", "nope.json"), ("--splits", "nope.json"), ("--rep", "7"),
+    ("--aggregation", "patient")])
+def test_eval_risks_refuses_the_model_flags(tmp_path, capsys, flag, value):
+    """Only a model is scored with a run config, a split file, a repetition
+    and an aggregation; --risks refuses each before it reads any input."""
+    out = tmp_path / "m.json"
+    rc = main(["eval", "--risks", str(tmp_path / "absent.csv"),
+               "--clinical", str(tmp_path / "absent.csv"), flag, value,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: eval {flag} is only read with --model; --risks scores the "
+        "risks file as given\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "km"])
+@pytest.mark.parametrize("drop_last", [False, True],
+                         ids=["extra-row", "extra-and-missing"])
+def test_risk_row_for_an_unknown_sample_exits_1(data_dir, tmp_path, capsys,
+                                                command, drop_last):
+    """A risks row for a sample the clinical table lacks is an error, as an
+    expression row is, and is reported before a clinical sample the file
+    lacks."""
+    clinical = read_rows(data_dir / "clinical.csv")[1:]
+    kept = clinical[:-1] if drop_last else clinical
+    risks = tmp_path / "risks.csv"
+    risks.write_text("sample_id,risk\n" + "".join(
+        f"{row[0]},{i}\n" for i, row in enumerate(kept))
+        + "NOT-A-SAMPLE,0.5\n")
+    out = tmp_path / "out.csv"
+    rc = main([command, "--risks", str(risks), "--clinical",
+               str(data_dir / "clinical.csv"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: risks.csv: sample 'NOT-A-SAMPLE' not in clinical table\n")
+    assert not out.exists()
 
 
 def test_eval_missing_sample_in_risks_exits_1(data_dir, tmp_path, capsys):
@@ -1243,6 +1298,35 @@ def test_non_utf8_edge_list_names_file_and_line(data_dir, splits_file,
                           tmp_path / "out", edge_list=str(edges))
     assert main(["train", str(config)]) == 1
     assert "error: edges.tsv:4: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, code", [
+    ("train", "run.json", 2), ("eval", "run.json", 2),
+    ("train", "splits.json", 1), ("eval", "splits.json", 1),
+    ("eval", "checksums.txt", 1)])
+def test_non_utf8_json_and_checksums_name_file_and_line(
+        trained, data_dir, splits_file, tmp_path, capsys, command, name,
+        code):
+    """run.json is a configuration file (exit 2, like its invalid JSON); the
+    split file and a checkpoint's checksums.txt are data (exit 1)."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained["out"] / "rep00" / "final", ckpt)
+    splits = tmp_path / "splits.json"
+    shutil.copy(splits_file, splits)
+    config = write_config(tmp_path / "run.json", data_dir, splits,
+                          tmp_path / "out")
+    path = {"run.json": config, "splits.json": splits,
+            "checksums.txt": ckpt / "checksums.txt"}[name]
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "m.json"
+    args = ["train", str(config), "--rep", "0"] if command == "train" else [
+        "eval", "--config", str(config), "--model", str(ckpt),
+        "--out", str(out)]
+    assert main(args) == code
+    assert capsys.readouterr().err == f"error: {name}:2: not UTF-8 text\n"
+    assert not (tmp_path / "out").exists() and not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["clinical", "expression", "embeddings",
