@@ -703,7 +703,15 @@ def load_checkpoint(path) -> Network:
     """
     path = Path(path)
     digests = _read_checksums(path)
-    manifest = json.loads(_read(path, _MANIFEST_NAME, digests))
+    data = _read(path, _MANIFEST_NAME, digests)
+    try:
+        manifest = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        read_text(path / _MANIFEST_NAME, DataError)  # names the bad line
+        raise
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON in {path / _MANIFEST_NAME}: "
+                        f"{exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
         raise DataError(f"{path}: not a checkpoint directory")
     if manifest.get("version") != _VERSION:

@@ -17,6 +17,7 @@ the damaged file.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -265,6 +266,23 @@ def _damage(work, damage):
         path.write_bytes(_join(lines))
         return (_commands(name), {1},
                 f"checksums.txt:{index + 1}: malformed checksum line", None)
+    if kind == "resigned":
+        # The file is cut short or given a non-UTF-8 byte, and its
+        # checksums.txt line rewritten to match, so only its parse fails.
+        how, = args
+        at = len(data) // 2
+        data = data[:at] if how == "cut" else data[:at] + b"\xff" + data[at:]
+        path.write_bytes(data)
+        listed = f"  {Path(name).name}"
+        checksums = work / "model" / "checksums.txt"
+        checksums.write_bytes(_join([
+            hashlib.sha256(data).hexdigest() + listed
+            if line.endswith(listed) else line
+            for line in _lines(checksums.read_bytes())]))
+        line = data[:at].count(b"\n") + 1
+        message = (f"invalid JSON in {name}" if how == "cut" else
+                   f"{Path(name).name}:{line}: not UTF-8 text")
+        return _commands(name), {1}, message, None
     if kind == "flip":
         at, bit = args
         pos = at % len(data)
@@ -287,6 +305,8 @@ def _commands(name):
 @example(damage=("not-utf8", "run.json", 100))
 @example(damage=("not-utf8", "splits.json", 100))
 @example(damage=("not-utf8", "model/checksums.txt", 100))
+@example(damage=("resigned", "model/manifest.json", "cut"))
+@example(damage=("resigned", "model/manifest.json", "not-utf8"))
 def test_damaged_input_fails_cleanly_naming_the_file(base, damage):
     root, cold = base
     keep_cache = damage[0] == "cache"

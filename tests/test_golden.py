@@ -1,8 +1,9 @@
-"""The bytes of a set of tiny runs, against the digests in golden.json.
+"""The bytes of a set of tiny runs, against the fast tier's digests in
+golden.json.
 
 ``tools/golden.py`` makes the runs and prints their digests; a change that
 moves a byte on purpose rewrites golden.json with ``tools/golden.py
---write`` and says why.
+--write`` (and ``--full --write`` for the full tier) and says why.
 """
 
 import importlib.util
@@ -33,10 +34,21 @@ def test_tiny_runs_write_the_golden_bytes():
     stored = json.loads(_GOLDEN.read_text())
     if found["envelope"] not in stored:
         pytest.skip(f"golden.json holds no digests for {found['envelope']}")
-    expect = stored[found["envelope"]]
+    expect = stored[found["envelope"]]["fast"]
     moved = sorted(key for key in expect.keys() | found["digests"].keys()
                    if expect.get(key) != found["digests"].get(key))
     assert not moved, f"bytes moved in {', '.join(moved)}"
+
+
+def test_against_needs_a_tree_with_survfuse(tmp_path):
+    """--full --against DIR is bad usage, exit 2, where DIR/src holds no
+    survfuse package, and says so before running anything."""
+    done = subprocess.run([sys.executable, str(_TOOL), "--full", "--against",
+                           str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert f"no survfuse package under {tmp_path}" in done.stderr
+    assert not done.stdout
 
 
 def test_suite_runs_at_one_blas_thread():
