@@ -9,8 +9,9 @@ metrics) plus a deterministic synthetic-cohort generator and CLI.
 Importing the package loads nothing else. It pins OpenBLAS to one thread
 unless ``OPENBLAS_NUM_THREADS`` is already set: a threaded BLAS sums in a
 different order, so a run's bytes would depend on the machine's core count.
-The pin only takes effect when the package is imported before numpy, as the
-``survfuse`` command and ``python -m survfuse`` do.
+That pin only takes effect when the package is imported before numpy;
+``training.train`` and ``evaluate_network`` also pin numpy's bundled
+OpenBLAS themselves (``numcore.one_blas_thread``).
 """
 
 import os

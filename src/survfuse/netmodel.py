@@ -19,9 +19,9 @@ Variants (``VARIANT_LAYOUT`` holds these rules):
 Dropout follows the activation: SELU layers use the self-normalizing
 variant, others use standard inverted dropout; heads carry none.
 
-A checkpoint (format version 2) stores ``Network.param_vector`` as one
+A checkpoint (format version 3) stores ``Network.param_vector`` as one
 ``params.bin``; each of its files is written or read once and hashed once.
-Version 1 checkpoints are rejected.
+Checkpoints of any other version are rejected.
 """
 
 from __future__ import annotations
@@ -211,7 +211,6 @@ class NetworkConfig:
     gene_branch_dim: int = 1000
     trunk_dims: tuple[int, ...] | None = None
     head_hidden_dim: int = 16
-    trunk_activation: str | None = None
     dropout_p: float = 0.25
 
     def __post_init__(self):
@@ -355,7 +354,6 @@ class Network:
         # width, activation, dropout). The trunk input is the image columns,
         # then the gene branch output.
         inputs, compress, trunk_dims, trunk_act = VARIANT_LAYOUT[config.variant]
-        trunk_act = config.trunk_activation or trunk_act
         p_drop = config.dropout_p
         specs = []
         width = config.image_dim if "image" in inputs else 0
@@ -550,7 +548,7 @@ def _uniform_into(out: Array, low: float, high: float, gen) -> None:
 # ---------------------------------------------------------------------------
 
 _FORMAT = "survfuse-checkpoint"
-_VERSION = 2
+_VERSION = 3
 _MANIFEST_NAME = "manifest.json"
 _CHECKSUM_NAME = "checksums.txt"
 _PARAMS_NAME = "params.bin"
@@ -593,7 +591,7 @@ def save_params(network: Network, path) -> None:
 
 def save_checkpoint(network: Network, path, params_sha256: str | None = None,
                     params_saved: bool = False) -> str:
-    """Write a version-2 checkpoint directory and return the sha256 of its
+    """Write a version-3 checkpoint directory and return the sha256 of its
     ``params.bin``: ``manifest.json`` (config, seed, genes, and each
     parameter's name, shape and float64 offset), ``params.bin``
     (``param_vector`` as little-endian float64), ``mask.bin`` (gene branch
@@ -693,7 +691,7 @@ def _read_mask(data: bytes, genes: tuple[str, ...]) -> AdjacencyMask:
 
 
 def load_checkpoint(path) -> Network:
-    """Rebuild a network from a version-2 checkpoint directory, bit for bit.
+    """Rebuild a network from a version-3 checkpoint directory, bit for bit.
 
     The manifest's checksum is checked before anything in it is used.
     ``checksums.txt`` must list exactly the format's files, and the

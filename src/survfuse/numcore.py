@@ -1,4 +1,5 @@
-"""Float64 matrix primitives: activations, layer gradients, Adam, RNG streams.
+"""Float64 matrix primitives: activations, layer gradients, Adam, RNG streams,
+and the pin of numpy's BLAS to one thread.
 
 Activations, dropout and the dense-layer forward and backward are pure
 functions of their arguments (plus an explicit random generator where
@@ -7,15 +8,21 @@ randomness is involved) and write into no array they are given.
 ``FactoredGradient`` over its arguments. An
 ``AdamState`` is built for one parameter mapping and must be stepped with
 it; ``adam_step`` updates parameters and moments in place, so one state
-must not be shared between concurrent updates. All arrays are C-contiguous
-float64; mixed inputs are coerced on entry.
+must not be shared between concurrent updates. It folds the bias
+corrections into two scalars per step, in Kingma and Ba's efficient order,
+so each element takes one square root and one division. All arrays are
+C-contiguous float64; mixed inputs are coerced on entry.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -55,6 +62,58 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
+@functools.cache
+def _openblas() -> Mapping[str, object]:
+    """The typed ctypes calls of numpy's bundled OpenBLAS (scipy-openblas)
+    used here, by short name; none where numpy has no such library."""
+    root = Path(np.__file__).resolve().parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        calls = {}
+        for short, restype, argtypes in (
+                ("get_corename", ctypes.c_char_p, []),
+                ("get_num_threads", ctypes.c_int, []),
+                ("set_num_threads", None, [ctypes.c_int])):
+            call = getattr(lib, f"scipy_openblas_{short}64_", None)
+            if call is not None:
+                call.restype, call.argtypes = restype, argtypes
+                calls[short] = call
+        return MappingProxyType(calls)
+    return MappingProxyType({})
+
+
+def openblas_info() -> tuple[str, str]:
+    """The core name and thread count of numpy's bundled OpenBLAS, each
+    "unknown" where numpy has no such library or it lacks the call."""
+    calls = _openblas()
+    core, count = calls.get("get_corename"), calls.get("get_num_threads")
+    return (core().decode() if core is not None else "unknown",
+            str(count()) if count is not None else "unknown")
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body (or, as a decorator, the function) with numpy's bundled
+    OpenBLAS at one thread, whatever imported numpy first, then restore the
+    process-wide count it had. A threaded BLAS sums in another order, so a
+    run's bytes would depend on the core count. Without these calls,
+    ``OPENBLAS_NUM_THREADS`` is the only pin."""
+    calls = _openblas()
+    if "get_num_threads" not in calls or "set_num_threads" not in calls:
+        yield
+        return
+    count = calls["get_num_threads"]()
+    calls["set_num_threads"](1)
+    try:
+        yield
+    finally:
+        calls["set_num_threads"](count)
+
+
 def as_matrix(values) -> Array:
     """Coerce to a C-ordered float64 2-D array."""
     a = np.ascontiguousarray(values, dtype=np.float64)
@@ -85,8 +144,6 @@ def _log_softmax_rows(x: Array) -> Array:
 def activation(x: Array, kind: str) -> Array:
     """Apply an element-wise (or per-row, for log_softmax_rows) transform."""
     x = as_matrix(x)
-    if kind == "linear":
-        return x.copy()
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "selu":
@@ -109,8 +166,6 @@ def activation_backward(kind: str, upstream: Array, out: Array) -> Array:
     positive input x gives max(x, 0) = x or lambda*x with lambda > 1; any
     other gives zero, NaN or lambda*alpha*expm1(x), none of them > 0.
     """
-    if kind == "linear":
-        return upstream.copy()
     if kind == "relu":
         return upstream * (out > 0)
     if kind == "selu":
@@ -205,9 +260,9 @@ def dense_backward(x: Array, w: Array, upstream_z: Array, dx_start: int = 0
 # Adam with decoupled weight decay
 # ---------------------------------------------------------------------------
 
-# Elements per pass of the in-place update. The sixteen passes over one chunk
+# Elements per pass of the in-place update. The thirteen passes over one chunk
 # of parameter, gradient, moments and scratch then stay in a core's L2 cache
-# instead of streaming the whole model through memory sixteen times. A
+# instead of streaming the whole model through memory thirteen times. A
 # factored gradient is expanded into scratch in blocks of whole rows of about
 # this many elements (see _blocks), and the masked layer's gradient
 # bounds its gathers by the same count.
@@ -312,12 +367,18 @@ def adam_step(
     ``state.step_count`` change, and ``grads`` is only read. The same
     ``params`` and ``state`` objects are returned. The rate, the weight
     decay and all gradients are checked before anything is written, so a
-    rejected step leaves the parameters and the state as they were. Each
-    element goes through the same floating-point operations in the same
-    order as the out-of-place update, with (b1, b2, eps) =
-    (_BETA1, _BETA2, _EPS): m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    p = p - (rate*(m/bc1) / (sqrt(v/bc2)+eps) + (rate*wd)*p), so the
-    result is bit-identical to it.
+    rejected step leaves the parameters and the state as they were.
+
+    The order is Kingma and Ba's efficient one (Adam, arXiv:1412.6980, end
+    of section 2), with the decay first as one multiply, as in AdamW
+    (Loshchilov and Hutter, arXiv:1711.05101, Algorithm 2). With (b1, b2,
+    eps) = (_BETA1, _BETA2, _EPS) and, per step, the scalars root =
+    sqrt(1-b2**t), step = rate*root/(1-b1**t) and eps_hat = eps*root, each
+    element takes p = p*(1 - rate*wd) (only when wd is set), m = b1*m +
+    (1-b1)*g, v = b2*v + ((1-b2)*g)*g, then p = p - (m/(sqrt(v)+eps_hat))
+    *step: one square root and one division. In exact arithmetic that is
+    p - rate*m_hat/(sqrt(v_hat)+eps) - rate*wd*p, with m_hat and v_hat the
+    bias-corrected moments; only the rounding differs.
     """
     # NaN compares False with everything, so finiteness is checked first.
     if not math.isfinite(rate) or rate <= 0:
@@ -344,9 +405,10 @@ def adam_step(
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
 
     t = state.step_count + 1
-    bc1 = 1.0 - _BETA1 ** t
-    bc2 = 1.0 - _BETA2 ** t
-    decay = rate * weight_decay
+    root = math.sqrt(1.0 - _BETA2 ** t)
+    step = rate * root / (1.0 - _BETA1 ** t)
+    eps_hat = _EPS * root
+    keep = 1.0 - rate * weight_decay
     for name, _, offset, blocks in state.plan:
         g_all, p_all = grads[name], params[name].reshape(-1)
         m_all, v_all = state.m[offset:], state.v[offset:]
@@ -354,6 +416,8 @@ def adam_step(
             g = _gradient_block(g_all, lo, hi, r0, r1, state.work[2])
             p, m, v = p_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
             a, b = state.work[0, :hi - lo], state.work[1, :hi - lo]
+            if weight_decay:
+                np.multiply(p, keep, out=p)
             np.multiply(m, _BETA1, out=m)
             np.multiply(g, 1.0 - _BETA1, out=a)
             np.add(m, a, out=m)
@@ -361,15 +425,10 @@ def adam_step(
             np.multiply(g, 1.0 - _BETA2, out=a)
             np.multiply(a, g, out=a)
             np.add(v, a, out=v)
-            np.divide(v, bc2, out=a)
-            np.sqrt(a, out=a)
-            np.add(a, _EPS, out=a)
-            np.divide(m, bc1, out=b)
-            np.multiply(b, rate, out=b)
-            np.divide(b, a, out=b)
-            if weight_decay:
-                np.multiply(p, decay, out=a)
-                np.add(b, a, out=b)
+            np.sqrt(v, out=a)
+            np.add(a, eps_hat, out=a)
+            np.divide(m, a, out=b)
+            np.multiply(b, step, out=b)
             np.subtract(p, b, out=p)
     state.step_count = t
     return params, state

@@ -18,8 +18,8 @@ import numpy as np
 from .datakit import DEFAULT_GRADE_NAMES
 from .errors import ConfigError, DataError, NumericError
 from .netmodel import HEAD_TASKS, Network, save_checkpoint, save_params
-from .numcore import AdamState, RngStream, adam_step
-# c_index is unused here; perfbench/shim.py rebinds it until ROADMAP item 7.
+from .numcore import AdamState, RngStream, adam_step, one_blas_thread
+# c_index is unused here; perfbench/shim.py rebinds it until ROADMAP item 6.
 from .surveval import build_metrics, c_index  # noqa: F401
 
 # Which tasks each schedule trains (alternate takes them in turn).
@@ -226,13 +226,15 @@ def patient_groups(cohort, ids) -> list[list[int]]:
     return list(by_patient.values())
 
 
+@one_blas_thread()
 def evaluate_network(network: Network, cohort, ids, tie_rule: str = "half",
                      aggregation: str = "sample") -> dict:
     """The ``build_metrics`` report of ``network`` on ``ids`` for each head
     it carries; under patient ``aggregation`` the survival block scores each
     patient's median risk. train's epoch scores and eval's metrics both
     come from here. Both cohort matrices are gathered at the rows of ``ids``;
-    ``Network.forward`` skips the one the variant does not read."""
+    ``Network.forward`` skips the one the variant does not read. It runs at
+    one BLAS thread."""
     rows = cohort.rows(ids)
     outputs = network.predict(gene_x=cohort.expression[rows],
                               image_x=cohort.embedding[rows])
@@ -253,6 +255,7 @@ def evaluate_network(network: Network, cohort, ids, tie_rule: str = "half",
     return build_metrics(tie_rule=tie_rule, **kwargs)
 
 
+@one_blas_thread()
 def train(network: Network, cohort, train_ids, profile: TrainingProfile,
           eval_ids=None, out_dir=None, *, tie_rule: str = "half",
           aggregation: str = "sample") -> tuple[Network, TrainingHistory]:
@@ -278,7 +281,8 @@ def train(network: Network, cohort, train_ids, profile: TrainingProfile,
     that improves the score, unless it is the last, writes them to
     best/params.bin at once, and makes best/ unloadable until the run
     completes it after final/. Without ``out_dir`` nothing is kept. The
-    whole run is bit-reproducible from (profile, cohort, split).
+    whole run is bit-reproducible from (profile, cohort, split), at one
+    BLAS thread whatever imported numpy first.
     """
     tasks_needed = check_heads(profile.schedule, network.config.heads)
 

@@ -446,21 +446,25 @@ def adam_scalar(p, g, m, v, t, rate, wd=0.0, b1=0.9, b2=0.999, eps=1e-8):
 
 def adam_arrays(params, grads, moments, t, rate, wd=0.0, b1=0.9, b2=0.999,
                 eps=1e-8):
-    """The out-of-place array Adam update with decoupled weight decay, written
-    as the textbook formula: returns fresh (params, moments) dicts, where
-    moments maps each name to its (m, v) pair. Inputs are left untouched."""
+    """The out-of-place array Adam update with decoupled weight decay, in
+    Kingma and Ba's efficient order (arXiv:1412.6980, end of section 2):
+    the decay first as p*(1 - rate*wd), then p - step*m/(sqrt(v) + eps_hat)
+    with step = rate*sqrt(1-b2**t)/(1-b1**t) and eps_hat = eps*sqrt(1-b2**t).
+    Returns fresh (params, moments) dicts, where moments maps each name to its
+    (m, v) pair. Inputs are left untouched. ``adam_scalar`` is the textbook
+    formula that this order equals in exact arithmetic."""
+    root = math.sqrt(1.0 - b2 ** t)
+    step = rate * root / (1.0 - b1 ** t)
+    eps_hat = eps * root
     new_params, new_moments = {}, {}
     for name, p in params.items():
         g = grads[name]
         m, v = moments[name]
+        if wd:
+            p = p * (1.0 - rate * wd)
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        step = rate * m_hat / (np.sqrt(v_hat) + eps)
-        if wd:
-            step = step + rate * wd * p
-        new_params[name] = p - step
+        new_params[name] = p - m / (np.sqrt(v) + eps_hat) * step
         new_moments[name] = (m, v)
     return new_params, new_moments
 

@@ -1405,30 +1405,55 @@ def test_import_loads_nothing_and_keeps_an_explicit_thread_count():
         assert json.loads(done.stdout) == [False, expect]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="on one core OpenBLAS runs one thread whether or "
-                           "not survfuse pins it, so this cannot fail")
+def _wide_train(tmp_path, tag, code, threads):
+    """history.csv and final/params.bin of a one-epoch fused train on 80
+    patients with 1000-dim embeddings, wide enough for OpenBLAS to thread,
+    run into out-TAG in a child as ``python`` ``code`` ``train CONFIG`` under
+    the thread variables ``threads``."""
+    data, splits = tmp_path / "data", tmp_path / "splits.json"
+    if not data.exists():
+        assert main(["synth", "--patients", "80", "--genes", "30", "--seed",
+                     "3", "--embedding-dim", "1000", "--out", str(data)]) == 0
+        assert main(["splits", "--clinical", str(data / "clinical.csv"),
+                     "--reps", "1", "--out", str(splits)]) == 0
+    out = tmp_path / f"out-{tag}"
+    config = write_config(tmp_path / "run.json", data, splits, out, epochs=1,
+                          dropout=None, lr=None, batch=None)
+    done = subprocess.run([sys.executable, *code, "train", str(config)],
+                          env=_env(**threads), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return [(out / "rep00" / name).read_bytes()
+            for name in ("history.csv", "final/params.bin")]
+
+
+_CLI = ("-m", "survfuse")
+_SKIP_ONE_CORE = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="on one core OpenBLAS runs one thread "
+                                      "whether or not survfuse pins it, so "
+                                      "this cannot fail")
+
+
+@_SKIP_ONE_CORE
 def test_train_bytes_do_not_depend_on_the_blas_thread_default(tmp_path):
-    """A fused run wide enough for OpenBLAS to thread writes the same
-    history and parameters with the thread count unset as with it at 1."""
-    data = tmp_path / "data"
-    assert main(["synth", "--patients", "80", "--genes", "30", "--seed", "3",
-                 "--embedding-dim", "1000", "--out", str(data)]) == 0
-    splits = tmp_path / "splits.json"
-    assert main(["splits", "--clinical", str(data / "clinical.csv"),
-                 "--reps", "1", "--out", str(splits)]) == 0
-    outputs = []
-    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
-        out = tmp_path / f"out{len(outputs)}"
-        config = write_config(tmp_path / "run.json", data, splits, out,
-                              epochs=1, dropout=None, lr=None, batch=None)
-        done = subprocess.run(
-            [sys.executable, "-m", "survfuse", "train", str(config)],
-            env=_env(**threads), capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        outputs.append([(out / "rep00" / name).read_bytes() for name in
-                        ("history.csv", "final/params.bin")])
-    assert outputs[0] == outputs[1]
+    """A fused run writes the same history and parameters with the thread
+    count unset as with it at 1."""
+    assert _wide_train(tmp_path, "unset", _CLI, {}) == _wide_train(
+        tmp_path, "one", _CLI, {"OPENBLAS_NUM_THREADS": "1"})
+
+
+@_SKIP_ONE_CORE
+def test_train_bytes_do_not_depend_on_what_imports_numpy_first(tmp_path):
+    """A caller that imports numpy before survfuse, with the thread count
+    unset, loads OpenBLAS threaded; ``cli.main(["train", ...])`` must still
+    write the bytes of ``python -m survfuse train``, because train pins one
+    thread itself. It can fail only on a machine with more than one usable
+    CPU; there, without that pin, it does."""
+    numpy_first = ("-c", "import sys, numpy\n"
+                         "from survfuse.cli import main\n"
+                         "sys.exit(main(sys.argv[1:]))")
+    assert _wide_train(tmp_path, "numpy-first", numpy_first, {}) == \
+        _wide_train(tmp_path, "cli", _CLI, {})
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,11 @@ def scatter_dense(mask, values, junk=None):
     return dense
 
 
-def fused_around(mask, values, compress_w, compress_b=None,
-                 activations=("selu", "selu"), image_dim=3, seed=0):
+def fused_around(mask, values, compress_w, compress_b=None, image_dim=3,
+                 seed=0):
     """An assembled fused dual-head network whose gene branch holds
     ``values`` in gene.masked and ``compress_w``/``compress_b`` (default
-    zero) in gene.compress, with ``activations`` on those two layers; the
-    rest is initialized from ``seed``."""
+    zero) in gene.compress; the rest is initialized from ``seed``."""
     cfg = NetworkConfig(variant="fused", heads="both", gene_dim=mask.dim,
                         image_dim=image_dim, gene_branch_dim=compress_w.shape[1],
                         trunk_dims=(6, 4), head_hidden_dim=3, dropout_p=0.0)
@@ -67,8 +66,6 @@ def fused_around(mask, values, compress_w, compress_b=None,
     set_params(net, {**net.params(), "gene.masked.values": values,
                      "gene.compress.w": compress_w,
                      "gene.compress.b": compress_b})
-    for layer, act in zip(net.all_layers(), activations):
-        layer.activation = act
     return net
 
 
@@ -86,27 +83,24 @@ def gene_branch_output(net, gene_x, image_x=None):
 # ---------------------------------------------------------------------------
 
 
-def test_identity_mask_linear_layer_is_identity():
+def masked_layer(mask, values):
+    return MaskedSparseLayer(name="gene.masked", mask=mask, weights=values)
+
+
+def test_identity_mask_layer_product_is_identity():
     genes = ("a", "b", "c", "d")
     mask = build_adjacency(graph_of(genes))
-    linear = ("linear", "linear")
-    net = fused_around(mask, masked_from_dense(mask, np.eye(4)), np.eye(4),
-                       activations=linear)
     x = np.random.default_rng(0).standard_normal((3, 4))
-    out, _ = gene_branch_output(net, x)
-    assert np.array_equal(out, x)
+    layer = masked_layer(mask, masked_from_dense(mask, np.eye(4)))
+    assert np.array_equal(layer.product(x), x)
     # A o W with W all ones is the adjacency itself, and with W all zeros
-    # the layer is zero.
+    # the product is zero.
     mask = random_mask(6, seed=3)
     x = np.random.default_rng(1).standard_normal((3, 6))
-    ones = fused_around(mask, masked_from_dense(mask, np.ones((6, 6))),
-                        np.eye(6), activations=linear)
-    out, _ = gene_branch_output(ones, x)
+    out = masked_layer(mask, masked_from_dense(mask, np.ones((6, 6)))).product(x)
     dense_mask = oracles.mask_dense(mask)
     assert np.max(np.abs(out - oracles.matmul_loops(x, dense_mask))) < 1e-12
-    zeros = fused_around(mask, masked_from_dense(mask, np.zeros((6, 6))),
-                         np.eye(6), activations=linear)
-    out, _ = gene_branch_output(zeros, x)
+    out = masked_layer(mask, masked_from_dense(mask, np.zeros((6, 6)))).product(x)
     assert not out.any()
 
 
@@ -138,13 +132,12 @@ def test_from_dense_discards_off_mask_junk():
     assert np.array_equal(values, junked)
     x = gen.standard_normal((5, 8))
     image_x = gen.standard_normal((5, 3))
-    activations = ("selu", "linear")
+    assert np.array_equal(masked_layer(mask, values).product(x),
+                          masked_layer(mask, junked).product(x))
     out_a, trace_a = gene_branch_output(
-        fused_around(mask, values, np.eye(8), activations=activations),
-        x, image_x)
+        fused_around(mask, values, np.eye(8)), x, image_x)
     out_b, trace_b = gene_branch_output(
-        fused_around(mask, junked, np.eye(8), activations=activations),
-        x, image_x)
+        fused_around(mask, junked, np.eye(8)), x, image_x)
     assert np.array_equal(out_a, out_b)
     for head in ("survival", "grade"):
         assert np.array_equal(trace_a.outputs[head], trace_b.outputs[head])
@@ -882,14 +875,14 @@ def test_checkpoint_without_mask_removes_an_earlier_mask(tmp_path):
     assert np.array_equal(load_checkpoint(ckpt).param_vector, net.param_vector)
 
 
-def test_checkpoint_version_2_layout(tmp_path):
+def test_checkpoint_version_3_layout(tmp_path):
     net = randomize_params(micro_network("gene-only", "both", seed=2), seed=3)
     ckpt = tmp_path / "ckpt"
     save_checkpoint(net, ckpt)
     assert sorted(p.name for p in ckpt.iterdir()) == [
         "checksums.txt", "manifest.json", "mask.bin", "params.bin"]
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    assert manifest["version"] == 2
+    assert manifest["version"] == 3
     assert manifest["genes"] == list(net.mask.genes)
     offset = 0
     for entry, (name, value) in zip(manifest["params"], net.params().items(),
@@ -923,7 +916,7 @@ def test_checkpoint_checks_manifest_before_reading_it(tmp_path):
     ckpt = tmp_path / "ckpt"
     save_checkpoint(net, ckpt)
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["version"] = 3
+    manifest["version"] = 4
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="checksum mismatch for manifest.json"):
         load_checkpoint(ckpt)
@@ -988,12 +981,14 @@ def test_checkpoint_rejects_checksum_names_leaving_directory(tmp_path, name):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_checkpoint_rejects_version_1(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_rejects_older_versions(tmp_path, version):
     net = micro_network("gene-only", "survival", seed=1)
     ckpt = tmp_path / "ckpt"
     save_checkpoint(net, ckpt)
-    _edit_manifest(ckpt, lambda m: m.update(version=1))
-    with pytest.raises(DataError, match="^checkpoint version 1 is not supported$"):
+    _edit_manifest(ckpt, lambda m: m.update(version=version))
+    with pytest.raises(DataError, match=f"^checkpoint version {version} is "
+                                        "not supported$"):
         load_checkpoint(ckpt)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from survfuse import numcore
 from survfuse.datakit import synth_gen
 from survfuse.errors import ConfigError, DimensionError, NumericError
 from survfuse.numcore import (
@@ -24,6 +25,8 @@ from survfuse.numcore import (
     dense_backward,
     dense_forward,
     dropout_mask,
+    one_blas_thread,
+    openblas_info,
 )
 from survfuse.training import TrainingProfile, train
 
@@ -136,7 +139,7 @@ def test_activation_backward_matches_fd():
     # slopes differ and central differences average them.
     x = x + 0.2 * np.sign(x)
     upstream = gen.standard_normal((4, 5))
-    for kind in ("linear", "relu", "selu", "sigmoid", "log_softmax_rows"):
+    for kind in ("relu", "selu", "sigmoid", "log_softmax_rows"):
         out = activation(x, kind)
         analytic = activation_backward(kind, upstream, out)
         fd = _fd_activation_gradient(kind, x, upstream)
@@ -341,6 +344,34 @@ def test_adam_matches_array_oracle_bit_for_bit():
         assert np.array_equal(first[k], moments[k][0]), k
         assert np.array_equal(second[k], moments[k][1]), k
     assert state.step_count == 50
+
+
+@pytest.mark.parametrize("t", [1, 2, 10, 300, 5000])
+@pytest.mark.parametrize("weight_decay", [0.0, 4e-4, 0.5])
+def test_adam_step_stays_within_rounding_of_the_textbook_formula(
+        t, weight_decay):
+    """One step at step count ``t``, on gradients of magnitude 1e-6 to 10
+    and moments that such gradients would have built, agrees with the
+    textbook formula of ``oracles.adam_scalar`` per element within
+    1e-13 * (|p| + |rate * m_hat / (sqrt(v_hat) + eps)|). The bound is
+    not relative to the update alone: decay and step can cancel."""
+    gen = np.random.default_rng(t)
+    n, rate = 400, 1e-3
+    scale = 10.0 ** gen.uniform(-6, 1, n)
+    g = scale * gen.standard_normal(n)
+    m = scale * gen.standard_normal(n) * (1 - 0.9 ** (t - 1))
+    v = scale ** 2 * gen.chisquare(1, n) * (1 - 0.999 ** (t - 1))
+    p = gen.standard_normal(n) * 10.0 ** gen.uniform(-4, 1, n)
+    params = {"w": p.copy()}
+    state = AdamState.for_params(params)
+    state.m[:], state.v[:], state.step_count = m, v, t - 1
+    adam_step(params, {"w": g}, state, rate=rate, weight_decay=weight_decay)
+    for i in range(n):
+        want, m_i, v_i = oracles.adam_scalar(p[i], g[i], m[i], v[i], t, rate,
+                                             wd=weight_decay)
+        update = rate * (m_i / (1 - 0.9 ** t)) / (
+            math.sqrt(v_i / (1 - 0.999 ** t)) + 1e-8)
+        assert abs(params["w"][i] - want) <= 1e-13 * (abs(p[i]) + abs(update))
 
 
 def test_adam_quadratic_descent():
@@ -628,3 +659,27 @@ def test_rng_stream_reproducible_for_any_key(seed, stream_id, key):
     a = RngStream(seed, stream_id).generator(key).random(3)
     b = RngStream(seed, stream_id).generator(key).random(3)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The BLAS thread pin
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(
+    not {"get_num_threads", "set_num_threads"} <= numcore._openblas().keys(),
+    reason="numpy bundles no OpenBLAS with the thread calls")
+def test_one_blas_thread_restores_the_callers_count():
+    """Inside the pin OpenBLAS runs one thread; after it, also when the
+    body raises, it runs the count the caller had set."""
+    set_threads = numcore._openblas()["set_num_threads"]
+    before = openblas_info()[1]
+    try:
+        set_threads(2)
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                assert openblas_info()[1] == "1"
+                raise KeyError
+        assert openblas_info()[1] == "2"
+    finally:
+        set_threads(int(before))

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -344,31 +343,10 @@ _FULL = [
 _TIERS = {"fast": _FAST, "full": _FULL}
 
 
-def _openblas() -> tuple[str, str]:
-    """The core name and thread count of numpy's bundled OpenBLAS, each
-    "unknown" where numpy has no such library or it lacks the call."""
-    core = threads = "unknown"
-    root = Path(np.__file__).resolve().parent
-    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
-                        *root.glob(".dylibs/*openblas*")]):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        name = getattr(lib, "scipy_openblas_get_corename64_", None)
-        count = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        if name is not None:
-            name.argtypes, name.restype = [], ctypes.c_char_p
-            core = name().decode()
-        if count is not None:
-            count.argtypes, count.restype = [], ctypes.c_int
-            threads = str(count())
-        break
-    return core, threads
-
-
 def envelope() -> str:
-    core, threads = _openblas()
+    # Imported here: --against runs this file on parent trees that lack it.
+    from survfuse.numcore import openblas_info
+    core, threads = openblas_info()
     return (f"numpy {np.__version__}, OpenBLAS core {core}, "
             f"BLAS threads {threads}")
 
